@@ -61,5 +61,18 @@ class Overflow(FrameMeasuresError):
     """Exponent outside the representable double range."""
 
 
+class InvalidEnsembleSize(FrameMeasuresError, ValueError):
+    """Ensemble truncation dimension or sample count out of range."""
+
+
+class SanityBandViolated(FrameMeasuresError, RuntimeError):
+    """Generated coordinates fail the 5-sigma mean/variance band: a
+    generator defect, not bad luck."""
+
+
+class NonPositiveFunctional(FrameMeasuresError, ValueError):
+    """An exponential functional took a non-positive value."""
+
+
 class ConfigError(FrameMeasuresError):
     """Malformed CLI/config input."""

@@ -16,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import IndexOutOfRange
+
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
@@ -37,16 +39,40 @@ def _philox(seed: int, stream: int, block: int = 0) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
+# largest double below 1: the top raw values would otherwise round up to 1.0
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def _to_open_unit(raw: np.ndarray) -> np.ndarray:
-    # uint64 -> float64 in the open interval (0, 1); 53-bit resolution
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """uint64 -> float64 in the open interval (0, 1), 53-bit resolution.
+
+    Works in place: the result is a float64 view of `raw`'s buffer, which
+    is consumed. Value k = raw >> 11 maps to (k + 0.5) * 2^-53; the top
+    value k = 2^53 - 1 rounds to 1.0 and is clamped below it.
+    """
+    np.right_shift(raw, np.uint64(11), out=raw)
+    out = raw.view(np.float64)
+    np.add(raw, 0.5, out=out, casting="unsafe")
+    out *= 2.0**-53
+    return np.minimum(out, _BELOW_ONE, out=out)
+
+
+def _raw(seed: int, stream: int, block: int, start: int, count: int) -> np.ndarray:
+    """Raw outputs [start, start + count) of the (seed, stream, block) stream.
+
+    Philox counter steps emit 4 raw outputs, so the generator is advanced
+    by start // 4 and the remainder discarded; any chunking of a range
+    yields the same values.
+    """
+    bg = _philox(seed, stream, block)
+    bg.advance(start // 4)
+    drop = start % 4
+    return bg.random_raw(count + drop)[drop:]
 
 
 def uniforms(seed: int, count: int, stream: int = 0) -> np.ndarray:
     """`count` uniforms in (0, 1) from the (seed, stream) Philox stream."""
-    if count == 0:
-        return np.empty(0)
-    return _to_open_unit(_philox(seed, stream).random_raw(count))
+    return uniforms_at(seed, 0, count, stream=stream)
 
 
 def uniform_matrix(seed: int, rows: int, cols: int, stream: int = 0) -> np.ndarray:
@@ -55,25 +81,17 @@ def uniform_matrix(seed: int, rows: int, cols: int, stream: int = 0) -> np.ndarr
 
 
 def uniforms_at(seed: int, start: int, count: int, stream: int = 0) -> np.ndarray:
-    """`count` uniforms at positions [start, start + count) of the stream.
-
-    Philox counter steps emit 4 raw outputs, so the generator is advanced
-    by start // 4 and the remainder discarded; any chunking of a range
-    yields the same values.
-    """
+    """`count` uniforms at positions [start, start + count) of the stream."""
     if count == 0:
         return np.empty(0)
-    bg = _philox(seed, stream)
-    bg.advance(start // 4)
-    drop = start % 4
-    return _to_open_unit(bg.random_raw(count + drop)[drop:])
+    return _to_open_unit(_raw(seed, stream, 0, start, count))
 
 
 def worker_count() -> int:
     """Worker cap from FRAMES_THREADS (defaults to the CPU count).
 
-    Results are identical for any value: workers fill disjoint,
-    position-keyed blocks.
+    Results are identical for any value: workers fill or reduce disjoint,
+    position-keyed row ranges, and reductions merge them in a fixed order.
     """
     cap = os.cpu_count() or 1
     env = os.environ.get("FRAMES_THREADS")
@@ -85,6 +103,43 @@ def worker_count() -> int:
     return cap
 
 
+def map_ordered(fn, items, workers: int | None = None):
+    """Yield fn(item) for each of `items`, in order, computed in up to
+    `workers` threads (default `worker_count()`). Consume the results as
+    they come: only the items in flight hold their working memory."""
+    items = list(items)
+    if workers is None:
+        workers = worker_count()
+    if workers < 2 or len(items) < 2:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, items)
+    finally:
+        # an item that raised, or a consumer that stopped early, cancels the rest
+        pool.shutdown(cancel_futures=True)
+
+
+def normal_rows(
+    seed: int, start: int, stop: int, cols: int, stream: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows [start, stop) of the (seed, stream) normal matrix with `cols` columns.
+
+    Row i lies in block b = i // BLOCK_ROWS and draws from the
+    (seed, stream, b) Philox stream at positions
+    [(i - b*BLOCK_ROWS)*cols, (i - b*BLOCK_ROWS + 1)*cols), so the range
+    must stay inside one block. Written into `out`, a (stop - start, cols)
+    array, when given.
+    """
+    block, first = divmod(start, BLOCK_ROWS)
+    if not start <= stop <= (block + 1) * BLOCK_ROWS:
+        raise IndexOutOfRange(f"rows [{start}, {stop}) do not lie inside one block")
+    u = _to_open_unit(_raw(seed, stream, block, first * cols, (stop - start) * cols))
+    u = u.reshape(stop - start, cols)
+    return ndtri(u, out=u if out is None else out)
+
+
 def normal_matrix(
     seed: int,
     rows: int,
@@ -92,30 +147,20 @@ def normal_matrix(
     stream: int = 0,
     workers: int | None = None,
 ) -> np.ndarray:
-    """(rows, cols) i.i.d. standard normals, blocked by row ranges.
+    """(rows, cols) i.i.d. standard normals, filled block by block.
 
-    Entry (i, j) is a pure function of (seed, stream, i, j): block
-    b = i // BLOCK_ROWS draws from the (seed, stream, b) Philox stream at
-    position (i - b*BLOCK_ROWS)*cols + j. Blocks may be filled by any
-    number of threads in any order.
+    Entry (i, j) is a pure function of (seed, stream, i, j); see
+    `normal_rows`. Blocks may be filled by any number of threads in any
+    order.
     """
-    if workers is None:
-        workers = worker_count()
     out = np.empty((rows, cols))
-    n_blocks = -(-rows // BLOCK_ROWS) if rows else 0
 
-    def fill(b: int) -> None:
-        lo = b * BLOCK_ROWS
+    def fill(lo: int) -> None:
         hi = min(rows, lo + BLOCK_ROWS)
-        raw = _philox(seed, stream, block=b).random_raw((hi - lo) * cols)
-        out[lo:hi] = ndtri(_to_open_unit(raw)).reshape(hi - lo, cols)
+        normal_rows(seed, lo, hi, cols, stream=stream, out=out[lo:hi])
 
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            fill(b)
+    for _ in map_ordered(fill, range(0, rows, BLOCK_ROWS), workers):
+        pass
     return out
 
 

@@ -4,8 +4,8 @@ Each suite turns library operations into CheckRecords; `run` dispatches an
 ExperimentConfig, times it, and assembles the Report. verify-all chains
 every suite on built-in inputs with one shared white-noise ensemble.
 """
+import logging
 import math
-import sys
 import time
 
 import numpy as np
@@ -27,6 +27,8 @@ from .report import (
     exact_record,
     mc_record,
 )
+
+log = logging.getLogger(__name__)
 
 GAUSSIAN_CHECKS = ("isometry", "charfn", "moments", "covariance", "reconstruct", "projection")
 
@@ -279,7 +281,41 @@ def _dpp_suite(config):
     return _dpp_records(config, kernel)
 
 
-# --------------------------------------------------------------- gaussian
+# ------------------------------------------------- white-noise suites
+#
+# The gaussian, translate and kl record builders return a list whose items
+# are CheckRecords or pending pairs (to_records, reductions): `_resolve`
+# runs every pending reduction of the list in one pass over the ensemble
+# and replaces each pair by to_records(*results).
+
+
+def _mc(reduction, z_max, *names):
+    """Pending mc_records of a reduction's McEstimate(s), one per name."""
+    def to_records(ests):
+        ests = ests if isinstance(ests, tuple) else (ests,)
+        return [mc_record(name, est, z_max) for name, est in zip(names, ests)]
+
+    return (to_records, reduction)
+
+
+def _resolve(ens, items):
+    """Records of `items`, in order, after one pass over `ens`."""
+    pending = [item for item in items if not isinstance(item, CheckRecord)]
+    results = iter(ens.reduce(r for _, *reductions in pending for r in reductions))
+    records = []
+    for item in items:
+        if isinstance(item, CheckRecord):
+            records.append(item)
+        else:
+            to_records, *reductions = item
+            records += to_records(*(next(results) for _ in reductions))
+    return records
+
+
+def _lazy_ensemble(config):
+    # never materialized: every pass regenerates its tiles
+    return wn.WhiteNoiseEnsemble(config.dim, config.samples, config.seed)
+
 
 def _gaussian_records(config, ens, prefix=""):
     checks = config.options.get("checks") or GAUSSIAN_CHECKS
@@ -291,60 +327,52 @@ def _gaussian_records(config, ens, prefix=""):
     d = ens.truncation_dim
     m = ens.sample_count
     probes = _probe_vectors(config.seed, 3, d)
-    records = []
+    items = []
 
     if "isometry" in checks:
         for i, x in enumerate(probes):
-            records.append(
-                mc_record(prefix + f"isometry_x{i}", wn.ito_isometry_check(x, ens), z_max)
-            )
+            items.append(_mc(wn.ito_isometry(x), z_max, prefix + f"isometry_x{i}"))
     if "charfn" in checks:
         # the two closed-form targets: ||x||^2 = 1 -> e^(-1/2), = 2 -> e^(-1)
         for label, x in (("unit", probes[0]), ("sqrt2", probes[1] * math.sqrt(2.0))):
-            re_est, im_est = wn.char_functional_check(x, ens)
-            records.append(mc_record(prefix + f"charfn_{label}_real", re_est, z_max))
-            records.append(mc_record(prefix + f"charfn_{label}_imag", im_est, z_max))
+            items.append(_mc(wn.char_functional(x), z_max,
+                             prefix + f"charfn_{label}_real", prefix + f"charfn_{label}_imag"))
     if "moments" in checks:
         for order in (2, 4, 6, 3, 5):
-            records.append(
-                mc_record(prefix + f"moment_{order}",
-                          wn.moment_check(probes[0], order, ens), z_max)
-            )
+            items.append(_mc(wn.moment(probes[0], order), z_max, prefix + f"moment_{order}"))
     if "covariance" in checks:
         frame = frames_mod.mercedes_benz_frame()
-        proc = wn.gaussian_process_from_frame(frame, ens)
-        cov = wn.empirical_covariance(proc)
-        dist = float(np.linalg.norm(cov - frames_mod.gram(frame).entries))
-        records.append(
-            bound_record(prefix + "covariance_frobenius", dist,
-                         5.0 * frame.n_frame / math.sqrt(m))
-        )
+        target = frames_mod.gram(frame).entries
+        bound = 5.0 * frame.n_frame / math.sqrt(m)
+        items.append((
+            lambda cov: [bound_record(prefix + "covariance_frobenius",
+                                      float(np.linalg.norm(cov - target)), bound)],
+            wn.gramian_covariance(frame),
+        ))
     if "reconstruct" in checks:
-        _, err = wn.reconstruct_mc(probes[0], ens)
-        records.append(
-            bound_record(prefix + "reconstruct_error", err, 4.0 * math.sqrt((d + 1.0) / m))
-        )
-        f = wn.pairings(probes[0], ens)
-        lhs = float(f @ wn.pairings(probes[1], ens)) / m
-        rhs = float(wn.synthesis_mc(f, ens) @ np.asarray(probes[1]))
-        adj = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        records.append(bound_record(prefix + "synthesis_adjoint_rel_residual", adj, rel))
+        def reconstruct(recon, cross):
+            x_hat, err = recon
+            # <T x0, T x1> / M against <synthesis(T x0), x1>: equal up to rounding
+            rhs = float(x_hat @ probes[1])
+            adj = abs(cross.value - rhs) / max(abs(rhs), 1e-300)
+            return [
+                bound_record(prefix + "reconstruct_error", err, 4.0 * math.sqrt((d + 1.0) / m)),
+                bound_record(prefix + "synthesis_adjoint_rel_residual", adj, rel),
+            ]
+
+        items.append((reconstruct, wn.reconstruction(probes[0]),
+                      wn.projection(probes[0], probes[1])))
     if "projection" in checks:
-        records.append(
-            mc_record(prefix + "projection_self",
-                      wn.projection_check(probes[2], probes[2], ens), z_max)
-        )
         y_perp = probes[1] - float(probes[1] @ probes[2]) * probes[2]
-        records.append(
-            mc_record(prefix + "projection_orthogonal",
-                      wn.projection_check(probes[2], y_perp, ens), z_max)
-        )
-    return records
+        items.append(_mc(wn.projection(probes[2], probes[2]), z_max, prefix + "projection_self"))
+        items.append(_mc(wn.projection(probes[2], y_perp), z_max,
+                         prefix + "projection_orthogonal"))
+    return items
 
 
 def _gaussian_suite(config):
-    ens = wn.WhiteNoiseEnsemble.generate(config.dim, config.samples, config.seed)
-    return _gaussian_records(config, ens)
+    ens = _lazy_ensemble(config)
+    return _resolve(ens, _gaussian_records(config, ens))
 
 
 # -------------------------------------------------------------- translate
@@ -360,10 +388,9 @@ def _translate_records(config, ens, x=None, y=None, prefix=""):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if float(x @ x) > 4.0:
-        print(
-            f"warning: ||x||^2 = {float(x @ x):.3g} > 4; importance-sampling "
-            "variance grows like exp(||x||^2) and 4-sigma bands lose power",
-            file=sys.stderr,
+        log.warning(
+            "||x||^2 = %.3g > 4; importance-sampling variance grows like "
+            "exp(||x||^2) and 4-sigma bands lose power", float(x @ x),
         )
 
     triples = streams.normal_matrix(config.seed, 1000, 3 * d, stream=streams.STREAM_PROBES + 1)
@@ -372,30 +399,28 @@ def _translate_records(config, ens, x=None, y=None, prefix=""):
         lhs, rhs = trans_mod.cocycle_check(row[:d], row[d : 2 * d], row[2 * d :])
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
 
-    records = [
+    return [
         bound_record(prefix + "cocycle_max_rel_residual", worst, rel),
-        mc_record(prefix + "rn_density_mean", trans_mod.rn_mean_check(x, ens), z_max),
-        mc_record(prefix + "translated_second_moment",
-                  trans_mod.translated_second_moment(x, y, ens), z_max),
-        mc_record(prefix + "shift_consistency_linear",
-                  trans_mod.translation_consistency_check(x, y, ens, power=1), z_max),
-        mc_record(prefix + "shift_consistency_quadratic",
-                  trans_mod.translation_consistency_check(x, y, ens, power=2), z_max),
+        _mc(trans_mod.rn_mean(x), z_max, prefix + "rn_density_mean"),
+        _mc(trans_mod.translated_moment(x, y), z_max, prefix + "translated_second_moment"),
+        _mc(trans_mod.translation_consistency(x, y, power=1), z_max,
+            prefix + "shift_consistency_linear"),
+        _mc(trans_mod.translation_consistency(x, y, power=2), z_max,
+            prefix + "shift_consistency_quadratic"),
     ]
-    return records
 
 
 def _translate_suite(config):
-    ens = wn.WhiteNoiseEnsemble.generate(config.dim, config.samples, config.seed)
+    ens = _lazy_ensemble(config)
     opts = config.options
-    return _translate_records(config, ens, x=opts.get("x"), y=opts.get("y"))
+    return _resolve(ens, _translate_records(config, ens, x=opts.get("x"), y=opts.get("y")))
 
 
 # --------------------------------------------------------------------- kl
 
-def _kl_records(config, ens, frame, x=None, prefix=""):
+def _kl_records(config, frame, x=None, prefix=""):
     z_max = config.tolerance("z_max")
-    records = [
+    items = [
         bound_record(
             prefix + "parseval_residual",
             max(abs(frame.lower_bound - 1.0), abs(frame.upper_bound - 1.0)),
@@ -407,18 +432,14 @@ def _kl_records(config, ens, frame, x=None, prefix=""):
     else:
         xs = list(_probe_vectors(config.seed, 3, frame.dim))
     for i, probe in enumerate(xs):
-        records.append(
-            mc_record(prefix + f"kl_variance_x{i}",
-                      trans_mod.kl_variance_check(frame, probe, ens), z_max)
-        )
-    return records
+        items.append(_mc(trans_mod.kl_variance(frame, probe), z_max, prefix + f"kl_variance_x{i}"))
+    return items
 
 
 def _kl_suite(config):
     _require_inputs(config, 1, "frame JSON")
     frame = frames_mod.load_frame(config.inputs[0])
-    ens = wn.WhiteNoiseEnsemble.generate(config.dim, config.samples, config.seed)
-    return _kl_records(config, ens, frame, x=config.options.get("x"))
+    return _resolve(_lazy_ensemble(config), _kl_records(config, frame, x=config.options.get("x")))
 
 
 # --------------------------------------------------------------- verify-all
@@ -459,8 +480,12 @@ def _verify_all_suite(config):
     )
     records += _dpp_records(dpp_cfg, dpp_mod.kernel_from_frame(mb), prefix="dpp.")
 
-    ens = wn.WhiteNoiseEnsemble.generate(config.dim, config.samples, config.seed)
-    records += _gaussian_records(config, ens, prefix="gaussian.")
-    records += _translate_records(config, ens, prefix="translate.")
-    records += _kl_records(config, ens, trans_mod.parseval_rescale(mb), prefix="kl.")
+    # one pass over one shared ensemble serves the three white-noise suites
+    ens = _lazy_ensemble(config)
+    records += _resolve(
+        ens,
+        _gaussian_records(config, ens, prefix="gaussian.")
+        + _translate_records(config, ens, prefix="translate.")
+        + _kl_records(config, trans_mod.parseval_rescale(mb), prefix="kl."),
+    )
     return records

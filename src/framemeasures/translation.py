@@ -19,9 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionExceedsTruncation, NotParseval, NotTight, Overflow
+from .errors import (
+    DimensionExceedsTruncation,
+    KTooLarge,
+    NonPositiveFunctional,
+    NotParseval,
+    NotTight,
+    Overflow,
+)
 from .frames import Frame, analysis, as_vector, build_frame
-from .whitenoise import McEstimate, WhiteNoiseEnsemble, mc_estimate, pairing, pairings
+from .whitenoise import (
+    MAX_MOMENT_ORDER,
+    McEstimate,
+    Reduction,
+    WhiteNoiseEnsemble,
+    _mean_reduction,
+    _power,
+    _stacked,
+    pairing,
+    pairings,
+)
 
 PARSEVAL_TOL = 1e-10
 EXP_LIMIT = 700.0  # exp overflows past ~709.8
@@ -46,20 +63,24 @@ class ExpFunctional:
 
     def __post_init__(self):
         if np.any(self.values <= 0.0):
-            raise ValueError("exponential functional must be strictly positive")
+            raise NonPositiveFunctional("exponential functional must be strictly positive")
+
+
+def _exp_values(t: np.ndarray, norm_sq: float) -> np.ndarray:
+    """E(x) at samples with pairings t = <x, omega>, ||x||^2 = norm_sq."""
+    exponents = t - 0.5 * norm_sq
+    peak = float(np.abs(exponents).max()) if exponents.size else 0.0
+    if peak > EXP_LIMIT:
+        raise Overflow(f"density exponent {peak:.3g} outside double range")
+    return np.exp(exponents)
 
 
 def exp_functional(x, ens: WhiteNoiseEnsemble) -> ExpFunctional:
     """E(x)(omega_m) = exp(<x, omega_m> - ||x||^2 / 2) for every sample."""
     t = pairings(x, ens)
-    x = as_vector(x)
-    exponents = t - 0.5 * float(x @ x)
-    peak = float(np.abs(exponents).max()) if exponents.size else 0.0
-    if peak > EXP_LIMIT:
-        raise Overflow(f"density exponent {peak:.3g} outside double range")
-    x = x.copy()
+    x = as_vector(x).copy()
     x.setflags(write=False)
-    return ExpFunctional(x=x, values=np.exp(exponents))
+    return ExpFunctional(x=x, values=_exp_values(t, float(x @ x)))
 
 
 def cocycle_check(x1, x2, omega):
@@ -82,37 +103,62 @@ def cocycle_check(x1, x2, omega):
     return lhs, rhs
 
 
+def rn_mean(x) -> Reduction:
+    """Reduction behind `rn_mean_check`."""
+    x = as_vector(x)
+    norm_sq = float(x @ x)
+    return _mean_reduction(x, lambda p: _exp_values(p, norm_sq), [1.0])
+
+
 def rn_mean_check(x, ens: WhiteNoiseEnsemble) -> McEstimate:
     """Ensemble mean of E(x) against 1 (the density integrates to 1).
 
     Single-sample variance is exp(||x||^2) - 1: bands degrade quickly,
     keep ||x||^2 modest.
     """
-    return mc_estimate(exp_functional(x, ens).values, 1.0)
+    return ens.reduce([rn_mean(x)])[0]
 
 
-def translated_second_moment(x, y, ens: WhiteNoiseEnsemble) -> McEstimate:
-    """Mean of E(x) <y, omega>^2 against <x, y>^2 + ||y||^2."""
-    e = exp_functional(x, ens).values
-    t = pairings(y, ens)
+def translated_moment(x, y) -> Reduction:
+    """Reduction behind `translated_second_moment`."""
     x = as_vector(x)
     y = as_vector(y)
     d = min(x.size, y.size)
     target = float(x[:d] @ y[:d]) ** 2 + float(y @ y)
-    return mc_estimate(e * t * t, target)
+    norm_sq = float(x @ x)
+    return _mean_reduction(
+        _stacked(x, y), lambda p: _exp_values(p[:1], norm_sq) * p[1:] * p[1:], [target]
+    )
+
+
+def translated_second_moment(x, y, ens: WhiteNoiseEnsemble) -> McEstimate:
+    """Mean of E(x) <y, omega>^2 against <x, y>^2 + ||y||^2."""
+    return ens.reduce([translated_moment(x, y)])[0]
+
+
+def translation_consistency(x, y, power: int = 1) -> Reduction:
+    """Reduction behind `translation_consistency_check`."""
+    if not 1 <= power <= MAX_MOMENT_ORDER:
+        raise KTooLarge(f"power must be in 1..{MAX_MOMENT_ORDER}, got {power}")
+    x = as_vector(x)
+    y = as_vector(y)
+    d = min(x.size, y.size)
+    shift = float(y[:d] @ x[:d])
+    norm_sq = float(x @ x)
+
+    def values(p):
+        e, t = _exp_values(p[:1], norm_sq), p[1:]
+        return e * _power(t, power) - _power(t + shift, power)
+
+    return _mean_reduction(_stacked(x, y), values, [0.0])
 
 
 def translation_consistency_check(x, y, ens: WhiteNoiseEnsemble, power: int = 1) -> McEstimate:
     """Change of variables: mean of E(x) g - mean of g(. + x) against 0,
-    for g(omega) = <y, omega>^power. Per-sample differences share omega_m,
-    so the standard error reflects the coupled estimator."""
-    e = exp_functional(x, ens).values
-    t = pairings(y, ens)
-    x = as_vector(x)
-    y = as_vector(y)
-    d = min(x.size, y.size)
-    shifted = t + float(y[:d] @ x[:d])
-    return mc_estimate(e * t**power - shifted**power, 0.0)
+    for g(omega) = <y, omega>^power, 1 <= power <= 9. Per-sample
+    differences share omega_m, so the standard error reflects the coupled
+    estimator."""
+    return ens.reduce([translation_consistency(x, y, power)])[0]
 
 
 def parseval_rescale(frame: Frame) -> Frame:
@@ -150,7 +196,15 @@ def kl_expand(frame: Frame, x, ens: WhiteNoiseEnsemble) -> np.ndarray:
             f"frame count {frame.n_frame} exceeds truncation {ens.truncation_dim}"
         )
     coeffs = analysis(frame, x)
-    return ens.samples[:, : frame.n_frame] @ coeffs
+    return ens.coordinates()[:, : frame.n_frame] @ coeffs
+
+
+def kl_variance(frame: Frame, x) -> Reduction:
+    """Reduction behind `kl_variance_check`: the Karhunen-Loeve values
+    are the pairings with the coefficient vector (<x, phi_n>)_n."""
+    _require_parseval(frame)
+    coeffs = analysis(frame, x)
+    return _mean_reduction(coeffs, lambda p: p * p, [coeffs @ coeffs])
 
 
 def kl_variance_check(frame: Frame, x, ens: WhiteNoiseEnsemble) -> McEstimate:
@@ -159,6 +213,4 @@ def kl_variance_check(frame: Frame, x, ens: WhiteNoiseEnsemble) -> McEstimate:
     For a Parseval frame the target equals ||x||^2; stating it as the
     coefficient energy keeps the check valid for near-Parseval frames.
     """
-    vals = kl_expand(frame, x, ens) ** 2
-    coeffs = analysis(frame, x)
-    return mc_estimate(vals, float(coeffs @ coeffs))
+    return ens.reduce([kl_variance(frame, x)])[0]

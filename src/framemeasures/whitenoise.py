@@ -9,12 +9,33 @@ covariance, synthesis/reconstruction, projection) holds *exactly* at any
 truncation D >= dim(x), so Monte-Carlo verification at desk scale is
 unbiased.
 
-A WhiteNoiseEnsemble is a seeded (M, D) matrix of coordinates; sample i is
-a pure function of (seed, i), so prefixes of a larger ensemble coincide
-with smaller ensembles and all estimates are bitwise reproducible.
+A WhiteNoiseEnsemble is M seeded sample vectors in R^D: sample i is row i
+of `streams.normal_matrix(seed, M, D, STREAM_WHITENOISE)`, a pure function
+of (seed, i) keyed by its block (`streams.normal_rows`), so prefixes of a
+larger ensemble coincide with smaller ensembles. `generate` caches the
+whole (M, D) matrix; an ensemble constructed directly from (D, M, seed)
+holds no samples and regenerates them on every pass, in memory
+O(workers * TILE_ROWS * D).
+
+Each scalar estimator is written once, as a `Reduction`: the probe vectors
+it pairs with every sample and a per-tile contribution (count, mean and M2
+of per-sample values, or plain sums). `WhiteNoiseEnsemble.reduce` runs any
+number of reductions in one pass: each tile of TILE_ROWS samples is paired
+with the stacked probes of all of them in one GEMM, and the tile
+statistics are merged in tile order (Chan, Golub & LeVeque 1979). The
+order is fixed, so estimates are bitwise identical for any thread count,
+for cached and regenerated samples, and for `restrict(m)` versus
+generating m samples. A pass over regenerated samples also checks the
+5-sigma mean/variance sanity band. A public check such as
+`ito_isometry_check(x, ens)` is its reduction (`ito_isometry(x)`) run
+alone; the array functions (`pairings`, `gaussian_process_from_frame`,
+`synthesis_mc`) read the whole matrix.
 """
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import factorial2
@@ -22,8 +43,10 @@ from scipy.special import factorial2
 from . import streams
 from .errors import (
     DimensionExceedsTruncation,
+    InvalidEnsembleSize,
     KTooLarge,
     LengthMismatch,
+    SanityBandViolated,
     SingularGramian,
 )
 from .frames import Frame, GramMatrix, as_vector
@@ -32,16 +55,103 @@ DEFAULT_TRUNCATION = 64  # suggested desk-scale D; identities are exact at any D
 MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
 MEAN_BAND = 5.0       # generator sanity: |coord mean| <= 5/sqrt(M)
 VAR_BAND = 5.0        # and |coord var - 1| <= 5*sqrt(2/M)
+# Samples per task of a pass: a tile of D = 32 coordinates is 2 MB, so a
+# tile and its pairings stay in cache. Divides BLOCK_ROWS, so no tile
+# crosses a block.
+TILE_ROWS = streams.BLOCK_ROWS // 8
+# Samples per matrix product inside a tile. BLAS libraries run a product
+# this small (30 probes x 32 coordinates x 256 samples, under OpenBLAS's
+# 2^18 multiply-add threading threshold) on the calling thread; a product
+# over the whole tile starts the library's own threads, which then compete
+# with the pass's workers for the cores (the white-noise pass of verify-all
+# at 1M x 32 took about 1.4 s instead of 0.8 s on 2 vCPUs).
+BLAS_ROWS = 256
+
+
+def _tiles(m: int):
+    return [(lo, min(m, lo + TILE_ROWS)) for lo in range(0, m, TILE_ROWS)]
+
+
+def _pair(probes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p[j, i] = <probes[j], z[i]> for a tile z, BLAS_ROWS samples per product."""
+    k, width = probes.shape
+    rows, cols = z.shape
+    full = rows - rows % BLAS_ROWS
+    chunks = z[:full].reshape(-1, BLAS_ROWS, cols)[:, :, :width]
+    p = (probes @ chunks.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(k, full)
+    if full == rows:
+        return p
+    return np.concatenate([p, probes @ z[full:, :width].T], axis=1)
+
+
+def _column_sums(z: np.ndarray) -> np.ndarray:
+    """Per-coordinate sums and sums of squares of a tile, for the sanity band."""
+    return np.array([np.einsum("ij->j", z), np.einsum("ij,ij->j", z, z)])
+
+
+def _moments(v: np.ndarray):
+    """(count, mean, M2) of each row of v, taken along the last axis."""
+    n = v.shape[-1]
+    mean = v.sum(axis=-1) / n
+    d = v - mean[..., None]
+    return n, mean, np.einsum("...i,...i->...", d, d)
+
+
+def _merge_moments(a, b):
+    """Moments of the values of a followed by those of b (Chan, Golub &
+    LeVeque 1979)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+
+
+def _check_band(sums: np.ndarray, m: int) -> None:
+    s1, s2 = sums
+    mean = s1 / m
+    mean_err = np.abs(mean).max()
+    if mean_err > MEAN_BAND / math.sqrt(m):
+        raise SanityBandViolated(f"coordinate mean off by {mean_err:.3g}")
+    if m > 1:
+        var_err = np.abs((s2 - s1 * mean) / (m - 1) - 1.0).max()
+        if var_err > VAR_BAND * math.sqrt(2.0 / m):
+            raise SanityBandViolated(f"coordinate variance off by {var_err:.3g}")
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """One check's contribution to a pass over an ensemble.
+
+    `probes` (k, w) are paired with every sample. For each tile,
+    `block(p, z)` maps the pairings p (k, rows), p[j, i] = <probes[j],
+    omega_i>, and the tile's coordinates z (rows, D) to statistics;
+    `merge(a, b)` folds the statistics of the next tile b into a, and
+    `finish(total, m)` turns the total over all m samples into the result.
+    """
+
+    probes: np.ndarray
+    block: Callable
+    finish: Callable
+    merge: Callable = operator.add
 
 
 @dataclass(frozen=True)
 class WhiteNoiseEnsemble:
-    """Seeded i.i.d. standard-normal coordinate vectors in R^D."""
+    """Seeded i.i.d. standard-normal coordinate vectors in R^D.
+
+    `samples` is the cached (M, D) matrix, or None for an ensemble that
+    regenerates its samples on every pass.
+    """
 
     truncation_dim: int
     sample_count: int
     seed: int
-    samples: np.ndarray
+    samples: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.truncation_dim < 1 or self.sample_count < 1:
+            raise InvalidEnsembleSize("truncation_dim and sample_count must be positive")
 
     @classmethod
     def generate(
@@ -51,46 +161,78 @@ class WhiteNoiseEnsemble:
         seed: int,
         workers: int | None = None,
     ) -> "WhiteNoiseEnsemble":
-        """Generate deterministically from (D, M, seed).
+        """Generate and cache the samples deterministically from (D, M, seed).
 
         Coordinates come from a counter-based stream, inverse-CDF
-        transformed; see `streams.normal_matrix`. A per-coordinate
-        mean/variance sanity band (5 sigma) guards against generator
-        defects.
+        transformed; see `streams.normal_rows`. A per-coordinate
+        mean/variance sanity band (5 sigma), taken from the column sums of
+        each tile as it is generated, guards against generator defects.
         """
-        if truncation_dim < 1 or sample_count < 1:
-            raise ValueError("truncation_dim and sample_count must be positive")
-        z = streams.normal_matrix(
-            seed, sample_count, truncation_dim,
-            stream=streams.STREAM_WHITENOISE, workers=workers,
-        )
-        m = sample_count
-        mean_err = np.abs(z.mean(axis=0)).max()
-        if mean_err > MEAN_BAND / math.sqrt(m):
-            raise RuntimeError(f"coordinate mean off by {mean_err:.3g}")
-        if m > 1:
-            var_err = np.abs(z.var(axis=0, ddof=1) - 1.0).max()
-            if var_err > VAR_BAND * math.sqrt(2.0 / m):
-                raise RuntimeError(f"coordinate variance off by {var_err:.3g}")
+        ens = cls(truncation_dim, sample_count, seed)
+        z = np.empty((sample_count, truncation_dim))
+
+        def fill(tile):
+            lo, hi = tile
+            return _column_sums(ens._regenerate(lo, hi, out=z[lo:hi]))
+
+        _check_band(sum(streams.map_ordered(fill, _tiles(sample_count), workers)), sample_count)
         z.setflags(write=False)
-        return cls(
-            truncation_dim=truncation_dim,
-            sample_count=sample_count,
-            seed=seed,
-            samples=z,
-        )
+        return replace(ens, samples=z)
 
     def restrict(self, sample_count: int) -> "WhiteNoiseEnsemble":
         """First `sample_count` samples; identical to generating with
         the smaller M directly (samples depend only on (seed, index))."""
         if not 1 <= sample_count <= self.sample_count:
-            raise ValueError("restricted count must be in 1..sample_count")
-        return WhiteNoiseEnsemble(
-            truncation_dim=self.truncation_dim,
-            sample_count=sample_count,
-            seed=self.seed,
-            samples=self.samples[:sample_count],
+            raise InvalidEnsembleSize("restricted count must be in 1..sample_count")
+        samples = None if self.samples is None else self.samples[:sample_count]
+        return replace(self, sample_count=sample_count, samples=samples)
+
+    def coordinates(self) -> np.ndarray:
+        """The (M, D) matrix: the cached one, or all samples regenerated."""
+        if self.samples is not None:
+            return self.samples
+        return WhiteNoiseEnsemble.generate(self.truncation_dim, self.sample_count, self.seed).samples
+
+    def _regenerate(self, lo: int, hi: int, out=None) -> np.ndarray:
+        return streams.normal_rows(
+            self.seed, lo, hi, self.truncation_dim, stream=streams.STREAM_WHITENOISE, out=out
         )
+
+    def reduce(self, reductions) -> list:
+        """The results of `reductions`, all computed in one pass over the
+        samples, in tile order; see the module docstring."""
+        reductions = list(reductions)
+        if not reductions:
+            return []
+        stacked = _stacked(*(v for r in reductions for v in r.probes))
+        if stacked.shape[1] > self.truncation_dim:
+            raise DimensionExceedsTruncation(
+                f"vector dimension {stacked.shape[1]} exceeds truncation {self.truncation_dim}"
+            )
+        sizes = [len(r.probes) for r in reductions]
+        rows = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
+        merges = [r.merge for r in reductions]
+        regenerate = self.samples is None
+        if regenerate:
+            merges.append(operator.add)
+
+        def tile_stats(tile):
+            lo, hi = tile
+            z = self._regenerate(lo, hi) if regenerate else self.samples[lo:hi]
+            p = _pair(stacked, z)
+            stats = [r.block(p[sl], z) for r, sl in zip(reductions, rows)]
+            if regenerate:
+                stats.append(_column_sums(z))
+            return stats
+
+        totals = None
+        for stats in streams.map_ordered(tile_stats, _tiles(self.sample_count)):
+            totals = stats if totals is None else [
+                merge(a, b) for merge, a, b in zip(merges, totals, stats)
+            ]
+        if regenerate:
+            _check_band(totals.pop(), self.sample_count)
+        return [r.finish(t, self.sample_count) for r, t in zip(reductions, totals)]
 
 
 @dataclass(frozen=True)
@@ -107,12 +249,9 @@ class McEstimate:
         return abs(self.z_score) <= z_max
 
 
-def mc_estimate(values: np.ndarray, target: float) -> McEstimate:
-    """Sample mean, standard error, and z-score against a target."""
-    values = np.asarray(values, dtype=float)
-    m = values.size
-    value = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+def _estimate(m: int, mean, m2, target: float) -> McEstimate:
+    value = float(mean)
+    std_error = math.sqrt(float(m2) / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
     if std_error > 0.0:
         z = (value - target) / std_error
     else:
@@ -120,6 +259,51 @@ def mc_estimate(values: np.ndarray, target: float) -> McEstimate:
     return McEstimate(
         value=value, std_error=std_error, sample_count=m, target=float(target), z_score=z
     )
+
+
+def mc_estimate(values: np.ndarray, target: float) -> McEstimate:
+    """Sample mean, standard error, and z-score against a target."""
+    m, mean, m2 = _moments(np.asarray(values, dtype=float).ravel())
+    return _estimate(m, mean, m2, target)
+
+
+def _mean_reduction(probes, values: Callable, targets) -> Reduction:
+    """Reduction estimating the means of per-sample values against targets.
+
+    `values(p)` maps a tile's pairings with `probes` (k, rows) to values
+    (c, rows), one row per target. Finishes to one McEstimate per target,
+    a bare McEstimate when there is one target.
+    """
+    targets = [float(t) for t in targets]
+
+    def finish(moments, m):
+        _, mean, m2 = moments
+        ests = [_estimate(m, mu, s, t) for mu, s, t in zip(mean, m2, targets)]
+        return ests[0] if len(ests) == 1 else tuple(ests)
+
+    return Reduction(
+        probes=np.atleast_2d(probes),
+        block=lambda p, z: _moments(values(p)),
+        finish=finish,
+        merge=_merge_moments,
+    )
+
+
+def _power(t: np.ndarray, order: int) -> np.ndarray:
+    """t**order for an integer order >= 1, by repeated multiplication."""
+    out = t
+    for _ in range(order - 1):
+        out = out * t
+    return out
+
+
+def _stacked(*vectors) -> np.ndarray:
+    """Rows of `vectors`, zero-padded to the longest."""
+    vectors = [as_vector(v) for v in vectors]
+    out = np.zeros((len(vectors), max(v.size for v in vectors)))
+    for row, v in zip(out, vectors):
+        row[: v.size] = v
+    return out
 
 
 def _padded(x, truncation_dim: int) -> np.ndarray:
@@ -141,14 +325,25 @@ def pairing(x, omega) -> float:
 def pairings(x, ens: WhiteNoiseEnsemble) -> np.ndarray:
     """<x, omega_m> for every ensemble sample; the function T x in L^2."""
     x = _padded(x, ens.truncation_dim)
-    return ens.samples[:, : x.size] @ x
+    return ens.coordinates()[:, : x.size] @ x
+
+
+def ito_isometry(x) -> Reduction:
+    """Reduction behind `ito_isometry_check`."""
+    x = as_vector(x)
+    return _mean_reduction(x, lambda p: p * p, [x @ x])
 
 
 def ito_isometry_check(x, ens: WhiteNoiseEnsemble) -> McEstimate:
     """Mean of <x, omega>^2 against ||x||^2 (isometry into L^2)."""
-    vals = pairings(x, ens) ** 2
+    return ens.reduce([ito_isometry(x)])[0]
+
+
+def char_functional(x) -> Reduction:
+    """Reduction behind `char_functional_check`."""
     x = as_vector(x)
-    return mc_estimate(vals, float(x @ x))
+    target = math.exp(-0.5 * float(x @ x))
+    return _mean_reduction(x, lambda p: np.concatenate([np.cos(p), np.sin(p)]), [target, 0.0])
 
 
 def char_functional_check(x, ens: WhiteNoiseEnsemble):
@@ -156,10 +351,19 @@ def char_functional_check(x, ens: WhiteNoiseEnsemble):
 
     Returns (real, imaginary) McEstimates; the imaginary target is 0.
     """
-    t = pairings(x, ens)
+    return ens.reduce([char_functional(x)])[0]
+
+
+def moment(x, order: int) -> Reduction:
+    """Reduction behind `moment_check`."""
+    if not 1 <= order <= MAX_MOMENT_ORDER:
+        raise KTooLarge(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {order}")
     x = as_vector(x)
-    target = math.exp(-0.5 * float(x @ x))
-    return mc_estimate(np.cos(t), target), mc_estimate(np.sin(t), 0.0)
+    if order % 2 == 0:
+        target = float(factorial2(order - 1)) * float(x @ x) ** (order // 2)
+    else:
+        target = 0.0
+    return _mean_reduction(x, lambda p: _power(p, order), [target])
 
 
 def moment_check(x, order: int, ens: WhiteNoiseEnsemble) -> McEstimate:
@@ -169,15 +373,7 @@ def moment_check(x, order: int, ens: WhiteNoiseEnsemble) -> McEstimate:
     Orders above 9 are refused: the single-sample variance grows like
     (4k-1)!! and drowns the estimate at desk-scale M.
     """
-    if not 1 <= order <= MAX_MOMENT_ORDER:
-        raise KTooLarge(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {order}")
-    vals = pairings(x, ens) ** order
-    x = as_vector(x)
-    if order % 2 == 0:
-        target = float(factorial2(order - 1)) * float(x @ x) ** (order // 2)
-    else:
-        target = 0.0
-    return mc_estimate(vals, target)
+    return ens.reduce([moment(x, order)])[0]
 
 
 def gaussian_process_from_frame(frame: Frame, ens: WhiteNoiseEnsemble) -> np.ndarray:
@@ -190,13 +386,22 @@ def gaussian_process_from_frame(frame: Frame, ens: WhiteNoiseEnsemble) -> np.nda
         raise DimensionExceedsTruncation(
             f"frame dimension {frame.dim} exceeds truncation {ens.truncation_dim}"
         )
-    return ens.samples[:, : frame.dim] @ frame.vectors.T
+    return ens.coordinates()[:, : frame.dim] @ frame.vectors.T
 
 
 def empirical_covariance(process: np.ndarray) -> np.ndarray:
     """Uncentered second-moment matrix of process columns (targets G)."""
     m = process.shape[0]
     return process.T @ process / m
+
+
+def gramian_covariance(frame: Frame) -> Reduction:
+    """Reduction to the empirical covariance of the frame's Gaussian
+    process: `empirical_covariance(gaussian_process_from_frame(frame, ens))`
+    without the (M, n_frame) matrix."""
+    return Reduction(
+        frame.vectors, block=lambda p, z: np.einsum("ik,jk->ij", p, p), finish=lambda s, m: s / m
+    )
 
 
 def joint_density(gram_matrix: GramMatrix, x) -> float:
@@ -233,23 +438,41 @@ def synthesis_mc(f_values, ens: WhiteNoiseEnsemble) -> np.ndarray:
         raise LengthMismatch(
             f"expected {ens.sample_count} per-sample values, got shape {f.shape}"
         )
-    return f @ ens.samples / ens.sample_count
+    return f @ ens.coordinates() / ens.sample_count
+
+
+def reconstruction(x) -> Reduction:
+    """Reduction behind `reconstruct_mc`."""
+    x = as_vector(x)
+
+    def finish(total, m):
+        x_hat = total / m
+        full = np.zeros(x_hat.size)
+        full[: x.size] = x
+        return x_hat, float(np.linalg.norm(x_hat - full))
+
+    return Reduction(
+        np.atleast_2d(x), block=lambda p, z: np.einsum("i,ij->j", p[0], z), finish=finish
+    )
 
 
 def reconstruct_mc(x, ens: WhiteNoiseEnsemble):
     """Frame decomposition x = integral <x, omega> omega dmu via MC.
 
-    Returns (x_hat, err) with x_hat = synthesis_mc of f(omega) = <x, omega>
+    Returns (x_hat, err) with x_hat the synthesis of f(omega) = <x, omega>
     and err = ||x_hat - x||. The per-sample integrand has covariance trace
     (D+1) ||x||^2, so E[err^2] = (D+1) ||x||^2 / M.
     """
-    f = pairings(x, ens)
-    x_hat = synthesis_mc(f, ens)
-    x = _padded(x, ens.truncation_dim)
-    full = np.zeros(ens.truncation_dim)
-    full[: x.size] = x
-    err = float(np.linalg.norm(x_hat - full))
-    return x_hat, err
+    return ens.reduce([reconstruction(x)])[0]
+
+
+def projection(y, x_probe) -> Reduction:
+    """Reduction behind `projection_check`."""
+    y = as_vector(y)
+    x_probe = as_vector(x_probe)
+    d = min(y.size, x_probe.size)
+    target = float(y[:d] @ x_probe[:d])
+    return _mean_reduction(_stacked(y, x_probe), lambda p: p[:1] * p[1:], [target])
 
 
 def projection_check(y, x_probe, ens: WhiteNoiseEnsemble) -> McEstimate:
@@ -258,10 +481,4 @@ def projection_check(y, x_probe, ens: WhiteNoiseEnsemble) -> McEstimate:
     For f = <y, .>, compares <synthesis_mc(f), x_probe> (sample mean of
     <y, omega><x_probe, omega>) with the exact value <y, x_probe>.
     """
-    fy = pairings(y, ens)
-    fx = pairings(x_probe, ens)
-    y = as_vector(y)
-    x_probe = as_vector(x_probe)
-    d = min(y.size, x_probe.size)
-    target = float(y[:d] @ x_probe[:d])
-    return mc_estimate(fy * fx, target)
+    return ens.reduce([projection(y, x_probe)])[0]

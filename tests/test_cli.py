@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -214,6 +215,15 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         tsm = next(r for r in doc["records"] if r["name"] == "translated_second_moment")
         assert tsm["target"] == pytest.approx(1.0)  # <x,y> = 0, ||y||^2 = 1
+
+    def test_translate_large_shift_warns_through_logging(self, caplog, capsys):
+        with caplog.at_level(logging.WARNING, logger="framemeasures.suites"):
+            main(["translate", "--x", "[3.0, 0.0]", "--y", "[0.0, 1.0]",
+                  "--samples", "2000", "--dim", "4"])
+        warnings = [r for r in caplog.records if r.name == "framemeasures.suites"]
+        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+        assert "||x||^2 = 9 > 4" in warnings[0].getMessage()
+        assert "warning" not in capsys.readouterr().out
 
     def test_kl_on_parseval_frame(self, tmp_path, capsys, mb):
         from framemeasures import parseval_rescale

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
+from scipy.special import ndtri
 
 from framemeasures import streams
+from framemeasures.errors import IndexOutOfRange
 
 
 def test_uniforms_open_interval():
@@ -46,3 +49,29 @@ def test_worker_count_env(monkeypatch):
     assert streams.worker_count() == 1
     monkeypatch.setenv("FRAMES_THREADS", "not-a-number")
     assert streams.worker_count() >= 1
+
+
+def _old_open_unit(raw):
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def test_open_unit_extremes_are_open_and_finite():
+    raw = np.array([0, 2**64 - 1], dtype=np.uint64)
+    u = streams._to_open_unit(raw.copy())
+    assert 0.0 < u[0] and u[1] < 1.0
+    assert u[1] == np.nextafter(1.0, 0.0)
+    assert np.isfinite(ndtri(u)).all()
+
+
+def test_open_unit_matches_formula_bitwise():
+    raw = streams._philox(11, 4).random_raw(1_000_000)
+    expected = _old_open_unit(raw)
+    np.testing.assert_array_equal(streams._to_open_unit(raw.copy()), expected)
+
+
+def test_normal_rows_within_a_block():
+    z = streams.normal_matrix(9, 2 * streams.BLOCK_ROWS, 5, stream=3)
+    lo, hi = streams.BLOCK_ROWS + 333, streams.BLOCK_ROWS + 4000
+    np.testing.assert_array_equal(streams.normal_rows(9, lo, hi, 5, stream=3), z[lo:hi])
+    with pytest.raises(IndexOutOfRange):
+        streams.normal_rows(9, streams.BLOCK_ROWS - 1, streams.BLOCK_ROWS + 1, 5)

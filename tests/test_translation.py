@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framemeasures import (
+    ExpFunctional,
     WhiteNoiseEnsemble,
     build_frame,
     cocycle_check,
@@ -23,6 +24,8 @@ from framemeasures import (
 )
 from framemeasures.errors import (
     DimensionExceedsTruncation,
+    KTooLarge,
+    NonPositiveFunctional,
     NotParseval,
     NotTight,
     Overflow,
@@ -61,6 +64,11 @@ class TestExpFunctional:
         nsq = float(x @ x)
         recomputed = np.exp(pairings(x, ens_small) - 0.5 * nsq)
         np.testing.assert_allclose(ef.values, recomputed, rtol=1e-12)
+
+    def test_non_positive_values_rejected(self):
+        with pytest.raises(NonPositiveFunctional) as info:
+            ExpFunctional(x=np.zeros(2), values=np.array([1.0, 0.0]))
+        assert isinstance(info.value, ValueError)
 
 
 class TestCocycle:
@@ -124,6 +132,11 @@ class TestChangeOfVariables:
         est = translation_consistency_check(x, y, ens_small, power=power)
         assert est.target == 0.0
         assert abs(est.z_score) <= 4
+
+    @pytest.mark.parametrize("power", [0, 10])
+    def test_power_range(self, ens_small, power):
+        with pytest.raises(KTooLarge):
+            translation_consistency_check([1.0], [1.0], ens_small, power=power)
 
 
 class TestParsevalRescale:

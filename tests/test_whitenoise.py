@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from framemeasures import (
+    McEstimate,
     WhiteNoiseEnsemble,
     build_frame,
     char_functional_check,
@@ -18,15 +20,23 @@ from framemeasures import (
     pairings,
     projection_check,
     reconstruct_mc,
+    save_frame,
     synthesis_mc,
 )
+from framemeasures import streams, translation, whitenoise
+from framemeasures.cli import main
 from framemeasures.errors import (
     DimensionExceedsTruncation,
+    FrameMeasuresError,
+    InvalidEnsembleSize,
     KTooLarge,
     LengthMismatch,
+    SanityBandViolated,
     SingularGramian,
 )
 from framemeasures.frames import GramMatrix
+from framemeasures.report import ExperimentConfig
+from framemeasures.suites import _probe_vectors, run
 from conftest import unit
 
 
@@ -268,3 +278,184 @@ class TestMcEstimate:
         assert est.std_error == 0.0 and est.z_score == 0.0
         est = mc_estimate(np.full(10, 5.0), target=4.0)
         assert est.z_score == math.inf
+
+
+# M = 4 blocks + 17 samples: the last block, and its last tile, are partial
+FUSED_M = 4 * streams.BLOCK_ROWS + 17
+FUSED_D = 32
+FUSED_SEED = 77
+
+
+def _all_reductions(mb):
+    rng = np.random.default_rng(5)
+    x, y = (v / np.linalg.norm(v) for v in rng.normal(size=(2, FUSED_D)))
+    x_short = unit([0.5, -1.0, 2.0])
+    pf = translation.parseval_rescale(mb)
+    return [
+        whitenoise.ito_isometry(x),
+        whitenoise.char_functional(x_short),
+        *(whitenoise.moment(x, order) for order in range(1, 7)),
+        whitenoise.gramian_covariance(mb),
+        whitenoise.reconstruction(x),
+        whitenoise.projection(x, y),
+        translation.rn_mean(x_short),
+        translation.translated_moment(x, y),
+        translation.translation_consistency(x, y, power=1),
+        translation.translation_consistency(x, y, power=2),
+        translation.kl_variance(pf, [0.3, -0.9]),
+    ]
+
+
+def _bits(results) -> bytes:
+    """Every float of a pass's results, as bytes, for bitwise comparison."""
+    out = []
+
+    def walk(r):
+        if isinstance(r, McEstimate):
+            out.extend([r.value, r.std_error, r.z_score])
+        elif isinstance(r, tuple):
+            for item in r:
+                walk(item)
+        else:
+            out.extend(np.ravel(r).tolist())
+
+    for r in results:
+        walk(r)
+    return np.array(out).tobytes()
+
+
+class TestFusedPass:
+    def test_thread_count_invariance(self, mb, monkeypatch):
+        ens = WhiteNoiseEnsemble(FUSED_D, FUSED_M, FUSED_SEED)
+        monkeypatch.setenv("FRAMES_THREADS", "1")
+        one = _bits(ens.reduce(_all_reductions(mb)))
+        monkeypatch.setenv("FRAMES_THREADS", "3")
+        three = _bits(ens.reduce(_all_reductions(mb)))
+        assert one == three
+
+    def test_materialized_equals_regenerated(self, mb):
+        lazy = WhiteNoiseEnsemble(FUSED_D, FUSED_M, FUSED_SEED)
+        cached = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, FUSED_SEED)
+        assert lazy.samples is None and cached.samples is not None
+        assert _bits(lazy.reduce(_all_reductions(mb))) == _bits(cached.reduce(_all_reductions(mb)))
+
+    def test_restrict_equals_direct(self, mb):
+        m = 2 * streams.BLOCK_ROWS + 5
+        direct = _bits(WhiteNoiseEnsemble(FUSED_D, m, FUSED_SEED).reduce(_all_reductions(mb)))
+        lazy = WhiteNoiseEnsemble(FUSED_D, FUSED_M, FUSED_SEED).restrict(m)
+        cached = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, FUSED_SEED).restrict(m)
+        assert _bits(lazy.reduce(_all_reductions(mb))) == direct
+        assert _bits(cached.reduce(_all_reductions(mb))) == direct
+
+    def test_regenerated_blocks_are_sample_rows(self):
+        cached = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, FUSED_SEED)
+        for lo in range(0, FUSED_M, streams.BLOCK_ROWS):
+            hi = min(FUSED_M, lo + streams.BLOCK_ROWS)
+            block = streams.normal_rows(
+                FUSED_SEED, lo, hi, FUSED_D, stream=streams.STREAM_WHITENOISE
+            )
+            np.testing.assert_array_equal(block, cached.samples[lo:hi])
+
+    def test_suite_peak_memory_is_tile_sized(self, monkeypatch):
+        # peak memory is O(workers * TILE_ROWS * D): pin the workers
+        monkeypatch.setenv("FRAMES_THREADS", "3")
+        cfg = ExperimentConfig(command="gaussian", seed=3, samples=FUSED_M, dim=FUSED_D)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < FUSED_M * FUSED_D * 8 / 2
+
+
+class TestSuiteRecordsMatchPublicFunctions:
+    """Each gaussian/translate/kl record, taken from the fused pass, agrees
+    with the public function it reports. BLAS may round the stacked product
+    and a lone product differently, so agreement is to 1e-12, not bitwise."""
+
+    SEED = 11
+
+    def _records(self, command, inputs=()):
+        cfg = ExperimentConfig(command=command, seed=self.SEED, samples=FUSED_M,
+                               dim=FUSED_D, inputs=tuple(inputs))
+        return {r.name: r for r in run(cfg).records}
+
+    @staticmethod
+    def _agree(record, est):
+        assert record.value == pytest.approx(est.value, rel=1e-12, abs=1e-300)
+        assert record.std_error == pytest.approx(est.std_error, rel=1e-12)
+
+    def test_gaussian(self, mb):
+        recs = self._records("gaussian")
+        ens = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, self.SEED)
+        p = _probe_vectors(self.SEED, 3, FUSED_D)
+        for i in range(3):
+            self._agree(recs[f"isometry_x{i}"], ito_isometry_check(p[i], ens))
+        for label, x in (("unit", p[0]), ("sqrt2", p[1] * math.sqrt(2.0))):
+            re, im = char_functional_check(x, ens)
+            self._agree(recs[f"charfn_{label}_real"], re)
+            self._agree(recs[f"charfn_{label}_imag"], im)
+        for order in (2, 4, 6, 3, 5):
+            self._agree(recs[f"moment_{order}"], moment_check(p[0], order, ens))
+        cov = empirical_covariance(gaussian_process_from_frame(mb, ens))
+        dist = float(np.linalg.norm(cov - gram(mb).entries))
+        assert recs["covariance_frobenius"].value == pytest.approx(dist, rel=1e-12)
+        x_hat, err = reconstruct_mc(p[0], ens)
+        assert recs["reconstruct_error"].value == pytest.approx(err, rel=1e-12)
+        # a rounding-level residual: compare absolutely
+        f = pairings(p[0], ens)
+        lhs = float(f @ pairings(p[1], ens)) / FUSED_M
+        rhs = float(synthesis_mc(f, ens) @ p[1])
+        adj = abs(lhs - rhs) / abs(rhs)
+        assert abs(recs["synthesis_adjoint_rel_residual"].value - adj) <= 1e-12
+        self._agree(recs["projection_self"], projection_check(p[2], p[2], ens))
+        y_perp = p[1] - float(p[1] @ p[2]) * p[2]
+        self._agree(recs["projection_orthogonal"], projection_check(p[2], y_perp, ens))
+
+    def test_translate(self):
+        recs = self._records("translate")
+        ens = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, self.SEED)
+        x, y = _probe_vectors(self.SEED, 2, FUSED_D)
+        self._agree(recs["rn_density_mean"], translation.rn_mean_check(x, ens))
+        self._agree(recs["translated_second_moment"],
+                    translation.translated_second_moment(x, y, ens))
+        self._agree(recs["shift_consistency_linear"],
+                    translation.translation_consistency_check(x, y, ens, power=1))
+        self._agree(recs["shift_consistency_quadratic"],
+                    translation.translation_consistency_check(x, y, ens, power=2))
+
+    def test_kl(self, mb, tmp_path):
+        pf = translation.parseval_rescale(mb)
+        path = tmp_path / "pf.json"
+        save_frame(pf, path)
+        recs = self._records("kl", [str(path)])
+        ens = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, self.SEED)
+        for i, x in enumerate(_probe_vectors(self.SEED, 3, pf.dim)):
+            self._agree(recs[f"kl_variance_x{i}"], translation.kl_variance_check(pf, x, ens))
+
+
+class TestLibraryErrors:
+    def test_size_errors_are_library_errors(self):
+        with pytest.raises(InvalidEnsembleSize):
+            WhiteNoiseEnsemble(3, 0, seed=0)
+        with pytest.raises(InvalidEnsembleSize):
+            WhiteNoiseEnsemble(3, 10, seed=0).restrict(11)
+        assert issubclass(InvalidEnsembleSize, FrameMeasuresError)
+
+    def test_shifted_source_trips_the_band(self, monkeypatch, capsys):
+        original = streams.normal_rows
+
+        def shifted(*args, **kwargs):
+            z = original(*args, **kwargs)
+            z += 0.1
+            return z
+
+        monkeypatch.setattr(streams, "normal_rows", shifted)
+        with pytest.raises(SanityBandViolated) as info:
+            WhiteNoiseEnsemble.generate(4, 20_000, seed=1)
+        assert isinstance(info.value, RuntimeError)
+        with pytest.raises(SanityBandViolated):
+            ito_isometry_check([1.0], WhiteNoiseEnsemble(4, 20_000, seed=1))
+        assert main(["gaussian", "--samples", "20000", "--dim", "4"]) == 3
+        assert "SanityBandViolated" in capsys.readouterr().err
