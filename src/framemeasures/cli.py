@@ -4,29 +4,16 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
 3 internal/module error.
 """
 import argparse
+import dataclasses
 import json
 import sys
 
 from .errors import ConfigError, FrameMeasuresError
-from .report import DEFAULT_TOLERANCES, ExperimentConfig, emit_csv, report_csv_text
-from .suites import GAUSSIAN_CHECKS, run
+from .report import DEFAULT_TOLERANCES, ExperimentConfig, report_csv_text
+from .suites import COMMANDS, run
 
-
-def _parse_vector(text):
-    """Inline JSON array or a path to a JSON file holding one."""
-    if text is None:
-        return None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        try:
-            with open(text) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"--x/--y value {text!r} is neither JSON nor a readable file: {exc}")
-    if not isinstance(doc, list):
-        raise ConfigError(f"vector must be a JSON array, got {type(doc).__name__}")
-    return doc
+# the integer fields of ExperimentConfig (seed, samples, dim) and their defaults
+_SETTINGS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.type is int}
 
 
 def _parse_tolerances(pairs):
@@ -47,124 +34,58 @@ def _parse_tolerances(pairs):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per entry of the command table."""
     parser = argparse.ArgumentParser(
         prog="framemeasures",
         description="Frame-induced measures with seeded Monte-Carlo verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, samples_default=100_000, dim_default=32):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--dim", type=int, default=dim_default)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for inp in command.inputs:
+            p.add_argument(inp.name, help=inp.help)
+        group = None
+        for opt in command.options:
+            if opt.exclusive:
+                group = group or p.add_mutually_exclusive_group()
+            # left out, an option reads None and takes its table default
+            kwargs = {"action": "store_true"} if opt.type is bool else {"type": opt.type}
+            (group if opt.exclusive else p).add_argument(opt.flag, help=opt.help, **kwargs)
+        for setting, default in _SETTINGS.items():
+            p.add_argument(f"--{setting}", type=int, default=default)
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument(
             "--tolerance", action="append", metavar="NAME=VALUE",
             help=f"override a tolerance; known: {sorted(DEFAULT_TOLERANCES)}",
         )
-
-    p = sub.add_parser("frames", help="frame bounds, Gramian, dual checks")
-    p.add_argument("frame", help="frame JSON path")
-    common(p)
-
-    p = sub.add_parser("wasserstein", help="exact W2 distance between two measures")
-    p.add_argument("mu", help="measure JSON path")
-    p.add_argument("nu", help="measure JSON path")
-    common(p)
-
-    p = sub.add_parser("decay", help="coordinate decay diagnostic of a measure")
-    p.add_argument("mu", help="measure JSON path")
-    p.add_argument("--n-max", type=int, default=64)
-    common(p)
-
-    p = sub.add_parser("markov", help="frame-induced Markov chain and path sampling")
-    p.add_argument("frame", help="frame JSON path")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--start-index", type=int, default=0)
-    group.add_argument("--start-vector", help="inline JSON vector or file path")
-    p.add_argument("--horizon", type=int, default=2)
-    p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--paths-csv", help="write one CSV row per sampled path here")
-    common(p)
-
-    p = sub.add_parser("dpp", help="determinantal measure from a frame or kernel")
-    p.add_argument("input", help='frame JSON or kernel JSON ({"k": [[...]]})')
-    p.add_argument("--bruteforce", action="store_true",
-                   help="enumerate the exact subset distribution (n <= 20)")
-    p.add_argument("--draws-csv", help="write one CSV row per draw here")
-    common(p)
-
-    p = sub.add_parser("gaussian", help="white-noise identity checks")
-    p.add_argument("--checks", default=",".join(GAUSSIAN_CHECKS),
-                   help=f"comma list from {GAUSSIAN_CHECKS}")
-    common(p)
-
-    p = sub.add_parser("translate", help="translated-measure identity checks")
-    p.add_argument("--x", help="inline JSON vector or file path")
-    p.add_argument("--y", help="inline JSON vector or file path")
-    common(p)
-
-    p = sub.add_parser("kl", help="Karhunen-Loeve expansion for a Parseval frame")
-    p.add_argument("frame", help="frame JSON path")
-    p.add_argument("--x", help="inline JSON vector or file path")
-    common(p)
-
-    p = sub.add_parser("verify-all", help="run every suite on built-in inputs")
-    common(p)
     return parser
 
 
 def config_from_args(args) -> ExperimentConfig:
-    inputs = []
+    command = COMMANDS[args.command]
     options = {}
-    if args.command == "frames":
-        inputs = [args.frame]
-    elif args.command == "wasserstein":
-        inputs = [args.mu, args.nu]
-    elif args.command == "decay":
-        inputs = [args.mu]
-        options["n_max"] = args.n_max
-    elif args.command == "markov":
-        inputs = [args.frame]
-        options.update(
-            start_index=args.start_index,
-            start_vector=_parse_vector(args.start_vector),
-            horizon=args.horizon,
-            paths=args.paths,
-            paths_csv=args.paths_csv,
-        )
-    elif args.command == "dpp":
-        inputs = [args.input]
-        options.update(bruteforce=args.bruteforce, draws_csv=args.draws_csv)
-    elif args.command == "gaussian":
-        options["checks"] = tuple(c for c in args.checks.split(",") if c)
-    elif args.command == "translate":
-        options.update(x=_parse_vector(args.x), y=_parse_vector(args.y))
-    elif args.command == "kl":
-        inputs = [args.frame]
-        options["x"] = _parse_vector(args.x)
+    for opt in command.options:
+        value = getattr(args, opt.name)
+        if value is None:
+            value = opt.default
+        elif opt.parse:
+            value = opt.parse(value)
+        options[opt.name] = value
     return ExperimentConfig(
         command=args.command,
-        seed=args.seed,
-        samples=args.samples,
-        dim=args.dim,
+        **{setting: getattr(args, setting) for setting in _SETTINGS},
         tolerances=_parse_tolerances(args.tolerance),
-        inputs=tuple(inputs),
+        inputs=tuple(getattr(args, inp.name) for inp in command.inputs),
         options=options,
     )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        report = run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        report = run(config_from_args(args))
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
@@ -177,17 +98,12 @@ def main(argv=None) -> int:
         print(f"{args.command}: internal error: {exc}", file=sys.stderr)
         return 3
 
+    text = report_csv_text(report) if args.format == "csv" else report.to_json() + "\n"
     if args.out:
-        if args.format == "csv":
-            emit_csv(report, args.out)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(report.to_json() + "\n")
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
-        if args.format == "csv":
-            sys.stdout.write(report_csv_text(report))
-        else:
-            print(report.to_json())
+        sys.stdout.write(text)
     return 0 if report.overall_pass else 1
 
 

@@ -14,13 +14,13 @@ All values are immutable after construction and safe to share. Everything
 is dense; sizes are desk scale.
 """
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotAFrame
 
-TOL_PSD = 1e-10    # absolute floor on eigenvalues / principal minors
+TOL_PSD = 1e-10    # absolute floor on Gramian eigenvalues
 TOL_INEQ = 1e-10   # slack for inequality checks
 RANK_RTOL = 1e-12  # alpha <= RANK_RTOL * beta counts as spanning failure
 
@@ -81,13 +81,16 @@ class Frame:
 class GramMatrix:
     """Gramian G_{jk} = <phi_j, phi_k> of a frame.
 
-    Validated symmetric and positive semidefinite at construction:
-    eigenvalues and every leading principal minor det(G_k) must clear
-    -TOL_PSD. The minor check assumes desk-scale magnitudes (entries
-    O(1)); enormous ill-conditioned Gramians are out of scope.
+    Validated symmetric and positive semidefinite at construction: the
+    smallest eigenvalue, kept as `min_eigenvalue`, must clear -TOL_PSD.
+    That implies every leading principal minor is nonnegative, so the
+    minors (`leading_minors()`) are not tested: their determinants round
+    below zero on rank-deficient Gramians (n vectors in R^N, n > N).
+    The absolute tolerance assumes desk-scale magnitudes (entries O(1)).
     """
 
     entries: np.ndarray
+    min_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.entries, dtype=float)
@@ -96,12 +99,9 @@ class GramMatrix:
             raise DimensionMismatch(f"Gramian must be square, got {g.shape}")
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
             raise ValueError("Gramian is not symmetric")
-        if np.linalg.eigvalsh(g).min() < -TOL_PSD:
+        object.__setattr__(self, "min_eigenvalue", float(np.linalg.eigvalsh(g).min()))
+        if self.min_eigenvalue < -TOL_PSD:
             raise ValueError("Gramian is not positive semidefinite")
-        bad = self.leading_minors() < -TOL_PSD
-        if bad.any():
-            k = int(np.argmax(bad)) + 1
-            raise ValueError(f"leading principal minor of order {k} is negative")
 
     @property
     def size(self) -> int:

@@ -13,7 +13,7 @@ separates `transition_prob` from the index chain in `FrameChain`.
 Path probabilities multiply transition weights exactly as sampled, so a
 sampled path's probability can be recomputed bit-for-bit.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,30 +47,38 @@ def transition_prob(frame: Frame, x, y) -> float:
 class FrameChain:
     """Index chain of a frame: P[j, k] = p(phi_j, phi_k), c[j] = c(phi_j).
 
-    Construction verifies row-stochasticity, reversibility
-    c_j P_jk = c_k P_kj, and the normalization bound
-    P_jk <= ||phi_k||^2 / alpha.
+    Construction verifies, and keeps the residual of, row-stochasticity
+    (max |sum_k P_jk - 1|), reversibility c_j P_jk = c_k P_kj (largest
+    elementwise relative gap) and the normalization bound
+    P_jk <= ||phi_k||^2 / alpha (largest excess).
     """
 
     frame: Frame
     normalizers: np.ndarray
     transition_matrix: np.ndarray
+    row_sum_residual: float = field(init=False)
+    reversibility_rel_residual: float = field(init=False)
+    bound_residual: float = field(init=False)
 
     def __post_init__(self):
         p = self.transition_matrix
         c = self.normalizers
-        if np.abs(p.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        keep = object.__setattr__  # frozen: the residuals are set once, here
+        keep(self, "row_sum_residual", float(np.abs(p.sum(axis=1) - 1.0).max()))
+        if self.row_sum_residual > ROW_SUM_TOL:
             raise ValueError("transition rows do not sum to 1")
         if p.min() < 0.0:
             raise ValueError("negative transition probability")
         flux = c[:, None] * p
-        scale = np.maximum(np.abs(flux), np.abs(flux.T))
-        if np.abs(flux - flux.T).max() > REVERSIBILITY_RTOL * max(scale.max(), 1e-300):
+        scale = np.maximum(np.maximum(np.abs(flux), np.abs(flux.T)), 1e-300)
+        keep(self, "reversibility_rel_residual", float((np.abs(flux - flux.T) / scale).max()))
+        if self.reversibility_rel_residual > REVERSIBILITY_RTOL:
             raise ValueError("detailed balance violated")
         if self.frame.lower_bound <= 0.0:
             raise NotAFrame("chain requires a positive lower frame bound")
         norms_sq = (self.frame.vectors**2).sum(axis=1)
-        if (p - norms_sq[None, :] / self.frame.lower_bound).max() > BOUND_TOL:
+        keep(self, "bound_residual", float((p - norms_sq[None, :] / self.frame.lower_bound).max()))
+        if self.bound_residual > BOUND_TOL:
             raise ValueError("normalization bound violated")
 
     @property
@@ -151,7 +159,7 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
     p = chain.transition_matrix
     n = chain.n_states
 
-    u = streams.uniform_matrix(seed, m, k, stream=streams.STREAM_MARKOV)
+    u = streams.uniforms_at(seed, 0, m * k, stream=streams.STREAM_MARKOV).reshape(m, k)
     cum_start = np.cumsum(start)
     cum_rows = np.cumsum(p, axis=1)
 

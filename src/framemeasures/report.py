@@ -9,23 +9,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
-
-COMMANDS = (
-    "frames",
-    "wasserstein",
-    "decay",
-    "markov",
-    "dpp",
-    "gaussian",
-    "translate",
-    "kl",
-    "verify-all",
-)
 
 DEFAULT_TOLERANCES = {
     "z_max": 4.0,          # acceptance band for Monte-Carlo z-scores
@@ -48,7 +36,10 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        # the command table lives with the record builders, which import this module
+        from .suites import COMMANDS
+
+        if not isinstance(self.command, str) or self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
@@ -70,21 +61,14 @@ class ExperimentConfig:
         """Strict parse: unknown fields are rejected."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"command", "seed", "samples", "dim", "tolerances", "inputs", "options"}
-        unknown = set(doc) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "command" not in doc:
             raise ConfigError('config needs a "command" field')
-        return cls(
-            command=doc["command"],
-            seed=int(doc.get("seed", 0)),
-            samples=int(doc.get("samples", 100_000)),
-            dim=int(doc.get("dim", 32)),
-            tolerances=dict(doc.get("tolerances", {})),
-            inputs=tuple(doc.get("inputs", ())),
-            options=dict(doc.get("options", {})),
-        )
+        # fields the document leaves out take the dataclass defaults
+        return cls(**{name: types[name](value) for name, value in doc.items()})
 
     def to_dict(self) -> dict:
         return {

@@ -75,11 +75,6 @@ def uniforms(seed: int, count: int, stream: int = 0) -> np.ndarray:
     return uniforms_at(seed, 0, count, stream=stream)
 
 
-def uniform_matrix(seed: int, rows: int, cols: int, stream: int = 0) -> np.ndarray:
-    """(rows, cols) uniforms; row i occupies positions [i*cols, (i+1)*cols)."""
-    return uniforms(seed, rows * cols, stream=stream).reshape(rows, cols)
-
-
 def uniforms_at(seed: int, start: int, count: int, stream: int = 0) -> np.ndarray:
     """`count` uniforms at positions [start, start + count) of the stream."""
     if count == 0:

@@ -1,12 +1,20 @@
 """Verification suites behind the CLI commands.
 
-Each suite turns library operations into CheckRecords; `run` dispatches an
-ExperimentConfig, times it, and assembles the Report. verify-all chains
-every suite on built-in inputs with one shared white-noise ensemble.
+`COMMANDS`, at the end of this module, is the one table of commands: for
+each, its help text, its positional inputs with their loaders, its
+options (flag, value parser, default, help) and its record builder. The
+CLI builds its parser and its ExperimentConfig from the table; `run`
+dispatches a config through it, loads the inputs, fills in the table
+default of every option the config leaves out, times the builder and
+assembles the Report. verify-all calls the other builders on built-in
+inputs and resolves all white-noise checks in one pass over one ensemble.
 """
+import json
 import logging
 import math
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,24 +42,29 @@ GAUSSIAN_CHECKS = ("isometry", "charfn", "moments", "covariance", "reconstruct",
 
 
 def run(config: ExperimentConfig) -> Report:
-    """Dispatch a config to its suite and assemble the timed report."""
+    """Dispatch a config through the command table and assemble the timed report."""
     start = time.perf_counter()
-    handler = {
-        "frames": _frames_suite,
-        "wasserstein": _wasserstein_suite,
-        "decay": _decay_suite,
-        "markov": _markov_suite,
-        "dpp": _dpp_suite,
-        "gaussian": _gaussian_suite,
-        "translate": _translate_suite,
-        "kl": _kl_suite,
-        "verify-all": _verify_all_suite,
-    }[config.command]
-    out = handler(config)
+    command = COMMANDS[config.command]
+    if len(config.inputs) != len(command.inputs):
+        names = ", ".join(inp.name for inp in command.inputs) or "none"
+        raise ConfigError(
+            f"command {config.command!r} needs {len(command.inputs)} input path(s) ({names}), "
+            f"got {len(config.inputs)}"
+        )
+    loaded = [inp.load(path) for inp, path in zip(command.inputs, config.inputs)]
+    out = _call(command.build, config, *loaded, **config.options)
     records, extras = out if isinstance(out, tuple) else (out, {})
     return build_report(
-        config.command, config, records, time.perf_counter() - start, extras=extras
+        config.command, config, _resolve(config, records), time.perf_counter() - start,
+        extras=extras,
     )
+
+
+def _call(build, /, *args, **given):
+    """`build(*args)` with each of its command's options set to the value
+    in `given`, or to the table default where `given` leaves it out."""
+    options = next(command.options for command in COMMANDS.values() if command.build is build)
+    return build(*args, **{opt.name: given.get(opt.name, opt.default) for opt in options})
 
 
 def _probe_vectors(seed: int, count: int, dim: int, unit: bool = True) -> np.ndarray:
@@ -64,14 +77,6 @@ def _probe_vectors(seed: int, count: int, dim: int, unit: bool = True) -> np.nda
 def _info(name: str, value: float) -> CheckRecord:
     # informational record: reports a number, always passes
     return exact_record(name, value, value, 0.0)
-
-
-def _require_inputs(config: ExperimentConfig, count: int, what: str) -> None:
-    if len(config.inputs) != count:
-        raise ConfigError(
-            f"command {config.command!r} needs {count} input path(s) ({what}), "
-            f"got {len(config.inputs)}"
-        )
 
 
 # ----------------------------------------------------------------- frames
@@ -96,9 +101,7 @@ def _frames_records(config, frame, prefix=""):
         _info(prefix + "beta", frame.upper_bound),
         bound_record(prefix + "sandwich_residual", sandwich, ineq),
         bound_record(prefix + "analysis_norm_rel_residual", norm_identity, rel),
-        bound_record(
-            prefix + "gram_min_eigenvalue_neg", -g.eigenvalues().min(), frames_mod.TOL_PSD
-        ),
+        bound_record(prefix + "gram_min_eigenvalue_neg", -g.min_eigenvalue, frames_mod.TOL_PSD),
     ]
     c = streams.uniforms(config.seed, frame.n_frame, stream=streams.STREAM_PROBES) - 0.5
     riesz = frames_mod.verify_riesz_upper(frame, c)
@@ -113,12 +116,6 @@ def _frames_records(config, frame, prefix=""):
         ).max()
         records.append(bound_record(prefix + "dual_roundtrip_rel_residual", residual, 1e-9))
     return records
-
-
-def _frames_suite(config):
-    _require_inputs(config, 1, "frame JSON")
-    frame = frames_mod.load_frame(config.inputs[0])
-    return _frames_records(config, frame)
 
 
 # ------------------------------------------------------------ wasserstein
@@ -138,17 +135,10 @@ def _wasserstein_records(config, mu, nu, prefix=""):
     ]
 
 
-def _wasserstein_suite(config):
-    _require_inputs(config, 2, "two measure JSONs")
-    mu = measures_mod.load_measure(config.inputs[0])
-    nu = measures_mod.load_measure(config.inputs[1])
-    return _wasserstein_records(config, mu, nu)
-
-
 # ------------------------------------------------------------------ decay
 
-def _decay_records(config, mu, prefix=""):
-    n_max = int(config.options.get("n_max", 64))
+def _decay_records(config, mu, prefix="", *, n_max):
+    n_max = int(n_max)
     seq = measures_mod.lower_bound_decay(mu, n_max)
     m2 = measures_mod.second_moment(mu)
     records = [
@@ -160,56 +150,41 @@ def _decay_records(config, mu, prefix=""):
     return records
 
 
-def _decay_suite(config):
-    _require_inputs(config, 1, "measure JSON")
-    mu = measures_mod.load_measure(config.inputs[0])
-    return _decay_records(config, mu)
-
-
 # ----------------------------------------------------------------- markov
 
-def _resolve_start(config, frame):
-    opts = config.options
-    if "start_vector" in opts and opts["start_vector"] is not None:
-        return np.asarray(opts["start_vector"], dtype=float)
-    idx = int(opts.get("start_index", 0))
-    if not 0 <= idx < frame.n_frame:
-        raise ConfigError(f"start index {idx} outside 0..{frame.n_frame - 1}")
-    return frame.vectors[idx]
-
-
-def _markov_records(config, frame, prefix=""):
+def _markov_records(
+    config, frame, prefix="", *, start_index, start_vector, horizon, paths, paths_csv
+):
     chain = markov_mod.build_chain(frame)
-    p = chain.transition_matrix
-    c = chain.normalizers
-    row_residual = np.abs(p.sum(axis=1) - 1.0).max()
-    flux = c[:, None] * p
-    scale = np.maximum(np.maximum(np.abs(flux), np.abs(flux.T)), 1e-300)
-    rev_residual = (np.abs(flux - flux.T) / scale).max()
-    norms_sq = (frame.vectors**2).sum(axis=1)
-    bound_residual = (p - norms_sq[None, :] / frame.lower_bound).max()
-
-    x = _resolve_start(config, frame)
-    horizon = int(config.options.get("horizon", 2))
-    n_paths = int(config.options.get("paths", 1000))
-    idx, probs = markov_mod.sample_path_indices(chain, x, horizon, n_paths, config.seed)
+    if start_vector is not None:
+        x = np.asarray(start_vector, dtype=float)
+    else:
+        start_index = int(start_index)
+        if not 0 <= start_index < frame.n_frame:
+            raise ConfigError(f"start index {start_index} outside 0..{frame.n_frame - 1}")
+        x = frame.vectors[start_index]
+    paths = int(paths)
+    idx, probs = markov_mod.sample_path_indices(chain, x, int(horizon), paths, config.seed)
     recompute = max(
         abs(probs[i] - markov_mod.path_probability(chain, x, idx[i]))
-        for i in range(min(n_paths, 200))
+        for i in range(min(paths, 200))
     )
     records = [
-        bound_record(prefix + "row_sum_residual", row_residual, markov_mod.ROW_SUM_TOL),
-        bound_record(prefix + "reversibility_rel_residual", rev_residual,
+        bound_record(prefix + "row_sum_residual", chain.row_sum_residual, markov_mod.ROW_SUM_TOL),
+        bound_record(prefix + "reversibility_rel_residual", chain.reversibility_rel_residual,
                      markov_mod.REVERSIBILITY_RTOL),
-        bound_record(prefix + "normalization_bound_residual", bound_residual,
+        bound_record(prefix + "normalization_bound_residual", chain.bound_residual,
                      markov_mod.BOUND_TOL),
         bound_record(prefix + "path_probability_recompute_residual", recompute, 0.0),
         _info(prefix + "mean_path_probability", float(probs.mean())),
     ]
-    csv_path = config.options.get("paths_csv")
-    if csv_path:
-        _write_paths_csv(csv_path, idx, probs)
-    return records, {"transition_matrix": p.tolist(), "normalizers": c.tolist()}
+    if paths_csv:
+        _write_paths_csv(paths_csv, idx, probs)
+    extras = {
+        "transition_matrix": chain.transition_matrix.tolist(),
+        "normalizers": chain.normalizers.tolist(),
+    }
+    return records, extras
 
 
 def _write_paths_csv(path, idx, probs):
@@ -220,17 +195,9 @@ def _write_paths_csv(path, idx, probs):
             fh.write(f"{i},{joined},{format(float(probs[i]), '.17g')}\n")
 
 
-def _markov_suite(config):
-    _require_inputs(config, 1, "frame JSON")
-    frame = frames_mod.load_frame(config.inputs[0])
-    return _markov_records(config, frame)  # (records, extras)
-
-
 # -------------------------------------------------------------------- dpp
 
 def _load_kernel(path):
-    import json
-
     with open(path) as fh:
         doc = json.load(fh)
     if "k" in doc:
@@ -238,7 +205,7 @@ def _load_kernel(path):
     return dpp_mod.kernel_from_frame(frames_mod.frame_from_dict(doc))
 
 
-def _dpp_records(config, kernel, prefix=""):
+def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
     z_max = config.tolerance("z_max")
     lam = kernel.eigenvalues
     records = [
@@ -252,7 +219,7 @@ def _dpp_records(config, kernel, prefix=""):
     card = masks.sum(axis=1).astype(float)
     records.append(mc_record(prefix + "cardinality_vs_trace",
                              wn.mc_estimate(card, kernel.trace()), z_max))
-    if config.options.get("bruteforce", False):
+    if bruteforce:
         table = dpp_mod.subset_distribution_bruteforce(kernel)
         minors = dpp_mod._subset_minors(kernel)
         emp = dpp_mod.empirical_subset_distribution(masks)
@@ -265,20 +232,13 @@ def _dpp_records(config, kernel, prefix=""):
             bound_record(prefix + "sampler_oracle_tv_distance",
                          dpp_mod.total_variation(emp, table), config.tolerance("tv_max")),
         ]
-    csv_path = config.options.get("draws_csv")
-    if csv_path:
-        with open(csv_path, "w") as fh:
+    if draws_csv:
+        with open(draws_csv, "w") as fh:
             fh.write("draw,indices\n")
             for i in range(masks.shape[0]):
                 joined = " ".join(str(j) for j in np.nonzero(masks[i])[0])
                 fh.write(f"{i},{joined}\n")
     return records
-
-
-def _dpp_suite(config):
-    _require_inputs(config, 1, "frame or kernel JSON")
-    kernel = _load_kernel(config.inputs[0])
-    return _dpp_records(config, kernel)
 
 
 # ------------------------------------------------- white-noise suites
@@ -298,9 +258,14 @@ def _mc(reduction, z_max, *names):
     return (to_records, reduction)
 
 
-def _resolve(ens, items):
-    """Records of `items`, in order, after one pass over `ens`."""
+def _resolve(config, items):
+    """Records of `items`, in order, after one pass over the config's
+    (dim, samples, seed) ensemble; none when nothing is pending."""
     pending = [item for item in items if not isinstance(item, CheckRecord)]
+    if not pending:
+        return items
+    # never materialized: the pass regenerates its tiles
+    ens = wn.WhiteNoiseEnsemble(config.dim, config.samples, config.seed)
     results = iter(ens.reduce(r for _, *reductions in pending for r in reductions))
     records = []
     for item in items:
@@ -312,20 +277,15 @@ def _resolve(ens, items):
     return records
 
 
-def _lazy_ensemble(config):
-    # never materialized: every pass regenerates its tiles
-    return wn.WhiteNoiseEnsemble(config.dim, config.samples, config.seed)
-
-
-def _gaussian_records(config, ens, prefix=""):
-    checks = config.options.get("checks") or GAUSSIAN_CHECKS
+def _gaussian_records(config, prefix="", *, checks):
+    checks = checks or GAUSSIAN_CHECKS
     unknown = set(checks) - set(GAUSSIAN_CHECKS)
     if unknown:
         raise ConfigError(f"unknown gaussian checks: {sorted(unknown)}")
     z_max = config.tolerance("z_max")
     rel = config.tolerance("exact_rel")
-    d = ens.truncation_dim
-    m = ens.sample_count
+    d = config.dim
+    m = config.samples
     probes = _probe_vectors(config.seed, 3, d)
     items = []
 
@@ -370,17 +330,12 @@ def _gaussian_records(config, ens, prefix=""):
     return items
 
 
-def _gaussian_suite(config):
-    ens = _lazy_ensemble(config)
-    return _resolve(ens, _gaussian_records(config, ens))
-
-
 # -------------------------------------------------------------- translate
 
-def _translate_records(config, ens, x=None, y=None, prefix=""):
+def _translate_records(config, prefix="", *, x, y):
     z_max = config.tolerance("z_max")
     rel = config.tolerance("exact_rel")
-    d = ens.truncation_dim
+    d = config.dim
     if x is None or y is None:
         probes = _probe_vectors(config.seed, 2, d)
         x = probes[0] if x is None else np.asarray(x, dtype=float)
@@ -410,15 +365,9 @@ def _translate_records(config, ens, x=None, y=None, prefix=""):
     ]
 
 
-def _translate_suite(config):
-    ens = _lazy_ensemble(config)
-    opts = config.options
-    return _resolve(ens, _translate_records(config, ens, x=opts.get("x"), y=opts.get("y")))
-
-
 # --------------------------------------------------------------------- kl
 
-def _kl_records(config, frame, x=None, prefix=""):
+def _kl_records(config, frame, prefix="", *, x):
     z_max = config.tolerance("z_max")
     items = [
         bound_record(
@@ -436,56 +385,132 @@ def _kl_records(config, frame, x=None, prefix=""):
     return items
 
 
-def _kl_suite(config):
-    _require_inputs(config, 1, "frame JSON")
-    frame = frames_mod.load_frame(config.inputs[0])
-    return _resolve(_lazy_ensemble(config), _kl_records(config, frame, x=config.options.get("x")))
-
-
 # --------------------------------------------------------------- verify-all
 
-def _builtin_measures():
+def _verify_all_records(config):
+    mb = frames_mod.mercedes_benz_frame()
     mu = measures_mod.DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
     nu = measures_mod.DiscreteMeasure.uniform([[0.0, 0.0], [2.0, 0.0]])
-    return mu, nu
 
-
-def _verify_all_suite(config):
-    records = []
-    mb = frames_mod.mercedes_benz_frame()
-    onb = frames_mod.orthonormal_basis_frame(4)
-
-    records += _frames_records(config, mb, prefix="frames.mb.")
-    records += _frames_records(config, onb, prefix="frames.onb.")
-
-    mu, nu = _builtin_measures()
-    records += _wasserstein_records(config, mu, nu, prefix="wasserstein.")
-
-    decay_cfg = ExperimentConfig(
-        command="decay", seed=config.seed, samples=config.samples, dim=config.dim,
-        tolerances=config.tolerances, options={"n_max": 16},
-    )
-    records += _decay_records(decay_cfg, mu, prefix="decay.")
-
-    markov_cfg = ExperimentConfig(
-        command="markov", seed=config.seed, samples=config.samples, dim=config.dim,
-        tolerances=config.tolerances, options={"start_index": 0, "horizon": 2, "paths": 2000},
-    )
-    markov_records, _ = _markov_records(markov_cfg, mb, prefix="markov.")
-    records += markov_records
-
-    dpp_cfg = ExperimentConfig(
-        command="dpp", seed=config.seed, samples=config.samples, dim=config.dim,
-        tolerances=config.tolerances, options={"bruteforce": True},
-    )
-    records += _dpp_records(dpp_cfg, dpp_mod.kernel_from_frame(mb), prefix="dpp.")
-
-    # one pass over one shared ensemble serves the three white-noise suites
-    ens = _lazy_ensemble(config)
-    records += _resolve(
-        ens,
-        _gaussian_records(config, ens, prefix="gaussian.")
-        + _translate_records(config, ens, prefix="translate.")
-        + _kl_records(config, trans_mod.parseval_rescale(mb), prefix="kl."),
-    )
+    records = _frames_records(config, mb, "frames.mb.")
+    records += _frames_records(config, frames_mod.orthonormal_basis_frame(4), "frames.onb.")
+    records += _wasserstein_records(config, mu, nu, "wasserstein.")
+    records += _decay_records(config, mu, "decay.", n_max=16)
+    records += _call(_markov_records, config, mb, "markov.", paths=2000)[0]
+    records += _call(_dpp_records, config, dpp_mod.kernel_from_frame(mb), "dpp.", bruteforce=True)
+    # `run` resolves these in one pass over one shared ensemble
+    records += _call(_gaussian_records, config, "gaussian.")
+    records += _call(_translate_records, config, "translate.")
+    records += _call(_kl_records, config, trans_mod.parseval_rescale(mb), "kl.")
     return records
+
+
+# ---------------------------------------------------------- command table
+
+def _parse_vector(text):
+    """Inline JSON array or a path to a JSON file holding one."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        try:
+            with open(text) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"--x/--y value {text!r} is neither JSON nor a readable file: {exc}")
+    if not isinstance(doc, list):
+        raise ConfigError(f"vector must be a JSON array, got {type(doc).__name__}")
+    return doc
+
+
+def _parse_checks(text):
+    return tuple(c for c in text.split(",") if c)
+
+
+@dataclass(frozen=True)
+class Input:
+    """A positional input path and the loader that reads it."""
+
+    name: str
+    help: str
+    load: Callable
+
+
+@dataclass(frozen=True)
+class Option:
+    """A command option, keyed in ExperimentConfig.options by its flag
+    without the dashes ("--n-max" -> "n_max").
+
+    `type` is applied by the argument parser (`bool` makes a switch);
+    `parse` turns the given text into the value after parsing, so that
+    its errors are config errors. A left-out option takes `default`.
+    """
+
+    flag: str
+    default: object = None
+    type: Callable | None = None
+    parse: Callable | None = None
+    help: str | None = None
+    exclusive: bool = False  # in the command's one mutually exclusive group
+
+    @property
+    def name(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A CLI command: `build(config, *loaded inputs, **options)` returns
+    its records, or (records, extras) for the report."""
+
+    help: str
+    build: Callable
+    inputs: tuple = ()
+    options: tuple = ()
+
+
+# Loaders go through the module attribute, so a wrapped loader sees every call.
+_FRAME = Input("frame", "frame JSON path", lambda path: frames_mod.load_frame(path))
+
+
+def _measure(name):
+    return Input(name, "measure JSON path", lambda path: measures_mod.load_measure(path))
+
+
+def _vector(flag, exclusive=False):
+    return Option(flag, parse=_parse_vector, help="inline JSON vector or file path",
+                  exclusive=exclusive)
+
+
+COMMANDS = {
+    "frames": Command("frame bounds, Gramian, dual checks", _frames_records, (_FRAME,)),
+    "wasserstein": Command("exact W2 distance between two measures", _wasserstein_records,
+                           (_measure("mu"), _measure("nu"))),
+    "decay": Command("coordinate decay diagnostic of a measure", _decay_records,
+                     (_measure("mu"),), (Option("--n-max", 64, int),)),
+    "markov": Command(
+        "frame-induced Markov chain and path sampling", _markov_records, (_FRAME,), (
+            Option("--start-index", 0, int, exclusive=True),
+            _vector("--start-vector", exclusive=True),
+            Option("--horizon", 2, int),
+            Option("--paths", 1000, int),
+            Option("--paths-csv", help="write one CSV row per sampled path here"),
+        ),
+    ),
+    "dpp": Command(
+        "determinantal measure from a frame or kernel", _dpp_records,
+        (Input("input", 'frame JSON or kernel JSON ({"k": [[...]]})', _load_kernel),), (
+            Option("--bruteforce", False, bool,
+                   help="enumerate the exact subset distribution (n <= 20)"),
+            Option("--draws-csv", help="write one CSV row per draw here"),
+        ),
+    ),
+    "gaussian": Command("white-noise identity checks", _gaussian_records, options=(
+        Option("--checks", GAUSSIAN_CHECKS, parse=_parse_checks,
+               help=f"comma list from {GAUSSIAN_CHECKS}"),
+    )),
+    "translate": Command("translated-measure identity checks", _translate_records,
+                         options=(_vector("--x"), _vector("--y"))),
+    "kl": Command("Karhunen-Loeve expansion for a Parseval frame", _kl_records,
+                  (_FRAME,), (_vector("--x"),)),
+    "verify-all": Command("run every suite on built-in inputs", _verify_all_records),
+}

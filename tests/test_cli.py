@@ -27,6 +27,14 @@ def mb_path(tmp_path, mb):
 
 
 @pytest.fixture()
+def measure_path(tmp_path):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 0.0], [0.0, 1.0]],
+                                "weights": [0.5, 0.5]}))
+    return str(path)
+
+
+@pytest.fixture()
 def onb_path(tmp_path, onb2):
     path = tmp_path / "onb.json"
     fm.save_frame(onb2, path)
@@ -247,3 +255,64 @@ class TestCommands:
         prefixes = {r["name"].split(".")[0] for r in doc["records"]}
         assert {"frames", "wasserstein", "decay", "markov", "dpp",
                 "gaussian", "translate", "kl"} <= prefixes
+
+
+# The `options` each command writes into its report's `config` when run
+# with no option given: every default, in this key order.
+DEFAULT_OPTIONS = {
+    "frames": "{}",
+    "wasserstein": "{}",
+    "decay": '{"n_max": 64}',
+    "markov": '{"start_index": 0, "start_vector": null, "horizon": 2, "paths": 1000, '
+              '"paths_csv": null}',
+    "dpp": '{"bruteforce": false, "draws_csv": null}',
+    "gaussian": '{"checks": ["isometry", "charfn", "moments", "covariance", "reconstruct", '
+                '"projection"]}',
+    "translate": '{"x": null, "y": null}',
+    "kl": '{"x": null}',
+    "verify-all": "{}",
+}
+
+
+class TestReportContract:
+    @pytest.fixture()
+    def inputs(self, mb_path, measure_path, tmp_path, mb):
+        pf_path = tmp_path / "pf.json"
+        fm.save_frame(fm.parseval_rescale(mb), pf_path)
+        return {
+            "frames": [mb_path], "wasserstein": [measure_path, measure_path],
+            "decay": [measure_path], "markov": [mb_path], "dpp": [mb_path],
+            "gaussian": [], "translate": [], "kl": [str(pf_path)], "verify-all": [],
+        }
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_OPTIONS))
+    def test_default_config(self, command, inputs, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([command, *inputs[command], "--out", str(out)]) == 0
+        expected = (
+            f'{{"command": "{command}", "seed": 0, "samples": 100000, "dim": 32, '
+            f'"tolerances": {{}}, "inputs": {json.dumps(inputs[command])}, '
+            f'"options": {DEFAULT_OPTIONS[command]}}}'
+        )
+        assert json.dumps(json.loads(out.read_text())["config"]) == expected
+
+    def test_library_config_takes_table_defaults(self, mb_path, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["markov", mb_path, "--out", str(out)]) == 0
+        cli_doc = json.loads(out.read_text())
+        lib_doc = run(ExperimentConfig(command="markov", inputs=(mb_path,))).to_dict()
+        assert lib_doc["config"]["options"] == {}
+        assert lib_doc["records"] == cli_doc["records"]
+        assert lib_doc["extras"] == cli_doc["extras"]
+
+    def test_input_count_checked(self, mb_path):
+        with pytest.raises(ConfigError, match="needs 2 input path"):
+            run(ExperimentConfig(command="wasserstein", inputs=(mb_path,)))
+
+
+def test_rank_deficient_frame_passes(tmp_path, capsys):
+    # 40 vectors in R^10; a leading-minor test on its Gramian refused it
+    path = tmp_path / "frame.json"
+    fm.save_frame(fm.build_frame(np.random.default_rng(15).normal(size=(40, 10))), path)
+    assert main(["frames", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["overall_pass"] is True

@@ -16,6 +16,7 @@ from framemeasures import (
     verify_riesz_upper,
 )
 from framemeasures.errors import DimensionMismatch, NonFinite, NotAFrame
+from framemeasures.frames import TOL_PSD
 from conftest import random_spanning_frame
 
 
@@ -111,6 +112,19 @@ class TestGram:
         g = gram(mb)
         assert g.eigenvalues().min() >= -1e-10
         assert g.leading_minors().min() >= -1e-10
+
+    def test_min_eigenvalue_kept_from_validation(self, mb):
+        g = gram(mb)
+        assert g.min_eigenvalue == g.eigenvalues().min()
+
+    def test_rank_deficient_gramian_accepted(self):
+        # 40 vectors in R^10: G has rank 10, so its leading minors of order
+        # 11 and up are zero and their determinants pure rounding; here the
+        # order-11 minor rounds to about -5e-8, which a minor test refused
+        f = build_frame(np.random.default_rng(15).normal(size=(40, 10)))
+        g = gram(f)
+        assert g.min_eigenvalue >= -TOL_PSD
+        assert g.size == 40
 
     def test_gram_spectrum_matches_frame_operator(self):
         rng = np.random.default_rng(7)

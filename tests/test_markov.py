@@ -111,6 +111,18 @@ class TestBuildChain:
             norms_sq = (chain.frame.vectors**2).sum(axis=1)
             assert (p - norms_sq[None, :] / chain.frame.lower_bound).max() <= 1e-12
 
+    def test_residuals_kept_from_construction(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            chain = build_chain(build_frame(random_spanning_frame(rng)))
+            p = chain.transition_matrix
+            flux = chain.normalizers[:, None] * p
+            scale = np.maximum(np.maximum(np.abs(flux), np.abs(flux.T)), 1e-300)
+            norms_sq = (chain.frame.vectors**2).sum(axis=1)
+            assert chain.row_sum_residual == np.abs(p.sum(axis=1) - 1.0).max()
+            assert chain.reversibility_rel_residual == (np.abs(flux - flux.T) / scale).max()
+            assert chain.bound_residual == (p - norms_sq[None, :] / chain.frame.lower_bound).max()
+
 
 class TestPathProbability:
     def test_onb_repeat(self, onb2):
