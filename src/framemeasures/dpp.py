@@ -157,7 +157,7 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     never flicker). Phase 2 samples the induced projection kernel exactly,
     walking the ground set and conditioning by Schur complement on each
     accept/reject. Draw i consumes uniforms [i*2n, (i+1)*2n) of the
-    (seed)-keyed Philox stream, so every draw depends only on
+    (seed, STREAM_DPP) stream, so every draw depends only on
     (seed, draw index).
     """
     if m < 1:

@@ -142,10 +142,10 @@ class PathSample:
 def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
     """m length-k index paths from start x, plus their exact probabilities.
 
-    Path i consumes uniforms at positions [i*k, (i+1)*k) of the Philox
-    stream keyed by seed, so each path depends only on (seed, path index)
-    and the output is reproducible for any execution order. Steps invert
-    the precomputed row CDFs; boundary ties resolve to the lower index.
+    Path i consumes uniforms [i*k, (i+1)*k) of the (seed, STREAM_MARKOV)
+    stream, so each path depends only on (seed, path index) and the
+    output is reproducible for any execution order. Steps invert the
+    precomputed row CDFs; boundary ties resolve to the lower index.
 
     Returns (indices, probabilities) with shapes (m, k) and (m,); the
     probabilities multiply the same factors in the same order as

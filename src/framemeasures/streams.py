@@ -1,10 +1,11 @@
 """Counter-based random streams (Philox) for reproducible Monte Carlo.
 
-Every variate is a pure function of (seed, stream, position): draw i of a
-stream is the i-th output of a Philox-4x64 generator keyed by (seed, stream),
-so results never depend on execution order, chunking, or thread count.
-Consumers assign disjoint position ranges to logical units (path index,
-draw index, sample index) to get splittable per-unit substreams.
+Every variate is a pure function of (seed, stream, position): position p
+of a stream is raw output p of a Philox-4x64 generator keyed by
+(seed, stream), so results never depend on execution order, chunking, or
+thread count. One addressing rule serves every consumer: variate j of
+unit i, where a unit (a path, a draw, a sample row) has width w, is at
+position i*w + j. Each consumer names its stream from the registry below.
 
 Normal variates use the inverse-CDF transform on open-interval uniforms
 rather than Box-Muller, which consumes variates in pairs and would couple
@@ -16,27 +17,28 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import IndexOutOfRange
-
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-# stream ids, one per consumer, so a shared seed never aliases streams
+# The registry of stream ids, one per consumer, so a shared seed never
+# aliases streams. Every id of the library is declared here.
 STREAM_MARKOV = 1
 STREAM_DPP = 2
 STREAM_WHITENOISE = 3
 STREAM_PROBES = 9
+STREAM_COCYCLE = 10
+STREAM_RIESZ = 11
+STREAM_IDS = {name: value for name, value in globals().items() if name.startswith("STREAM_")}
+if len(set(STREAM_IDS.values())) != len(STREAM_IDS):
+    # raised, not asserted, so that `python -O` keeps the check
+    raise ImportError(f"stream ids are not unique: {STREAM_IDS}")
 
-# Rows per generation block for large normal matrices. Fixed so that the
-# value at row i depends only on (seed, stream, i) and never on the total
-# row count: generating M rows and then truncating equals generating m < M
-# rows directly.
+# Rows per thread task of `normal_matrix`.
 BLOCK_ROWS = 1 << 16
 
 
-def _philox(seed: int, stream: int, block: int = 0) -> np.random.Philox:
-    key = ((seed & _MASK64) << 64) | ((stream & _MASK32) << 32) | (block & _MASK32)
-    return np.random.Philox(key=key)
+def _philox(seed: int, stream: int) -> np.random.Philox:
+    return np.random.Philox(key=((seed & _MASK64) << 64) | ((stream & _MASK32) << 32))
 
 
 # largest double below 1: the top raw values would otherwise round up to 1.0
@@ -57,29 +59,23 @@ def _to_open_unit(raw: np.ndarray) -> np.ndarray:
     return np.minimum(out, _BELOW_ONE, out=out)
 
 
-def _raw(seed: int, stream: int, block: int, start: int, count: int) -> np.ndarray:
-    """Raw outputs [start, start + count) of the (seed, stream, block) stream.
+def _raw(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Raw outputs [start, start + count) of the (seed, stream) stream.
 
     Philox counter steps emit 4 raw outputs, so the generator is advanced
     by start // 4 and the remainder discarded; any chunking of a range
     yields the same values.
     """
-    bg = _philox(seed, stream, block)
+    bg = _philox(seed, stream)
     bg.advance(start // 4)
     drop = start % 4
     return bg.random_raw(count + drop)[drop:]
 
 
-def uniforms(seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """`count` uniforms in (0, 1) from the (seed, stream) Philox stream."""
-    return uniforms_at(seed, 0, count, stream=stream)
-
-
-def uniforms_at(seed: int, start: int, count: int, stream: int = 0) -> np.ndarray:
-    """`count` uniforms at positions [start, start + count) of the stream."""
-    if count == 0:
-        return np.empty(0)
-    return _to_open_unit(_raw(seed, stream, 0, start, count))
+def uniforms_at(seed: int, start: int, count: int, stream: int) -> np.ndarray:
+    """`count` uniforms in (0, 1) at positions [start, start + count) of
+    the (seed, stream) stream."""
+    return _to_open_unit(_raw(seed, stream, start, count))
 
 
 def worker_count() -> int:
@@ -117,20 +113,14 @@ def map_ordered(fn, items, workers: int | None = None):
 
 
 def normal_rows(
-    seed: int, start: int, stop: int, cols: int, stream: int = 0, out: np.ndarray | None = None
+    seed: int, start: int, stop: int, cols: int, stream: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Rows [start, stop) of the (seed, stream) normal matrix with `cols` columns.
 
-    Row i lies in block b = i // BLOCK_ROWS and draws from the
-    (seed, stream, b) Philox stream at positions
-    [(i - b*BLOCK_ROWS)*cols, (i - b*BLOCK_ROWS + 1)*cols), so the range
-    must stay inside one block. Written into `out`, a (stop - start, cols)
-    array, when given.
+    Entry (i, j) is the normal at position i*cols + j of the stream.
+    Written into `out`, a (stop - start, cols) array, when given.
     """
-    block, first = divmod(start, BLOCK_ROWS)
-    if not start <= stop <= (block + 1) * BLOCK_ROWS:
-        raise IndexOutOfRange(f"rows [{start}, {stop}) do not lie inside one block")
-    u = _to_open_unit(_raw(seed, stream, block, first * cols, (stop - start) * cols))
+    u = _to_open_unit(_raw(seed, stream, start * cols, (stop - start) * cols))
     u = u.reshape(stop - start, cols)
     return ndtri(u, out=u if out is None else out)
 
@@ -139,14 +129,13 @@ def normal_matrix(
     seed: int,
     rows: int,
     cols: int,
-    stream: int = 0,
+    stream: int,
     workers: int | None = None,
 ) -> np.ndarray:
-    """(rows, cols) i.i.d. standard normals, filled block by block.
+    """(rows, cols) i.i.d. standard normals, filled BLOCK_ROWS rows per task.
 
     Entry (i, j) is a pure function of (seed, stream, i, j); see
-    `normal_rows`. Blocks may be filled by any number of threads in any
-    order.
+    `normal_rows`. Tasks may run in any number of threads in any order.
     """
     out = np.empty((rows, cols))
 

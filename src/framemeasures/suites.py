@@ -103,7 +103,7 @@ def _frames_records(config, frame, prefix=""):
         bound_record(prefix + "analysis_norm_rel_residual", norm_identity, rel),
         bound_record(prefix + "gram_min_eigenvalue_neg", -g.min_eigenvalue, frames_mod.TOL_PSD),
     ]
-    c = streams.uniforms(config.seed, frame.n_frame, stream=streams.STREAM_PROBES) - 0.5
+    c = streams.uniforms_at(config.seed, 0, frame.n_frame, stream=streams.STREAM_RIESZ) - 0.5
     riesz = frames_mod.verify_riesz_upper(frame, c)
     records.append(
         bound_record(prefix + "riesz_upper_excess", riesz.lhs - riesz.bound, ineq)
@@ -348,7 +348,7 @@ def _translate_records(config, prefix="", *, x, y):
             "exp(||x||^2) and 4-sigma bands lose power", float(x @ x),
         )
 
-    triples = streams.normal_matrix(config.seed, 1000, 3 * d, stream=streams.STREAM_PROBES + 1)
+    triples = streams.normal_matrix(config.seed, 1000, 3 * d, stream=streams.STREAM_COCYCLE)
     worst = 0.0
     for row in triples:
         lhs, rhs = trans_mod.cocycle_check(row[:d], row[d : 2 * d], row[2 * d :])
@@ -407,7 +407,7 @@ def _verify_all_records(config):
 
 # ---------------------------------------------------------- command table
 
-def _parse_vector(text):
+def _parse_vector(text, flag):
     """Inline JSON array or a path to a JSON file holding one."""
     try:
         doc = json.loads(text)
@@ -416,10 +416,18 @@ def _parse_vector(text):
             with open(text) as fh:
                 doc = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"--x/--y value {text!r} is neither JSON nor a readable file: {exc}")
+            raise ConfigError(f"{flag} value {text!r} is neither JSON nor a readable file: {exc}")
     if not isinstance(doc, list):
         raise ConfigError(f"vector must be a JSON array, got {type(doc).__name__}")
     return doc
+
+
+def positive_int(text):
+    """Argument type of a count option, an integer >= 1 (argparse's error names it)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def _parse_checks(text):
@@ -477,8 +485,8 @@ def _measure(name):
 
 
 def _vector(flag, exclusive=False):
-    return Option(flag, parse=_parse_vector, help="inline JSON vector or file path",
-                  exclusive=exclusive)
+    return Option(flag, parse=lambda text: _parse_vector(text, flag),
+                  help="inline JSON vector or file path", exclusive=exclusive)
 
 
 COMMANDS = {
@@ -486,13 +494,13 @@ COMMANDS = {
     "wasserstein": Command("exact W2 distance between two measures", _wasserstein_records,
                            (_measure("mu"), _measure("nu"))),
     "decay": Command("coordinate decay diagnostic of a measure", _decay_records,
-                     (_measure("mu"),), (Option("--n-max", 64, int),)),
+                     (_measure("mu"),), (Option("--n-max", 64, positive_int),)),
     "markov": Command(
         "frame-induced Markov chain and path sampling", _markov_records, (_FRAME,), (
             Option("--start-index", 0, int, exclusive=True),
             _vector("--start-vector", exclusive=True),
-            Option("--horizon", 2, int),
-            Option("--paths", 1000, int),
+            Option("--horizon", 2, positive_int),
+            Option("--paths", 1000, positive_int),
             Option("--paths-csv", help="write one CSV row per sampled path here"),
         ),
     ),

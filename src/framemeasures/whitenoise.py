@@ -10,8 +10,8 @@ truncation D >= dim(x), so Monte-Carlo verification at desk scale is
 unbiased.
 
 A WhiteNoiseEnsemble is M seeded sample vectors in R^D: sample i is row i
-of `streams.normal_matrix(seed, M, D, STREAM_WHITENOISE)`, a pure function
-of (seed, i) keyed by its block (`streams.normal_rows`), so prefixes of a
+of `streams.normal_matrix(seed, M, D, STREAM_WHITENOISE)`, positions
+[i*D, (i+1)*D) of that stream (`streams.normal_rows`), so prefixes of a
 larger ensemble coincide with smaller ensembles. `generate` caches the
 whole (M, D) matrix; an ensemble constructed directly from (D, M, seed)
 holds no samples and regenerates them on every pass, in memory
@@ -56,9 +56,9 @@ MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
 MEAN_BAND = 5.0       # generator sanity: |coord mean| <= 5/sqrt(M)
 VAR_BAND = 5.0        # and |coord var - 1| <= 5*sqrt(2/M)
 # Samples per task of a pass: a tile of D = 32 coordinates is 2 MB, so a
-# tile and its pairings stay in cache. Divides BLOCK_ROWS, so no tile
-# crosses a block.
-TILE_ROWS = streams.BLOCK_ROWS // 8
+# tile and its pairings stay in cache. Tiles fix the merge order, so a
+# new value changes the estimates' last bits.
+TILE_ROWS = 1 << 13
 # Samples per matrix product inside a tile. BLAS libraries run a product
 # this small (30 probes x 32 coordinates x 256 samples, under OpenBLAS's
 # 2^18 multiply-add threading threshold) on the calling thread; a product

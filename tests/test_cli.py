@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import framemeasures as fm
+from framemeasures import frames as frames_mod
+from framemeasures import streams
 from framemeasures.cli import main
 from framemeasures.errors import ConfigError
 from framemeasures.report import (
@@ -146,6 +148,24 @@ class TestExitCodes:
         assert main(["gaussian", "--checks", "nosuch"]) == 2
         assert main(["gaussian", "--tolerance", "zmax=1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("markov", "--paths"), ("markov", "--horizon"), ("decay", "--n-max"),
+    ])
+    def test_count_below_one_is_a_usage_error(self, command, flag, mb_path, measure_path,
+                                              capsys):
+        path = mb_path if command == "markov" else measure_path
+        with pytest.raises(SystemExit) as info:
+            main([command, path, flag, "0"])
+        assert info.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_vector_errors_name_their_flag(self, mb_path, tmp_path, capsys):
+        missing = str(tmp_path / "nosuchfile")
+        assert main(["markov", mb_path, "--start-vector", missing]) == 2
+        assert f"config error: --start-vector value {missing!r}" in capsys.readouterr().err
+        assert main(["translate", "--x", missing]) == 2
+        assert f"config error: --x value {missing!r}" in capsys.readouterr().err
 
     def test_module_error_is_three(self, mb_path, capsys):
         # MB frame is tight but not Parseval: kl refuses it
@@ -308,6 +328,22 @@ class TestReportContract:
     def test_input_count_checked(self, mb_path):
         with pytest.raises(ConfigError, match="needs 2 input path"):
             run(ExperimentConfig(command="wasserstein", inputs=(mb_path,)))
+
+
+def test_riesz_coefficients_are_not_the_probe_uniforms(mb_path, mb, monkeypatch):
+    seen = []
+    original = frames_mod.verify_riesz_upper
+
+    def spy(frame, c):
+        seen.append(np.array(c))
+        return original(frame, c)
+
+    monkeypatch.setattr(frames_mod, "verify_riesz_upper", spy)
+    run(ExperimentConfig(command="frames", inputs=(mb_path,), seed=7))
+    (c,) = seen
+    # the probe vectors are ndtri of these uniforms
+    probe_uniforms = streams.uniforms_at(7, 0, mb.n_frame, stream=streams.STREAM_PROBES)
+    assert not np.isclose(c + 0.5, probe_uniforms).any()
 
 
 def test_rank_deficient_frame_passes(tmp_path, capsys):

@@ -1,40 +1,46 @@
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from framemeasures import streams
-from framemeasures.errors import IndexOutOfRange
+
+B = streams.BLOCK_ROWS
 
 
 def test_uniforms_open_interval():
-    u = streams.uniforms(5, 100_000)
+    u = streams.uniforms_at(5, 0, 100_000, stream=0)
     assert u.min() > 0.0 and u.max() < 1.0
 
 
 def test_uniforms_at_chunk_consistency():
-    full = streams.uniforms(5, 1000, stream=2)
+    full = streams.uniforms_at(5, 0, 1000, stream=2)
     for start, count in [(0, 10), (3, 7), (17, 500), (999, 1)]:
         chunk = streams.uniforms_at(5, start, count, stream=2)
         np.testing.assert_array_equal(chunk, full[start : start + count])
 
 
 def test_streams_distinct():
-    a = streams.uniforms(5, 100, stream=1)
-    b = streams.uniforms(5, 100, stream=2)
-    c = streams.uniforms(6, 100, stream=1)
+    a = streams.uniforms_at(5, 0, 100, stream=1)
+    b = streams.uniforms_at(5, 0, 100, stream=2)
+    c = streams.uniforms_at(6, 0, 100, stream=1)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_normal_matrix_row_prefix():
-    big = streams.normal_matrix(9, streams.BLOCK_ROWS + 500, 3)
-    small = streams.normal_matrix(9, streams.BLOCK_ROWS - 10, 3)
+    big = streams.normal_matrix(9, streams.BLOCK_ROWS + 500, 3, stream=0)
+    small = streams.normal_matrix(9, streams.BLOCK_ROWS - 10, 3, stream=0)
     np.testing.assert_array_equal(big[: streams.BLOCK_ROWS - 10], small)
 
 
 def test_normal_matrix_worker_invariance():
-    a = streams.normal_matrix(9, 3 * streams.BLOCK_ROWS, 2, workers=1)
-    b = streams.normal_matrix(9, 3 * streams.BLOCK_ROWS, 2, workers=3)
+    a = streams.normal_matrix(9, 3 * streams.BLOCK_ROWS, 2, stream=0, workers=1)
+    b = streams.normal_matrix(9, 3 * streams.BLOCK_ROWS, 2, stream=0, workers=3)
     np.testing.assert_array_equal(a, b)
 
 
@@ -70,8 +76,92 @@ def test_open_unit_matches_formula_bitwise():
 
 
 def test_normal_rows_within_a_block():
-    z = streams.normal_matrix(9, 2 * streams.BLOCK_ROWS, 5, stream=3)
-    lo, hi = streams.BLOCK_ROWS + 333, streams.BLOCK_ROWS + 4000
-    np.testing.assert_array_equal(streams.normal_rows(9, lo, hi, 5, stream=3), z[lo:hi])
-    with pytest.raises(IndexOutOfRange):
-        streams.normal_rows(9, streams.BLOCK_ROWS - 1, streams.BLOCK_ROWS + 1, 5)
+    z = streams.normal_matrix(9, 2 * B, 5, stream=3)
+    for lo, hi in [(B + 333, B + 4000), (B - 1, B + 1), (B - 700, 2 * B)]:
+        np.testing.assert_array_equal(streams.normal_rows(9, lo, hi, 5, stream=3), z[lo:hi])
+
+
+def test_normal_rows_read_flat_positions():
+    # entry (i, j) of a width-5 matrix is the normal at position 5*i + j
+    u = streams.uniforms_at(9, (B - 2) * 5, 25, stream=3)
+    np.testing.assert_array_equal(
+        streams.normal_rows(9, B - 2, B + 3, 5, stream=3), ndtri(u).reshape(5, 5)
+    )
+
+
+def test_duplicate_stream_id_fails_import_under_optimize(tmp_path):
+    source = Path(streams.__file__).read_text()
+    duplicated = source.replace("STREAM_RIESZ = 11", "STREAM_RIESZ = 10")
+    assert duplicated != source
+    path = tmp_path / "streams_copy.py"
+    path.write_text(duplicated)
+    proc = subprocess.run([sys.executable, "-O", str(path)], capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "ImportError: stream ids are not unique" in proc.stderr
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the little-endian float64 bytes, seed 7, for each registered
+# stream: (uniforms at positions [0, 1000) and [5*2^20 + 3, +1000);
+# normal rows [1000, 1256) of width 8; normal rows [R - 128, R + 128) and
+# [3R + 5, 3R + 261) of width 8, R = 65536). The first two held before
+# normal rows were flat-addressed; the third pins rows at and beyond R. A
+# changed digest is a changed stream, and every record drawn from it moves.
+STREAM_DIGESTS = {
+    "STREAM_MARKOV": (
+        "57573b925646e8e472f3b43b99b5c95c0ab7ef998c7795440e5ad0c047767941",
+        "f525f4733611d046de3a717e0b0b918276087f0cf1f10ec8fd5674c5d4af3c51",
+        "71321d20d6a79398fd555c341daa2cd8287721aed56af8b3f0841c593055ba0b",
+    ),
+    "STREAM_DPP": (
+        "35761caf9289fe049ce3574e9f2d4dc49c6b2e75e588fb9eff69464963d43d02",
+        "2de40ed7de6683e5b50a1da5c530679cad4fefbf3507c677749fcb9229f021e5",
+        "ebe8725feeba6bb67396e36c3243c9d26958f5bb66ca1212d3e97356aa66bfc0",
+    ),
+    "STREAM_WHITENOISE": (
+        "c6ba93294bf57eec96242e69da65337a3c849226f5fb9b932558b1da591fd17a",
+        "73d397131f9c116ef451e3c2d5339ddf518b49ac2b8f88a75ba1cb97ec814002",
+        "67a96398e3c4bd2831b73eeea8d55fc663033fe0cffa97e58c88ab44db635f50",
+    ),
+    "STREAM_PROBES": (
+        "06117e33f3c53dfbd764127f4901ce6470daec1e1865cf53b06595877cd04b6f",
+        "8d6c2222b49d15f107aeda726c87123da5737f00923293e8ca4ef6f3c59ace44",
+        "f95823fe53610a7abf5e5fd8125ef2d55f32ff6c79aa344c7dca5e22918ac570",
+    ),
+    "STREAM_COCYCLE": (
+        "a9baf54d136d63c08cc24642e6f580d938d205eda3eb0f8e4b8fd9ec3a81a52f",
+        "76460a3d32773bf679de896e0f4f7c91a1bcdc136bac3c351b5cccb34ff9fda1",
+        "694e5c651990de77de2f33aa1b5d9629b7708b70c463c65646ddfbf7a43b3c1f",
+    ),
+    "STREAM_RIESZ": (
+        "1e38625cd26685e2c285bc9887672cff55458addb98ef1216cbd064ccc2f81ec",
+        "8247b63b97c7ebd82b04ff775863d2bc7d0439b85d38c1f58129698d3867db20",
+        "76e386375380b10f4f158e97f1ccda1cffad899363e49673f4f4b5a4f6c2b109",
+    ),
+}
+
+
+def test_every_stream_is_pinned():
+    assert set(STREAM_DIGESTS) == set(streams.STREAM_IDS)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_stream_digests(name):
+    s = streams.STREAM_IDS[name]
+    r = 1 << 16
+    uniforms = _sha256(
+        streams.uniforms_at(7, 0, 1000, stream=s),
+        streams.uniforms_at(7, 5 * 2**20 + 3, 1000, stream=s),
+    )
+    below = _sha256(streams.normal_rows(7, 1000, 1256, 8, stream=s))
+    beyond = _sha256(
+        streams.normal_rows(7, r - 128, r + 128, 8, stream=s),
+        streams.normal_rows(7, 3 * r + 5, 3 * r + 261, 8, stream=s),
+    )
+    assert (uniforms, below, beyond) == STREAM_DIGESTS[name]
