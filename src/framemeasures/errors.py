@@ -62,7 +62,18 @@ class Overflow(FrameMeasuresError):
 
 
 class InvalidEnsembleSize(FrameMeasuresError, ValueError):
-    """Ensemble truncation dimension or sample count out of range."""
+    """Ensemble truncation dimension, sample count or draw count out of range."""
+
+
+class InvalidKernel(FrameMeasuresError, ValueError):
+    """A determinantal kernel must be a square symmetric matrix with
+    spectrum in [0, 1]."""
+
+
+class NotDeterminantal(FrameMeasuresError, ValueError):
+    """Principal minors do not invert to a probability table: a minor or
+    a subset mass is significantly negative, or the masses do not sum
+    to 1."""
 
 
 class SanityBandViolated(FrameMeasuresError, RuntimeError):

@@ -37,6 +37,19 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_rows(x, dim: int | None = None) -> np.ndarray:
+    """Validate and return a finite float64 vector, or a stack of vectors
+    (..., d), d >= 1."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise DimensionMismatch(f"expected vectors of dimension >= 1, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite("vector has NaN or infinite coordinates")
+    if dim is not None and arr.shape[-1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {arr.shape[-1]}")
+    return arr
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from .errors import DimensionMismatch, NonFinite
 
@@ -185,11 +186,13 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     elif m == 1:
         plan = mu.weights[:, None].copy()
     else:
-        a_eq = np.zeros((n + m, n * m))
-        for i in range(n):
-            a_eq[i, i * m : (i + 1) * m] = 1.0
-        for j in range(m):
-            a_eq[n + j, j::m] = 1.0
+        # column i*m + j (plan entry gamma_ij) has a 1 in row i (its row
+        # sum) and in row n + j (its column sum)
+        i, j = np.divmod(np.arange(n * m), m)
+        rows = np.column_stack([i, n + j]).ravel()
+        a_eq = csc_array(
+            (np.ones(2 * n * m), rows, np.arange(0, 2 * n * m + 1, 2)), shape=(n + m, n * m)
+        )
         b_eq = np.concatenate([mu.weights, nu.weights])
         res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         if not res.success:

@@ -220,8 +220,8 @@ def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
     records.append(mc_record(prefix + "cardinality_vs_trace",
                              wn.mc_estimate(card, kernel.trace()), z_max))
     if bruteforce:
-        table = dpp_mod.subset_distribution_bruteforce(kernel)
         minors = dpp_mod._subset_minors(kernel)
+        table = dpp_mod._moebius(minors)
         emp = dpp_mod.empirical_subset_distribution(masks)
         records += [
             bound_record(prefix + "principal_minor_negativity", -minors.min(),
@@ -349,10 +349,8 @@ def _translate_records(config, prefix="", *, x, y):
         )
 
     triples = streams.normal_matrix(config.seed, 1000, 3 * d, stream=streams.STREAM_COCYCLE)
-    worst = 0.0
-    for row in triples:
-        lhs, rhs = trans_mod.cocycle_check(row[:d], row[d : 2 * d], row[2 * d :])
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    lhs, rhs = trans_mod.cocycle_check(triples[:, :d], triples[:, d : 2 * d], triples[:, 2 * d :])
+    worst = float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max())
 
     return [
         bound_record(prefix + "cocycle_max_rel_residual", worst, rel),

@@ -27,7 +27,7 @@ from .errors import (
     NotTight,
     Overflow,
 )
-from .frames import Frame, analysis, as_vector, build_frame
+from .frames import Frame, analysis, as_rows, as_vector, build_frame
 from .whitenoise import (
     MAX_MOMENT_ORDER,
     McEstimate,
@@ -36,7 +36,6 @@ from .whitenoise import (
     _mean_reduction,
     _power,
     _stacked,
-    pairing,
     pairings,
 )
 
@@ -44,14 +43,31 @@ PARSEVAL_TOL = 1e-10
 EXP_LIMIT = 700.0  # exp overflows past ~709.8
 
 
-def rn_density(x, omega) -> float:
-    """Radon-Nikodym density of the x-translated measure at omega."""
-    t = pairing(x, omega)
-    x = as_vector(x)
-    exponent = t - 0.5 * float(x @ x)
-    if abs(exponent) > EXP_LIMIT:
-        raise Overflow(f"density exponent {exponent:.3g} outside double range")
-    return float(np.exp(exponent))
+def _scalar(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def _density(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    if x.shape[-1] > omega.shape[-1]:
+        raise DimensionExceedsTruncation(
+            f"vector dimension {x.shape[-1]} exceeds truncation {omega.shape[-1]}"
+        )
+    # <x, omega> with x zero-padded to omega's length, as `pairing` reads it
+    exponent = np.vecdot(x, omega[..., : x.shape[-1]]) - 0.5 * np.vecdot(x, x)
+    peak = float(np.abs(exponent).max(initial=0.0))
+    if peak > EXP_LIMIT:
+        raise Overflow(f"density exponent {peak:.3g} outside double range")
+    return np.exp(exponent)
+
+
+def rn_density(x, omega):
+    """Radon-Nikodym density of the x-translated measure at omega.
+
+    x and omega are vectors, or stacks of vectors (..., d) that broadcast
+    against each other row by row; two vectors give a float, stacks an
+    array of densities.
+    """
+    return _scalar(_density(as_rows(x), np.asarray(omega, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -84,23 +100,28 @@ def exp_functional(x, ens: WhiteNoiseEnsemble) -> ExpFunctional:
 
 
 def cocycle_check(x1, x2, omega):
-    """Both sides of the exponential cocycle at a single omega:
+    """Both sides of the exponential cocycle at omega:
 
         lhs = E(x1)(omega) E(x2)(omega)
         rhs = exp(<x1, x2>) E(x1 + x2)(omega)
 
     The identity is exact pointwise algebra; no sampling enters. (Note
-    the sign: expanding the definitions forces exp(+<x1, x2>).)
+    the sign: expanding the definitions forces exp(+<x1, x2>).) Each
+    argument is a vector or a stack of vectors (..., d), taken row by
+    row as in `rn_density`; vectors give two floats, stacks two arrays.
     """
-    lhs = rn_density(x1, omega) * rn_density(x2, omega)
-    x1 = as_vector(x1)
-    x2 = as_vector(x2)
-    if x1.size != x2.size:
-        d = max(x1.size, x2.size)
-        x1 = np.pad(x1, (0, d - x1.size))
-        x2 = np.pad(x2, (0, d - x2.size))
-    rhs = float(np.exp(x1 @ x2)) * rn_density(x1 + x2, omega)
-    return lhs, rhs
+    x1, x2 = as_rows(x1), as_rows(x2)
+    omega = np.asarray(omega, dtype=float)
+    lhs = _density(x1, omega) * _density(x2, omega)
+    d = max(x1.shape[-1], x2.shape[-1])
+    x1, x2 = _widen(x1, d), _widen(x2, d)
+    rhs = np.exp(np.vecdot(x1, x2)) * _density(x1 + x2, omega)
+    return _scalar(lhs), _scalar(rhs)
+
+
+def _widen(x: np.ndarray, d: int) -> np.ndarray:
+    """x zero-padded to d coordinates."""
+    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, d - x.shape[-1])])
 
 
 def rn_mean(x) -> Reduction:

@@ -49,7 +49,7 @@ from .errors import (
     SanityBandViolated,
     SingularGramian,
 )
-from .frames import Frame, GramMatrix, as_vector
+from .frames import Frame, GramMatrix, as_rows, as_vector
 
 DEFAULT_TRUNCATION = 64  # suggested desk-scale D; identities are exact at any D >= dim(x)
 MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
@@ -404,26 +404,29 @@ def gramian_covariance(frame: Frame) -> Reduction:
     )
 
 
-def joint_density(gram_matrix: GramMatrix, x) -> float:
+def joint_density(gram_matrix: GramMatrix, x):
     """Joint density of (T phi_1, ..., T phi_n) at the point x:
 
         (2 pi)^(-n/2) det(G)^(-1/2) exp(-x^T G^{-1} x / 2)
 
-    G must be strictly positive definite; overcomplete frames have
-    singular full Gramians and callers must pass an invertible
-    sub-Gramian.
+    x is a point of R^n, which gives a float, or a stack of points
+    (..., n), which gives an array of densities. G must be strictly
+    positive definite; overcomplete frames have singular full Gramians
+    and callers must pass an invertible sub-Gramian.
     """
     g = gram_matrix.entries
     n = g.shape[0]
-    x = as_vector(x, dim=n)
+    x = as_rows(x, dim=n)
     eigs = np.linalg.eigvalsh(g)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
         raise SingularGramian(
             f"smallest Gramian eigenvalue {eigs[0]:.3g} is numerically zero"
         )
-    quad = float(x @ np.linalg.solve(g, x))
+    # one solve with a right-hand side per point
+    quad = np.vecdot(x, np.linalg.solve(g, x.reshape(-1, n).T).T.reshape(x.shape))
     log_det = float(np.log(eigs).sum())
-    return math.exp(-0.5 * quad - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi))
+    density = np.exp(-0.5 * quad - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi))
+    return float(density) if density.ndim == 0 else density
 
 
 def synthesis_mc(f_values, ens: WhiteNoiseEnsemble) -> np.ndarray:

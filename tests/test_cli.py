@@ -172,6 +172,12 @@ class TestExitCodes:
         assert main(["kl", mb_path, "--samples", "1000", "--dim", "8"]) == 3
         assert "NotParseval" in capsys.readouterr().err
 
+    def test_asymmetric_kernel_file_is_three(self, tmp_path, capsys):
+        kpath = tmp_path / "k.json"
+        kpath.write_text(json.dumps({"k": [[0.5, 0.2], [0.3, 0.5]]}))
+        assert main(["dpp", str(kpath)]) == 3
+        assert capsys.readouterr().err == "dpp: InvalidKernel: kernel is not symmetric\n"
+
 
 class TestCommands:
     def test_markov_identity_transition_payload(self, onb_path, capsys):

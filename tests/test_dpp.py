@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from framemeasures import (
     subset_distribution_bruteforce,
     total_variation,
 )
-from framemeasures.errors import IndexOutOfRange, TooLarge
+from framemeasures.dpp import DppKernel, _moebius, _subset_minors
+from framemeasures.errors import (
+    IndexOutOfRange,
+    InvalidEnsembleSize,
+    InvalidKernel,
+    NotDeterminantal,
+    TooLarge,
+)
 
 
 def random_kernel(rng, n, scale=None):
@@ -28,6 +37,41 @@ def random_kernel(rng, n, scale=None):
     if scale is None:
         scale = 0.6 + 0.4 * rng.random()
     return kernel_from_matrix(g / top * scale)
+
+
+def projection_kernel(rng, n):
+    """Rank n // 2 projection: half the principal minors vanish."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return kernel_from_matrix(q[:, : n // 2] @ q[:, : n // 2].T)
+
+
+def per_subset_minors(kernel):
+    """Reference: one `det` call per subset, indexed by bitmask."""
+    n = kernel.size
+    out = np.empty(1 << n)
+    out[0] = 1.0
+    for code in range(1, 1 << n):
+        idx = [i for i in range(n) if code >> i & 1]
+        out[code] = np.linalg.det(kernel.matrix[np.ix_(idx, idx)])
+    return out
+
+
+# Reflections I - u u^T / 2 of 0/1 vectors with four ones, multiplied in order.
+REFLECTIONS = ((0, 1, 2, 3), (3, 6, 9, 11), (8, 9, 10, 11), (11, 13, 15, 17), (12, 14, 16, 17))
+
+
+def dyadic_kernel(n):
+    """Kernel given by its eigendecomposition: orthogonal eigenvectors and
+    eigenvalues with few binary digits, so the sampler's projection kernels
+    are exact and its draws do not depend on the BLAS library."""
+    v = np.eye(n)
+    for support in REFLECTIONS:
+        if max(support) < n:
+            u = np.zeros(n)
+            u[list(support)] = 1.0
+            v = v @ (np.eye(n) - np.outer(u, u) / 2.0)
+    lam = (np.arange(n) * 7 % 16 + 0.5) / 16.0
+    return DppKernel(matrix=(v * lam) @ v.T, eigenvalues=lam, eigenvectors=v)
 
 
 class TestKernelConstruction:
@@ -58,6 +102,14 @@ class TestKernelConstruction:
             kernel_from_matrix([[0.5, 0.2], [0.3, 0.5]])
         with pytest.raises(ValueError):
             kernel_from_matrix([[1.2, 0.0], [0.0, 0.5]])
+
+    @pytest.mark.parametrize("k", [
+        [[0.5, 0.2], [0.3, 0.5]], [[1.2, 0.0], [0.0, 0.5]], [[0.5, 0.0]], [0.5, 0.5],
+    ])
+    def test_invalid_kernel_is_typed(self, k):
+        with pytest.raises(InvalidKernel) as info:
+            kernel_from_matrix(k)
+        assert isinstance(info.value, ValueError)
 
 
 class TestInclusionProbability:
@@ -116,6 +168,45 @@ class TestBruteforce:
         k = kernel_from_matrix(np.eye(21) * 0.5)
         with pytest.raises(TooLarge):
             subset_distribution_bruteforce(k)
+        with pytest.raises(TooLarge):
+            _subset_minors(k)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_batched_minors_equal_per_subset_det(self, n):
+        rng = np.random.default_rng(40 + n)
+        for k in (random_kernel(rng, n), projection_kernel(rng, n)):
+            np.testing.assert_array_equal(_subset_minors(k), per_subset_minors(k))
+
+    def test_moebius_leaves_minors_and_refuses_negative_mass(self):
+        k = random_kernel(np.random.default_rng(15), 5)
+        minors = _subset_minors(k)
+        kept = minors.copy()
+        np.testing.assert_array_equal(_moebius(minors), subset_distribution_bruteforce(k))
+        np.testing.assert_array_equal(minors, kept)
+        minors[3] = -1e-6
+        with pytest.raises(NotDeterminantal) as info:
+            _moebius(minors)
+        assert isinstance(info.value, ValueError)
+        minors[3] = kept[3]
+        minors[1] = kept[1] + 1.0  # P(empty set) drops by 1
+        with pytest.raises(NotDeterminantal):
+            _moebius(minors)
+
+    def test_at_the_cap(self):
+        # n = BRUTEFORCE_MAX: 2^20 minors in bounded memory. Measured peak
+        # 61 MiB (the 8 MiB table, its Moebius copy and one 26 MiB chunk of
+        # 10 x 10 submatrices); an unchunked widest layer alone takes 148 MB.
+        k = random_kernel(np.random.default_rng(41), 20, scale=0.8)
+        tracemalloc.start()
+        try:
+            table = subset_distribution_bruteforce(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(table.sum() - 1.0) <= 1e-9
+        marginals = [table.reshape(-1, 2, 1 << j)[:, 1].sum() for j in range(20)]
+        np.testing.assert_allclose(marginals, np.diag(k.matrix), rtol=0, atol=1e-9)
+        assert peak <= 96 * 2**20
 
     def test_complement_identity(self):
         rng = np.random.default_rng(13)
@@ -191,10 +282,22 @@ class TestSampling:
     def test_rejects_bad_count(self, onb2):
         with pytest.raises(ValueError):
             sample_masks(kernel_from_frame(onb2), 0, seed=0)
+        with pytest.raises(InvalidEnsembleSize):
+            sample_masks(kernel_from_frame(onb2), 0, seed=0)
+
+    @pytest.mark.parametrize("n, digest", [
+        (12, "4d502a3f00f6fc436984fcef82f879065b05aca172a9cb9cb006b392571790e6"),
+        (18, "0ddd80fb12a9a2081e1e255095497cd6a6631a40c83fc3c777022ab21042edee"),
+    ])
+    def test_draws_are_pinned(self, n, digest):
+        k = dyadic_kernel(n)
+        np.testing.assert_array_equal(k.eigenvectors.T @ k.eigenvectors, np.eye(n))
+        masks = sample_masks(k, 100_000, seed=n)
+        assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
 
     def test_block_boundary_reproducibility(self):
-        # n = 8 puts the internal draw-block size at 62500: m = 130000
-        # spans three blocks, and draws must not depend on the chunking
+        # n = 8 puts the internal draw-block size at 15625: m = 130000
+        # spans nine blocks, and draws must not depend on the chunking
         rng = np.random.default_rng(31)
         k = random_kernel(rng, 8)
         big = sample_masks(k, 130_000, seed=11)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from framemeasures import (
     DiscreteMeasure,
@@ -211,6 +212,28 @@ class TestWasserstein:
             slack = cost - u[:, None] - v[None, :]
             assert slack.min() >= -1e-9
             assert float(u @ mu.weights + v @ nu.weights) == pytest.approx(d * d, abs=1e-9)
+
+    def test_plan_equals_dense_constraint_reference(self):
+        # HiGHS receives the same constraint matrix, stored sparse, so the
+        # solve gives the same plan to the last bit as the dense matrix
+        rng = np.random.default_rng(150)
+        n, m = 150, 100
+        mu = DiscreteMeasure.normalized(rng.normal(size=(n, 3)), rng.uniform(0.5, 1.5, n))
+        nu = DiscreteMeasure.normalized(rng.normal(size=(m, 3)), rng.uniform(0.5, 1.5, m))
+        d, plan = wasserstein2(mu, nu)
+
+        diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
+        cost = (diff * diff).sum(axis=2)
+        a_eq = np.zeros((n + m, n * m))
+        for i in range(n):
+            a_eq[i, i * m : (i + 1) * m] = 1.0
+        for j in range(m):
+            a_eq[n + j, j::m] = 1.0
+        res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                      bounds=(0, None), method="highs")
+        want = np.clip(res.x.reshape(n, m), 0.0, None)
+        np.testing.assert_array_equal(plan.matrix, want)
+        assert d == float(np.sqrt(max((want * cost).sum(), 0.0)))
 
 
 class TestOperators:

@@ -105,6 +105,29 @@ class TestCocycle:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+    def test_stacked_rows_match_single_rows(self):
+        # one implementation: a stack gives, row by row, the bits of single calls
+        rng = np.random.default_rng(12)
+        x1, x2, w = rng.normal(size=(3, 50, 6))
+        lhs, rhs = cocycle_check(x1, x2, w)
+        rows = np.array([cocycle_check(a, b, c) for a, b, c in zip(x1, x2, w)])
+        np.testing.assert_array_equal(lhs, rows[:, 0])
+        np.testing.assert_array_equal(rhs, rows[:, 1])
+        np.testing.assert_array_equal(rn_density(x1, w), [rn_density(a, c) for a, c in zip(x1, w)])
+        # a shorter x pads with zeros and broadcasts against a stack of omegas
+        lhs, rhs = cocycle_check(x1[0, :4], x2[0], w)
+        np.testing.assert_array_equal(rhs, [cocycle_check(x1[0, :4], x2[0], c)[1] for c in w])
+
+    def test_overflow_in_any_row(self):
+        w = np.zeros((3, 4))
+        x = np.zeros((3, 4))
+        x[2] = 30.0
+        with pytest.raises(Overflow):
+            rn_density(x, w)
+        with pytest.raises(Overflow):
+            cocycle_check(x, np.zeros(4), w)
+
+
 class TestTranslatedSecondMoment:
     def test_x_zero_reduces_to_isometry(self, ens_small):
         y = unit([1.0, 2.0, 2.0])

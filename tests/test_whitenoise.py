@@ -201,9 +201,20 @@ class TestJointDensity:
         g = GramMatrix(entries=np.array([[1.0, 0.4], [0.4, 0.8]]))
         xs = np.linspace(-8, 8, 401)
         h = xs[1] - xs[0]
-        grid = np.array([[joint_density(g, [a, b]) for b in xs] for a in xs])
+        grid = joint_density(g, np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1))
         mass = grid.sum() * h * h
         assert mass == pytest.approx(1.0, abs=1e-3)
+
+    def test_stack_of_points(self):
+        rng = np.random.default_rng(34)
+        a = rng.normal(size=(3, 3))
+        g = GramMatrix(entries=a @ a.T + np.eye(3))
+        pts = rng.normal(size=(4, 5, 3))
+        dens = joint_density(g, pts)
+        assert dens.shape == (4, 5)
+        each = [[joint_density(g, p) for p in row] for row in pts]
+        np.testing.assert_allclose(dens, each, rtol=1e-14, atol=0)
+        assert isinstance(joint_density(g, pts[0, 0]), float)
 
 
 class TestSynthesisReconstruction:
