@@ -26,14 +26,12 @@ print("\nstart distribution from phi_0:", fm.start_distribution(chain, x))
 print("P(path 0 -> 1) =", fm.path_probability(chain, x, [0, 1]), "(exact 1/9)")
 
 # sample paths; the seeded stream makes this reproducible run to run
-samples = fm.sample_paths(chain, x, k=2, m=100_000, seed=42)
-counts = {}
-for s in samples:
-    counts[s.indices] = counts.get(s.indices, 0) + 1
+idx, _ = fm.sample_path_indices(chain, x, k=2, m=100_000, seed=42)
+paths, counts = np.unique(idx, axis=0, return_counts=True)
 print("\nempirical vs exact probabilities over all length-2 paths:")
-for path in sorted(counts):
-    exact = fm.path_probability(chain, x, list(path))
-    print(f"  {path}: {counts[path] / len(samples):.4f} vs {exact:.4f}")
+for path, count in zip(paths.tolist(), counts):
+    exact = fm.path_probability(chain, x, path)
+    print(f"  {tuple(path)}: {count / len(idx):.4f} vs {exact:.4f}")
 
 # an orthonormal basis freezes the walk: orthogonality kills every move
 onb = fm.orthonormal_basis_frame(3)

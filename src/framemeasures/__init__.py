@@ -42,12 +42,10 @@ from .frames import (
 )
 from .markov import (
     FrameChain,
-    PathSample,
     build_chain,
     normalizer,
     path_probability,
     sample_path_indices,
-    sample_paths,
     start_distribution,
     transition_prob,
 )

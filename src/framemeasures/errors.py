@@ -62,7 +62,11 @@ class Overflow(FrameMeasuresError):
 
 
 class InvalidEnsembleSize(FrameMeasuresError, ValueError):
-    """Ensemble truncation dimension, sample count or draw count out of range."""
+    """Ensemble dimension, sample/draw/path count or path horizon out of range."""
+
+
+class InvalidChain(FrameMeasuresError, ValueError):
+    """Transition matrix breaks row sums, nonnegativity, detailed balance or the bound."""
 
 
 class InvalidKernel(FrameMeasuresError, ValueError):

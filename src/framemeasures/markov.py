@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .errors import IndexOutOfRange, NotAFrame, ZeroFrameVector, ZeroVector
+from .errors import (
+    IndexOutOfRange, InvalidChain, InvalidEnsembleSize, NotAFrame, ZeroFrameVector, ZeroVector,
+)
 from .frames import Frame, analysis, as_vector
 
 ROW_SUM_TOL = 1e-12
@@ -66,20 +68,20 @@ class FrameChain:
         keep = object.__setattr__  # frozen: the residuals are set once, here
         keep(self, "row_sum_residual", float(np.abs(p.sum(axis=1) - 1.0).max()))
         if self.row_sum_residual > ROW_SUM_TOL:
-            raise ValueError("transition rows do not sum to 1")
+            raise InvalidChain("transition rows do not sum to 1")
         if p.min() < 0.0:
-            raise ValueError("negative transition probability")
+            raise InvalidChain("negative transition probability")
         flux = c[:, None] * p
         scale = np.maximum(np.maximum(np.abs(flux), np.abs(flux.T)), 1e-300)
         keep(self, "reversibility_rel_residual", float((np.abs(flux - flux.T) / scale).max()))
         if self.reversibility_rel_residual > REVERSIBILITY_RTOL:
-            raise ValueError("detailed balance violated")
+            raise InvalidChain("detailed balance violated")
         if self.frame.lower_bound <= 0.0:
             raise NotAFrame("chain requires a positive lower frame bound")
         norms_sq = (self.frame.vectors**2).sum(axis=1)
         keep(self, "bound_residual", float((p - norms_sq[None, :] / self.frame.lower_bound).max()))
         if self.bound_residual > BOUND_TOL:
-            raise ValueError("normalization bound violated")
+            raise InvalidChain("normalization bound violated")
 
     @property
     def n_states(self) -> int:
@@ -132,54 +134,45 @@ def path_probability(chain: FrameChain, x, indices) -> float:
     return prob
 
 
-@dataclass(frozen=True)
-class PathSample:
-    start: np.ndarray
-    indices: tuple
-    probability: float
-
-
 def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
     """m length-k index paths from start x, plus their exact probabilities.
 
     Path i consumes uniforms [i*k, (i+1)*k) of the (seed, STREAM_MARKOV)
     stream, so each path depends only on (seed, path index) and the
-    output is reproducible for any execution order. Steps invert the
-    precomputed row CDFs; boundary ties resolve to the lower index.
+    output is reproducible for any execution order. Each step inverts a
+    CDF with `streams.inverse_cdf_index` (ties resolve to the lower
+    index): the start CDF at step 0, then each occupied state's row CDF
+    for the paths that one stable argsort groups in that state. Time is
+    O(m*k*log n) and memory the size of the output; no (m, n) array.
 
     Returns (indices, probabilities) with shapes (m, k) and (m,); the
     probabilities multiply the same factors in the same order as
     `path_probability`, hence match it exactly.
     """
     if k < 1:
-        raise ValueError("horizon k must be >= 1")
+        raise InvalidEnsembleSize("horizon k must be >= 1")
     if m < 1:
-        raise ValueError("path count m must be >= 1")
+        raise InvalidEnsembleSize("path count m must be >= 1")
     start = start_distribution(chain, x)
     p = chain.transition_matrix
     n = chain.n_states
 
     u = streams.uniforms_at(seed, 0, m * k, stream=streams.STREAM_MARKOV).reshape(m, k)
-    cum_start = np.cumsum(start)
     cum_rows = np.cumsum(p, axis=1)
 
     idx = np.empty((m, k), dtype=np.int64)
-    idx[:, 0] = streams.inverse_cdf_index(cum_start, u[:, 0])
+    idx[:, 0] = streams.inverse_cdf_index(np.cumsum(start), u[:, 0])
     prob = start[idx[:, 0]].copy()
+    grouped = np.empty(m, dtype=np.int64)
     for step in range(1, k):
-        rows = cum_rows[idx[:, step - 1]]
-        nxt = np.minimum((rows < u[:, step, None]).sum(axis=1), n - 1)
-        idx[:, step] = nxt
-        prob *= p[idx[:, step - 1], nxt]
+        prev = idx[:, step - 1]
+        order = np.argsort(prev.astype(np.min_scalar_type(n - 1)), kind="stable")
+        draws = u[order, step]
+        lo = 0
+        for state, hi in enumerate(np.cumsum(np.bincount(prev, minlength=n)).tolist()):
+            if hi > lo:
+                grouped[lo:hi] = streams.inverse_cdf_index(cum_rows[state], draws[lo:hi])
+            lo = hi
+        idx[order, step] = grouped
+        prob *= p[prev, idx[:, step]]
     return idx, prob
-
-
-def sample_paths(chain: FrameChain, x, k: int, m: int, seed: int):
-    """m independent PathSample draws (see sample_path_indices)."""
-    x = as_vector(x, dim=chain.frame.dim)
-    idx, prob = sample_path_indices(chain, x, k, m, seed)
-    x.setflags(write=False)
-    return [
-        PathSample(start=x, indices=tuple(int(j) for j in idx[i]), probability=float(prob[i]))
-        for i in range(m)
-    ]

@@ -95,8 +95,8 @@ def test_criterion_03_path_space_measure():
     pvalue = float(chisquare(counts, expected * m).pvalue)
 
     onb = fm.orthonormal_basis_frame(2)
-    samples = fm.sample_paths(fm.build_chain(onb), [1.0, 0.0], 5, 200, seed=0)
-    onb_det = all(s.indices == (0,) * 5 and s.probability == 1.0 for s in samples)
+    idx, probs = fm.sample_path_indices(fm.build_chain(onb), [1.0, 0.0], 5, 200, seed=0)
+    onb_det = bool((idx == 0).all() and (probs == 1.0).all())
     elapsed = time.perf_counter() - t0
     ok = pvalue >= 0.001 and onb_det and elapsed < 10.0
     _report(3, "path-space measure", ok,

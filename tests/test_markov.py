@@ -1,22 +1,30 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from framemeasures import (
+    FrameChain,
     build_chain,
     build_frame,
     normalizer,
+    orthonormal_basis_frame,
     path_probability,
     sample_path_indices,
-    sample_paths,
+    start_distribution,
     transition_prob,
 )
 from framemeasures.errors import (
     IndexOutOfRange,
+    InvalidChain,
+    InvalidEnsembleSize,
     NotAFrame,
     ZeroFrameVector,
     ZeroVector,
 )
+from framemeasures.streams import STREAM_MARKOV, uniforms_at
 from conftest import random_spanning_frame
 
 
@@ -98,6 +106,29 @@ class TestBuildChain:
         with pytest.raises(NotAFrame):
             build_chain(build_frame([[1.0, 0.0], [2.0, 0.0]]))
 
+    def chain_of(self, frame, p, c=None):
+        p = np.array(p, dtype=float)
+        c = np.ones(len(p)) if c is None else np.array(c, dtype=float)
+        return FrameChain(frame=frame, normalizers=c, transition_matrix=p)
+
+    def test_row_sum_rejected(self, onb2):
+        with pytest.raises(InvalidChain, match="do not sum to 1"):
+            self.chain_of(onb2, [[0.5, 0.4], [0.5, 0.5]])
+
+    def test_negative_entry_rejected(self, onb2):
+        with pytest.raises(InvalidChain, match="negative"):
+            self.chain_of(onb2, [[1.5, -0.5], [-0.5, 1.5]])
+
+    def test_detailed_balance_rejected(self, onb2):
+        with pytest.raises(InvalidChain, match="detailed balance"):
+            self.chain_of(onb2, [[0.5, 0.5], [0.25, 0.75]])
+
+    def test_normalization_bound_rejected(self):
+        # alpha = 1 and ||phi_3||^2 = 0.01, so P[j, 3] = 1/4 breaks the bound
+        frame = build_frame([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.1]])
+        with pytest.raises(InvalidChain, match="normalization bound"):
+            self.chain_of(frame, np.full((4, 4), 0.25))
+
     def test_invariants_random(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -153,9 +184,9 @@ class TestPathProbability:
 class TestSampling:
     def test_onb_deterministic(self, onb2):
         chain = build_chain(onb2)
-        samples = sample_paths(chain, [1.0, 0.0], k=4, m=50, seed=9)
-        assert all(s.indices == (0, 0, 0, 0) for s in samples)
-        assert all(s.probability == pytest.approx(1.0) for s in samples)
+        idx, probs = sample_path_indices(chain, [1.0, 0.0], k=4, m=50, seed=9)
+        assert idx.shape == (50, 4) and (idx == 0).all()
+        np.testing.assert_allclose(probs, 1.0)
 
     def test_first_step_frequency(self, mb):
         # binomial CI oracle around p = 2/3 at m = 1e5
@@ -169,9 +200,9 @@ class TestSampling:
     def test_probabilities_match_recompute_bitwise(self, mb):
         chain = build_chain(mb)
         x = np.array([0.3, 1.1])
-        samples = sample_paths(chain, x, k=3, m=200, seed=4)
-        for s in samples:
-            assert s.probability == path_probability(chain, x, s.indices)
+        idx, probs = sample_path_indices(chain, x, k=3, m=200, seed=4)
+        for path, prob in zip(idx, probs):
+            assert prob == path_probability(chain, x, path)
 
     def test_determinism_and_prefix(self, mb):
         chain = build_chain(mb)
@@ -191,9 +222,17 @@ class TestSampling:
     def test_rejects_bad_counts(self, mb):
         chain = build_chain(mb)
         with pytest.raises(ValueError):
-            sample_paths(chain, [1.0, 0.0], k=2, m=0, seed=0)
+            sample_path_indices(chain, [1.0, 0.0], k=2, m=0, seed=0)
         with pytest.raises(ValueError):
-            sample_paths(chain, [1.0, 0.0], k=0, m=1, seed=0)
+            sample_path_indices(chain, [1.0, 0.0], k=0, m=1, seed=0)
+
+    def test_path_count_below_one(self, mb):
+        with pytest.raises(InvalidEnsembleSize, match="path count"):
+            sample_path_indices(build_chain(mb), [1.0, 0.0], k=2, m=0, seed=0)
+
+    def test_horizon_below_one(self, mb):
+        with pytest.raises(InvalidEnsembleSize, match="horizon"):
+            sample_path_indices(build_chain(mb), [1.0, 0.0], k=0, m=1, seed=0)
 
     def test_length2_chi_square(self, mb):
         chain = build_chain(mb)
@@ -233,3 +272,80 @@ class TestSampling:
         exp = np.append(expected[keep], expected[~keep].sum()) * m
         result = chisquare(obs[exp > 0], exp[exp > 0])
         assert result.pvalue >= 0.001
+
+
+# integer vectors: every Gram product is exact, whatever the BLAS; the
+# orthogonal pairs give zero transitions, hence repeated CDF values
+INTEGER_FRAME = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 2], [2, 0, -1], [0, 3, 1]]
+
+
+def gather_reference(chain, x, k, m, seed):
+    """The earlier sampler: each step gathers every path's whole CDF row
+    and counts the partial sums below its uniform."""
+    start = start_distribution(chain, x)
+    p = chain.transition_matrix
+    n = chain.n_states
+    u = uniforms_at(seed, 0, m * k, stream=STREAM_MARKOV).reshape(m, k)
+    cum_rows = np.cumsum(p, axis=1)
+    idx = np.empty((m, k), dtype=np.int64)
+    idx[:, 0] = np.minimum((np.cumsum(start) < u[:, 0, None]).sum(axis=1), n - 1)
+    prob = start[idx[:, 0]].copy()
+    for step in range(1, k):
+        prev = idx[:, step - 1]
+        idx[:, step] = np.minimum((cum_rows[prev] < u[:, step, None]).sum(axis=1), n - 1)
+        prob *= p[prev, idx[:, step]]
+    return idx, prob
+
+
+class TestSamplerBits:
+    def assert_matches_reference(self, chain, x, k, m, seed):
+        idx, prob = sample_path_indices(chain, x, k, m, seed)
+        ref_idx, ref_prob = gather_reference(chain, x, k, m, seed)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(prob.view(np.uint64), ref_prob.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [3, 5, 17, 64])
+    def test_random_chains(self, n):
+        rng = np.random.default_rng(100 + n)
+        dim = min(n, 8)
+        chain = build_chain(build_frame(rng.normal(size=(n, dim))))
+        self.assert_matches_reference(chain, rng.normal(size=dim), 6, 4000, seed=n)
+
+    def test_identity_chain(self):
+        chain = build_chain(orthonormal_basis_frame(5))
+        self.assert_matches_reference(chain, [0.0, 1.0, 1.0, 0.0, 2.0], 5, 3000, seed=8)
+
+    def test_zero_transitions(self):
+        chain = build_chain(build_frame(INTEGER_FRAME))
+        assert (chain.transition_matrix == 0.0).sum() >= 14
+        for x in ([1.0, 2.0, -1.0], [0.0, 0.0, 1.0]):
+            self.assert_matches_reference(chain, x, 8, 20_000, seed=9)
+
+    @pytest.mark.parametrize(
+        "x, k, m, seed, digest",
+        [
+            ([1, 2, -1], 6, 20_000, 5,
+             "1381a8e5e7f3b37bd66fd5c2c73e1c39b1d2fc7c9794f7ba0dd9d781ac919d56"),
+            ([0, 0, 1], 4, 5_000, 6,
+             "8547a9269a5e990397b2ab0fc7385c827b4d25daa1269297bca284c6969b4ec5"),
+        ],
+    )
+    def test_paths_are_pinned(self, x, k, m, seed, digest):
+        chain = build_chain(build_frame(INTEGER_FRAME))
+        idx, prob = sample_path_indices(chain, np.array(x, dtype=float), k, m, seed)
+        assert hashlib.sha256(idx.tobytes() + prob.tobytes()).hexdigest() == digest
+
+    def test_memory_is_output_sized(self):
+        # 200k paths over 64 states: the output and the uniforms take
+        # 27 MB; gathering an (m, n) CDF block per step peaked at 223 MiB
+        rng = np.random.default_rng(64)
+        chain = build_chain(build_frame(rng.normal(size=(64, 16))))
+        x = rng.normal(size=16)
+        tracemalloc.start()
+        try:
+            idx, _ = sample_path_indices(chain, x, 8, 200_000, seed=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.shape == (200_000, 8)
+        assert peak <= 48 * 2**20
