@@ -17,7 +17,7 @@ print("spectrum:", np.round(kernel.eigenvalues, 12))
 print("-> a rank-2 projection kernel: every draw has exactly 2 of the 3 points")
 
 for subset in [(), (0,), (0, 1), (0, 1, 2)]:
-    p = fm.inclusion_probability(kernel, fm.PointConfiguration(subset))
+    p = fm.inclusion_probability(kernel, subset)
     print(f"P(Phi contains {subset}) = {p:.6f}")
 
 table = fm.subset_distribution_bruteforce(kernel)

@@ -12,8 +12,6 @@ reruns are bitwise identical for any thread count.
 """
 from .dpp import (
     DppKernel,
-    PointConfiguration,
-    dpp_sample,
     empirical_subset_distribution,
     empty_probability,
     inclusion_probability,

@@ -12,8 +12,14 @@ kernel is sampled point-by-point through its conditional kernels (Schur
 complements), vectorized across draws. A Moebius-inversion oracle
 enumerates the full subset distribution for n <= 20 as an independent
 cross-check.
+
+Both exact oracles split into independent pieces that run on the
+`streams.map_ordered` pool, whose size FRAMES_THREADS caps: the sampler's
+blocks of draws, and the enumeration's chunks of subsets. A draw depends
+only on (seed, draw index) and a minor only on its submatrix, so neither
+depends on the thread count or on the block size.
 """
-import itertools
+import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +33,20 @@ from .errors import (
     TooLarge,
 )
 from .frames import Frame, GramMatrix, gram
+from .whitenoise import BLAS_SERIAL_MADDS
 
 SPECTRUM_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10
 BRUTEFORCE_MAX = 20
-# Subsets per batched `det` call: 2^15 submatrices of size 10 (the widest
-# layer at n = 20) take 26 MB.
-MINOR_CHUNK = 1 << 15
-# Doubles in the (block, n, n) projection-kernel workspace of
-# `sample_masks`. Draws do not depend on the block size; 8 MB keeps the
-# Schur updates near the cache (32 MB took 35-60% longer for 100k draws
-# at n = 12 to 18).
-SAMPLER_WORKSPACE = 1_000_000
+# Subsets per batched `det` call, one pool task: 2^12 submatrices of size
+# 10 (the widest layer at n = 20) take 3.3 MB.
+MINOR_CHUNK = 1 << 12
+# Doubles in the (n, n, block) projection-kernel workspace of one block of
+# `sample_masks`; its Schur scratch holds as many again. Draws do not
+# depend on the block size; 4 MB per block keeps the Schur updates near
+# the cache, and two blocks in flight hold 16 MB.
+SAMPLER_WORKSPACE = 500_000
 
 
 @dataclass(frozen=True)
@@ -60,21 +67,6 @@ class DppKernel:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix))
-
-
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Sorted tuple of distinct indices: one realization of Phi."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = self.indices
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-            raise IndexOutOfRange("indices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def kernel_from_matrix(k) -> DppKernel:
@@ -109,12 +101,15 @@ def kernel_from_gram(gram_matrix: GramMatrix) -> DppKernel:
     return kernel_from_matrix(gram_matrix.entries)
 
 
-def inclusion_probability(kernel: DppKernel, config: PointConfiguration) -> float:
-    """mu(Phi contains S) = det(K_S); the empty set has probability 1."""
-    idx = list(config.indices)
+def inclusion_probability(kernel: DppKernel, indices) -> float:
+    """mu(Phi contains S) = det(K_S) for S given by strictly increasing
+    indices; the empty set has probability 1."""
+    idx = [int(i) for i in indices]
     n = kernel.size
     if any(not 0 <= i < n for i in idx):
         raise IndexOutOfRange(f"indices must lie in 0..{n - 1}")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise IndexOutOfRange("indices must be strictly increasing")
     if not idx:
         return 1.0
     return float(np.linalg.det(kernel.matrix[np.ix_(idx, idx)]))
@@ -123,10 +118,11 @@ def inclusion_probability(kernel: DppKernel, config: PointConfiguration) -> floa
 def _subset_minors(kernel: DppKernel) -> np.ndarray:
     """det(K_S) for every subset S, indexed by bitmask.
 
-    One batched `det` per cardinality layer, MINOR_CHUNK subsets at a
-    time: each minor is the same LAPACK factorization of the same
-    submatrix as a single `det` call, so its bits do not depend on the
-    batching.
+    The bitmasks are grouped by cardinality, and each pool task makes one
+    batched `det` call over MINOR_CHUNK masks of one cardinality. Each
+    minor is the same LAPACK factorization of the same submatrix (indices
+    ascending) as a single `det` call, so its bits depend neither on the
+    batching nor on the thread count.
     """
     n = kernel.size
     if n > BRUTEFORCE_MAX:
@@ -134,11 +130,23 @@ def _subset_minors(kernel: DppKernel) -> np.ndarray:
     mat = kernel.matrix
     out = np.empty(1 << n)
     out[0] = 1.0
-    for c in range(1, n + 1):
-        subsets = itertools.combinations(range(n), c)
-        rows = np.dtype((np.intp, c))
-        while (idx := np.fromiter(itertools.islice(subsets, MINOR_CHUNK), dtype=rows)).size:
-            out[(1 << idx).sum(axis=1)] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
+    size = np.bitwise_count(np.arange(1 << n))
+    by_size = np.argsort(size, kind="stable")
+    ends = np.cumsum(np.bincount(size)).tolist()
+    chunks = [
+        by_size[lo : min(lo + MINOR_CHUNK, hi)]
+        for lo_layer, hi in zip(ends, ends[1:])
+        for lo in range(lo_layer, hi, MINOR_CHUNK)
+    ]
+
+    def fill(codes: np.ndarray) -> None:
+        # the set bits of each code, ascending: row-major order of nonzero
+        bits = (codes[:, None] >> np.arange(n)) & 1
+        idx = np.nonzero(bits)[1].reshape(codes.size, -1)
+        out[codes] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
+
+    for _ in streams.map_ordered(fill, chunks):
+        pass
     return out
 
 
@@ -187,6 +195,11 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     accept/reject. Draw i consumes uniforms [i*2n, (i+1)*2n) of the
     (seed, STREAM_DPP) stream, so every draw depends only on
     (seed, draw index).
+
+    Blocks of SAMPLER_WORKSPACE // n^2 draws run on the `streams` pool;
+    the draws depend neither on the thread count nor on the block size.
+    Each block in flight borrows a workspace allocated here, on the
+    calling thread.
     """
     if m < 1:
         raise InvalidEnsembleSize("sample count m must be >= 1")
@@ -195,43 +208,61 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     lam[np.abs(lam) <= EIGENVALUE_CLAMP] = 0.0
     lam[np.abs(lam - 1.0) <= EIGENVALUE_CLAMP] = 1.0
     v = kernel.eigenvectors
+    # w[(i, j), k] = v_ik v_jk, so the kernels P = V diag(keep) V^T of a
+    # block of draws are w @ keep^T
+    w = (v[:, None, :] * v[None, :, :]).reshape(n * n, n)
 
     out = np.empty((m, n), dtype=bool)
-    block = max(1, SAMPLER_WORKSPACE // max(n * n, 1))
-    for lo in range(0, m, block):
+    block = min(m, max(1, SAMPLER_WORKSPACE // (n * n)))
+    starts = range(0, m, block)
+    workers = min(streams.worker_count(), len(starts))
+    spare = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put((np.empty(n * n * block), np.empty((n - 1) ** 2 * block)))
+
+    def fill(lo: int) -> None:
         hi = min(m, lo + block)
         u = streams.uniforms_at(seed, lo * 2 * n, (hi - lo) * 2 * n, stream=streams.STREAM_DPP)
-        out[lo:hi] = _sample_block(lam, v, u.reshape(hi - lo, 2 * n))
+        workspace = spare.get()
+        try:
+            _sample_block(lam, w, u.reshape(hi - lo, 2 * n), workspace, out[lo:hi])
+        finally:
+            spare.put(workspace)
+
+    for _ in streams.map_ordered(fill, starts, workers):
+        pass
     return out
 
 
-def _sample_block(lam: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sample_block(lam, w, u, workspace, chosen) -> None:
+    """Draws of one block into `chosen`, a (b, n) view of the output.
+
+    The kernels sit in an (n, n, b) array, draws innermost, built by
+    products of at most BLAS_SERIAL_MADDS multiply-adds so that BLAS runs
+    them on this thread.
+    """
     n = lam.size
     b = u.shape[0]
+    kernels, scratch = workspace
     keep = (u[:, :n] < lam[None, :]).astype(float)
-    # per-draw projection kernels P = V diag(keep) V^T
-    proj = np.einsum("ik,mk,jk->mij", v, keep, v, optimize=True)
-    chosen = np.zeros((b, n), dtype=bool)
+    proj = kernels[: n * n * b].reshape(n * n, b)
+    cols = max(1, BLAS_SERIAL_MADDS // n**3)
+    for lo in range(0, b, cols):
+        np.matmul(w, keep[lo : lo + cols].T, out=proj[:, lo : lo + cols])
+    proj = proj.reshape(n, n, b)
     for t in range(n):
-        p = np.clip(proj[:, t, t], 0.0, 1.0)
+        p = np.clip(proj[t, t], 0.0, 1.0)
         inc = u[:, n + t] < p
         chosen[:, t] = inc
         if t == n - 1:
             break
         denom = np.where(inc, np.maximum(p, 1e-12), np.minimum(p - 1.0, -1e-12))
-        col = proj[:, t + 1 :, t]
-        row = proj[:, t, t + 1 :]
-        proj[:, t + 1 :, t + 1 :] -= col[:, :, None] * row[:, None, :] / denom[:, None, None]
-    return chosen
-
-
-def dpp_sample(kernel: DppKernel, m: int, seed: int):
-    """m independent exact draws as PointConfiguration values."""
-    masks = sample_masks(kernel, m, seed)
-    return [
-        PointConfiguration(indices=tuple(int(j) for j in np.nonzero(row)[0]))
-        for row in masks
-    ]
+        # proj[t+1:, t+1:] -= col * row / denom, rounded as written, in place
+        k = n - t - 1
+        update = scratch[: k * k * b].reshape(k, k, b)
+        np.multiply(proj[t + 1 :, t, None], proj[t, None, t + 1 :], out=update)
+        np.divide(update, denom, out=update)
+        np.subtract(proj[t + 1 :, t + 1 :], update, out=proj[t + 1 :, t + 1 :])
 
 
 def empirical_subset_distribution(masks: np.ndarray) -> np.ndarray:

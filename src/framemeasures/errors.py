@@ -80,6 +80,16 @@ class NotDeterminantal(FrameMeasuresError, ValueError):
     to 1."""
 
 
+class InvalidWeights(FrameMeasuresError, ValueError):
+    """Measure weights must be finite, strictly positive and sum to 1
+    (or, to be normalized, have a positive finite sum)."""
+
+
+class TransportFailed(FrameMeasuresError, RuntimeError):
+    """The transport LP found no optimal plan, or the plan's marginals
+    miss the measures' weights."""
+
+
 class SanityBandViolated(FrameMeasuresError, RuntimeError):
     """Generated coordinates fail the 5-sigma mean/variance band: a
     generator defect, not bad luck."""

@@ -111,27 +111,30 @@ def start_distribution(chain: FrameChain, x) -> np.ndarray:
     return coeffs * coeffs / c
 
 
-def path_probability(chain: FrameChain, x, indices) -> float:
+def path_probability(chain: FrameChain, x, indices):
     """Probability of the index path (n_1, ..., n_k) started at x:
 
         p(x, phi_{n_1}) * p(phi_{n_1}, phi_{n_2}) * ... (0-based indices)
 
     x is always treated as an external initial state, even when it equals
-    some frame vector.
+    some frame vector. `indices` is one path (a float is returned) or a
+    stack of paths (..., k) (an array of shape (...) is returned); the
+    factors are multiplied in the order `sample_path_indices` uses.
     """
-    idx = [int(i) for i in indices]
-    if len(idx) < 1:
+    idx = np.asarray(indices)
+    if idx.ndim == 0 or idx.shape[-1] < 1:
         raise IndexOutOfRange("a path needs at least one step")
+    idx = idx.astype(np.int64)
     n = chain.n_states
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRange(f"index {i} outside 0..{n - 1}")
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise IndexOutOfRange(f"index {idx[outside][0]} outside 0..{n - 1}")
     start = start_distribution(chain, x)
-    prob = float(start[idx[0]])
     p = chain.transition_matrix
-    for prev, nxt in zip(idx, idx[1:]):
-        prob *= p[prev, nxt]
-    return prob
+    prob = start[idx[..., 0]]
+    for step in range(1, idx.shape[-1]):
+        prob *= p[idx[..., step - 1], idx[..., step]]
+    return float(prob) if idx.ndim == 1 else prob
 
 
 def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
@@ -147,7 +150,8 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
 
     Returns (indices, probabilities) with shapes (m, k) and (m,); the
     probabilities multiply the same factors in the same order as
-    `path_probability`, hence match it exactly.
+    `path_probability`, hence match it exactly (one call recomputes them
+    all: `path_probability(chain, x, indices)`).
     """
     if k < 1:
         raise InvalidEnsembleSize("horizon k must be >= 1")

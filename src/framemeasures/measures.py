@@ -18,7 +18,9 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import (
+    DimensionMismatch, InvalidEnsembleSize, InvalidWeights, NonFinite, TransportFailed,
+)
 
 WEIGHT_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -59,9 +61,9 @@ class DiscreteMeasure:
         if w.shape != (pts.shape[0],):
             raise DimensionMismatch("one weight per atom required")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and strictly positive")
+            raise InvalidWeights("weights must be finite and strictly positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(
+            raise InvalidWeights(
                 f"weights sum to {w.sum()!r}, not 1; use DiscreteMeasure.normalized"
             )
         pts, w = _merge_duplicates(pts, w)
@@ -75,7 +77,7 @@ class DiscreteMeasure:
         w = np.asarray(weights, dtype=float)
         total = w.sum()
         if not np.isfinite(total) or total <= 0.0:
-            raise ValueError("weights must have a positive finite sum")
+            raise InvalidWeights("weights must have a positive finite sum")
         return cls.from_points(atoms, w / total)
 
     @classmethod
@@ -162,7 +164,7 @@ class TransportPlan:
         row_err = np.abs(self.matrix.sum(axis=1) - mu_weights).max()
         col_err = np.abs(self.matrix.sum(axis=0) - nu_weights).max()
         if max(row_err, col_err) > tol:
-            raise ValueError(
+            raise TransportFailed(
                 f"transport plan marginals off by {max(row_err, col_err):.3g}"
             )
 
@@ -196,7 +198,7 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
         b_eq = np.concatenate([mu.weights, nu.weights])
         res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         if not res.success:
-            raise RuntimeError(f"transport LP failed: {res.message}")
+            raise TransportFailed(f"transport LP failed: {res.message}")
         plan = np.clip(res.x.reshape(n, m), 0.0, None)
 
     tp = TransportPlan(matrix=plan)
@@ -248,7 +250,7 @@ def lower_bound_decay(mu: DiscreteMeasure, n_max: int) -> np.ndarray:
     itself in infinite dimensions.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidEnsembleSize("n_max must be >= 1")
     out = np.zeros(n_max)
     upto = min(n_max, mu.dim)
     out[:upto] = mu.weights @ (mu.atoms[:, :upto] ** 2)

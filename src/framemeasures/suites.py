@@ -165,10 +165,7 @@ def _markov_records(
         x = frame.vectors[start_index]
     paths = int(paths)
     idx, probs = markov_mod.sample_path_indices(chain, x, int(horizon), paths, config.seed)
-    recompute = max(
-        abs(probs[i] - markov_mod.path_probability(chain, x, idx[i]))
-        for i in range(min(paths, 200))
-    )
+    recompute = float(np.abs(probs[:200] - markov_mod.path_probability(chain, x, idx[:200])).max())
     records = [
         bound_record(prefix + "row_sum_residual", chain.row_sum_residual, markov_mod.ROW_SUM_TOL),
         bound_record(prefix + "reversibility_rel_residual", chain.reversibility_rel_residual,

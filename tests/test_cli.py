@@ -178,6 +178,13 @@ class TestExitCodes:
         assert main(["dpp", str(kpath)]) == 3
         assert capsys.readouterr().err == "dpp: InvalidKernel: kernel is not symmetric\n"
 
+    def test_zero_weight_measure_file_is_three(self, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.0, 1.0]}))
+        assert main(["decay", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "decay: InvalidWeights: weights must be finite and strictly positive\n"
+
 
 class TestCommands:
     def test_markov_identity_transition_payload(self, onb_path, capsys):

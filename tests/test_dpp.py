@@ -1,14 +1,13 @@
 import hashlib
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from framemeasures import (
-    PointConfiguration,
     build_frame,
-    dpp_sample,
     empirical_subset_distribution,
     empty_probability,
     gram,
@@ -20,6 +19,8 @@ from framemeasures import (
     subset_distribution_bruteforce,
     total_variation,
 )
+from framemeasures import dpp as dpp_mod
+from framemeasures import streams
 from framemeasures.dpp import DppKernel, _moebius, _subset_minors
 from framemeasures.errors import (
     IndexOutOfRange,
@@ -74,6 +75,36 @@ def dyadic_kernel(n):
     return DppKernel(matrix=(v * lam) @ v.T, eigenvalues=lam, eigenvectors=v)
 
 
+def reference_masks(kernel, m, seed):
+    """The sampler on one thread, with per-draw (block, n, n) `einsum`
+    kernels and the Schur update as one expression, in blocks of 10^6 / n^2
+    draws."""
+    n = kernel.size
+    lam = kernel.eigenvalues.copy()
+    lam[np.abs(lam) <= dpp_mod.EIGENVALUE_CLAMP] = 0.0
+    lam[np.abs(lam - 1.0) <= dpp_mod.EIGENVALUE_CLAMP] = 1.0
+    v = kernel.eigenvectors
+    out = np.empty((m, n), dtype=bool)
+    block = max(1, 1_000_000 // (n * n))
+    for lo in range(0, m, block):
+        hi = min(m, lo + block)
+        u = streams.uniforms_at(seed, lo * 2 * n, (hi - lo) * 2 * n, stream=streams.STREAM_DPP)
+        u = u.reshape(hi - lo, 2 * n)
+        keep = (u[:, :n] < lam[None, :]).astype(float)
+        proj = np.einsum("ik,mk,jk->mij", v, keep, v, optimize=True)
+        for t in range(n):
+            p = np.clip(proj[:, t, t], 0.0, 1.0)
+            inc = u[:, n + t] < p
+            out[lo:hi, t] = inc
+            if t == n - 1:
+                break
+            denom = np.where(inc, np.maximum(p, 1e-12), np.minimum(p - 1.0, -1e-12))
+            col = proj[:, t + 1 :, t]
+            row = proj[:, t, t + 1 :]
+            proj[:, t + 1 :, t + 1 :] -= col[:, :, None] * row[:, None, :] / denom[:, None, None]
+    return out
+
+
 class TestKernelConstruction:
     def test_onb_identity(self, onb2):
         k = kernel_from_frame(onb2)
@@ -115,23 +146,27 @@ class TestKernelConstruction:
 class TestInclusionProbability:
     def test_empty_set(self, onb2):
         k = kernel_from_frame(onb2)
-        assert inclusion_probability(k, PointConfiguration(())) == 1.0
+        assert inclusion_probability(k, ()) == 1.0
 
     def test_identity_block(self, onb2):
         k = kernel_from_frame(onb2)
-        assert inclusion_probability(k, PointConfiguration((0, 1))) == pytest.approx(1.0)
+        assert inclusion_probability(k, (0, 1)) == pytest.approx(1.0)
 
     def test_diagonal_minors(self):
         k = kernel_from_matrix(np.diag([0.5, 0.5]))
-        assert inclusion_probability(k, PointConfiguration((0,))) == pytest.approx(0.5)
-        assert inclusion_probability(k, PointConfiguration((0, 1))) == pytest.approx(0.25)
+        assert inclusion_probability(k, (0,)) == pytest.approx(0.5)
+        assert inclusion_probability(k, (0, 1)) == pytest.approx(0.25)
 
     def test_out_of_range(self, onb2):
         k = kernel_from_frame(onb2)
         with pytest.raises(IndexOutOfRange):
-            inclusion_probability(k, PointConfiguration((2,)))
+            inclusion_probability(k, (2,))
         with pytest.raises(IndexOutOfRange):
-            PointConfiguration((1, 1))
+            inclusion_probability(k, (1, 1))
+        with pytest.raises(IndexOutOfRange):
+            inclusion_probability(k, (1, 0))
+        with pytest.raises(IndexOutOfRange):
+            inclusion_probability(k, (-1,))
 
     def test_monotone_in_inclusion(self):
         rng = np.random.default_rng(8)
@@ -139,12 +174,12 @@ class TestInclusionProbability:
             k = random_kernel(rng, 4)
             for code_s in range(16):
                 s = tuple(i for i in range(4) if code_s >> i & 1)
-                ps = inclusion_probability(k, PointConfiguration(s))
+                ps = inclusion_probability(k, s)
                 for j in range(4):
                     if j in s:
                         continue
                     t = tuple(sorted(s + (j,)))
-                    pt = inclusion_probability(k, PointConfiguration(t))
+                    pt = inclusion_probability(k, t)
                     assert ps >= pt - 1e-10
 
 
@@ -194,8 +229,10 @@ class TestBruteforce:
 
     def test_at_the_cap(self):
         # n = BRUTEFORCE_MAX: 2^20 minors in bounded memory. Measured peak
-        # 61 MiB (the 8 MiB table, its Moebius copy and one 26 MiB chunk of
-        # 10 x 10 submatrices); an unchunked widest layer alone takes 148 MB.
+        # 34 MiB on two threads (the 8 MiB table, its Moebius copy, the
+        # 8 MiB codes sorted by cardinality and a 3.3 MB chunk of 10 x 10
+        # submatrices per thread); an unchunked widest layer alone takes
+        # 148 MB.
         k = random_kernel(np.random.default_rng(41), 20, scale=0.8)
         tracemalloc.start()
         try:
@@ -229,13 +266,11 @@ class TestBruteforce:
 class TestSampling:
     def test_identity_full(self):
         k = kernel_from_matrix(np.eye(3))
-        for cfg in dpp_sample(k, 50, seed=0):
-            assert cfg.indices == (0, 1, 2)
+        np.testing.assert_array_equal(sample_masks(k, 50, seed=0), np.ones((50, 3), bool))
 
     def test_zero_empty(self):
         k = kernel_from_matrix(np.zeros((3, 3)))
-        for cfg in dpp_sample(k, 50, seed=0):
-            assert cfg.indices == ()
+        np.testing.assert_array_equal(sample_masks(k, 50, seed=0), np.zeros((50, 3), bool))
 
     def test_bernoulli_frequency(self):
         # binomial CI oracle around P(Phi = {0}) = 1/4
@@ -296,13 +331,76 @@ class TestSampling:
         assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
 
     def test_block_boundary_reproducibility(self):
-        # n = 8 puts the internal draw-block size at 15625: m = 130000
-        # spans nine blocks, and draws must not depend on the chunking
+        # n = 8 puts the internal draw-block size at 7812: m = 130000
+        # spans 17 blocks, and draws must not depend on the chunking
         rng = np.random.default_rng(31)
         k = random_kernel(rng, 8)
         big = sample_masks(k, 130_000, seed=11)
         small = sample_masks(k, 70_000, seed=11)
         np.testing.assert_array_equal(big[:70_000], small)
+
+
+class TestPool:
+    """The sampler's blocks and the minors' chunks run on the `streams`
+    pool; no output bit depends on the thread count or the block size."""
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_masks_equal_single_thread_reference(self, n, threads, monkeypatch):
+        monkeypatch.setenv("FRAMES_THREADS", threads)
+        rng = np.random.default_rng(500 + n)
+        k = random_kernel(rng, n)
+        block = dpp_mod.SAMPLER_WORKSPACE // (n * n)
+        m = 2 * block + 1  # three blocks, the last one a single draw
+        np.testing.assert_array_equal(sample_masks(k, m, seed=n), reference_masks(k, m, n))
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_masks_do_not_depend_on_the_block_size(self, threads, monkeypatch):
+        monkeypatch.setenv("FRAMES_THREADS", threads)
+        k = projection_kernel(np.random.default_rng(33), 7)
+        want = reference_masks(k, 2000, 4)
+        for workspace in (49, 49 * 10 + 1, 49 * 333):
+            monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", workspace)
+            np.testing.assert_array_equal(sample_masks(k, 2000, seed=4), want)
+
+    def test_minors_do_not_depend_on_threads(self, monkeypatch):
+        k = random_kernel(np.random.default_rng(34), 16)
+        monkeypatch.setenv("FRAMES_THREADS", "1")
+        one = _subset_minors(k)
+        monkeypatch.setenv("FRAMES_THREADS", "3")
+        np.testing.assert_array_equal(_subset_minors(k), one)
+
+    def test_workspaces_are_not_shared_under_stress(self, monkeypatch):
+        # more workers than cores and a short switch interval: a block that
+        # wrote into another block's workspace would change its draws; small
+        # blocks and chunks make many tasks
+        monkeypatch.setattr(streams, "worker_count", lambda: 4)
+        monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 36 * 7)
+        monkeypatch.setattr(dpp_mod, "MINOR_CHUNK", 5)
+        k = random_kernel(np.random.default_rng(37), 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            masks = sample_masks(k, 3000, seed=8)
+            minors = _subset_minors(k)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(masks, reference_masks(k, 3000, 8))
+        np.testing.assert_array_equal(minors, per_subset_minors(k))
+
+    def test_sampler_memory_is_bounded(self, monkeypatch):
+        # 100k draws at n = 18 on two threads. Measured peak 18 MiB: the
+        # 1.8 MB output and, per block in flight, a 4 MB kernel workspace,
+        # its 4 MB Schur scratch and the block's uniforms.
+        monkeypatch.setenv("FRAMES_THREADS", "2")
+        k = random_kernel(np.random.default_rng(36), 18)
+        tracemalloc.start()
+        try:
+            sample_masks(k, 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestMeasureSideChecks:
@@ -314,4 +412,4 @@ class TestMeasureSideChecks:
             k = kernel_from_frame(f)
             for r in range(1, n + 1):
                 for s in itertools.combinations(range(n), r):
-                    assert inclusion_probability(k, PointConfiguration(s)) >= -1e-10
+                    assert inclusion_probability(k, s) >= -1e-10

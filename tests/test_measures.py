@@ -18,8 +18,14 @@ from framemeasures import (
     second_moment,
     wasserstein2,
 )
-from framemeasures.errors import DimensionMismatch
-from framemeasures.measures import measure_l2_normsq
+from framemeasures import measures as measures_mod
+from framemeasures.errors import (
+    DimensionMismatch,
+    InvalidEnsembleSize,
+    InvalidWeights,
+    TransportFailed,
+)
+from framemeasures.measures import TransportPlan, measure_l2_normsq
 
 
 def brute_force_w2sq(mu, nu):
@@ -53,6 +59,36 @@ class TestConstruction:
     def test_positive_weights(self):
         with pytest.raises(ValueError):
             DiscreteMeasure.from_points([[1.0], [0.0]], [1.5, -0.5])
+
+    @pytest.mark.parametrize("make", [
+        lambda: DiscreteMeasure.from_points([[1.0], [0.0]], [0.0, 1.0]),
+        lambda: DiscreteMeasure.from_points([[1.0], [0.0]], [np.nan, 1.0]),
+        lambda: DiscreteMeasure.from_points([[1.0, 0.0]], [0.5]),
+        lambda: DiscreteMeasure.normalized([[1.0], [0.0]], [0.0, 0.0]),
+    ])
+    def test_bad_weights_are_typed(self, make):
+        with pytest.raises(InvalidWeights) as info:
+            make()
+        assert isinstance(info.value, ValueError)
+
+    def test_transport_failures_are_typed(self, monkeypatch):
+        plan = TransportPlan(matrix=np.array([[0.5, 0.0], [0.0, 0.4]]))
+        with pytest.raises(TransportFailed) as info:
+            plan.validate_marginals([0.5, 0.5], [0.5, 0.5])
+        assert isinstance(info.value, RuntimeError)
+
+        class Infeasible:
+            success = False
+            message = "infeasible"
+
+        monkeypatch.setattr(measures_mod, "linprog", lambda *a, **k: Infeasible())
+        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
+        with pytest.raises(TransportFailed, match="transport LP failed: infeasible"):
+            wasserstein2(mu, mu)
+
+    def test_decay_length_below_one_is_typed(self):
+        with pytest.raises(InvalidEnsembleSize):
+            lower_bound_decay(DiscreteMeasure.point_mass([1.0]), 0)
 
     def test_normalized_constructor(self):
         mu = DiscreteMeasure.normalized([[1.0], [2.0]], [2.0, 6.0])
