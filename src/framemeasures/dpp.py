@@ -15,9 +15,11 @@ cross-check.
 
 Both exact oracles split into independent pieces that run on the
 `streams.map_ordered` pool, whose size FRAMES_THREADS caps: the sampler's
-blocks of draws, and the enumeration's chunks of subsets. A draw depends
-only on (seed, draw index) and a minor only on its submatrix, so neither
-depends on the thread count or on the block size.
+blocks of draws, and the enumeration's chunks of subsets. A draw's
+uniforms depend only on (seed, draw index) and its kernel on a product
+over a fixed group of draws; a minor is one factorization of its own
+submatrix. So no bit depends on the thread count, and the sampler's block
+size does not change which product computes a draw.
 """
 import queue
 from dataclasses import dataclass
@@ -33,7 +35,6 @@ from .errors import (
     TooLarge,
 )
 from .frames import Frame, GramMatrix, gram
-from .whitenoise import BLAS_SERIAL_MADDS
 
 SPECTRUM_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -43,9 +44,10 @@ BRUTEFORCE_MAX = 20
 # 10 (the widest layer at n = 20) take 3.3 MB.
 MINOR_CHUNK = 1 << 12
 # Doubles in the (n, n, block) projection-kernel workspace of one block of
-# `sample_masks`; its Schur scratch holds as many again. Draws do not
-# depend on the block size; 4 MB per block keeps the Schur updates near
-# the cache, and two blocks in flight hold 16 MB.
+# `sample_masks`, at most; its Schur scratch holds about as many again.
+# 4 MB per block keeps the Schur updates near the cache, and two blocks in
+# flight hold 16 MB. Only above n = 500, where one product's two draws
+# exceed it, does a block take more.
 SAMPLER_WORKSPACE = 500_000
 
 
@@ -185,6 +187,29 @@ def empty_probability(kernel: DppKernel) -> float:
     return float(np.linalg.det(np.eye(kernel.size) - kernel.matrix))
 
 
+def _product_shape(n: int) -> tuple[int, int]:
+    """(rows, draws) of the kernel products of `sample_masks`.
+
+    Row i of a block's kernels is (v * v[i]) @ keep^T; each product takes
+    `rows` rows of v * v[i] and `draws` columns of keep^T, with
+    rows * n * draws <= streams.BLAS_SERIAL_MADDS so that BLAS runs it on
+    the calling thread. Both are at least 2 when n is, so every product
+    is a gemm (numpy sends a one-row or one-column product to gemv, which
+    OpenBLAS threads from 9216 matrix entries on).
+    """
+    draws = max(2, streams.BLAS_SERIAL_MADDS // (n * n))
+    rows = min(n, max(2, streams.BLAS_SERIAL_MADDS // (n * draws)))
+    return rows, draws
+
+
+def _block_draws(n: int) -> int:
+    """Draws per block of `sample_masks`: a multiple of the product width
+    that keeps the (n, n, block) kernels within SAMPLER_WORKSPACE doubles
+    (or one product's width, when that alone exceeds it)."""
+    draws = _product_shape(n)[1]
+    return draws * max(1, SAMPLER_WORKSPACE // (n * n * draws))
+
+
 def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     """m exact draws as a boolean (m, n) inclusion matrix.
 
@@ -196,10 +221,12 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     (seed, STREAM_DPP) stream, so every draw depends only on
     (seed, draw index).
 
-    Blocks of SAMPLER_WORKSPACE // n^2 draws run on the `streams` pool;
-    the draws depend neither on the thread count nor on the block size.
-    Each block in flight borrows a workspace allocated here, on the
-    calling thread.
+    Blocks of `_block_draws(n)` draws run on the `streams` pool. Within
+    and across blocks, the kernel products cover fixed groups of draws
+    (aligned to multiples of the product width from draw 0, the last one
+    ending at draw m), so neither the thread count nor the block size
+    changes the product that computes a draw. Each block in flight
+    borrows a workspace allocated here, on the calling thread.
     """
     if m < 1:
         raise InvalidEnsembleSize("sample count m must be >= 1")
@@ -208,24 +235,30 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     lam[np.abs(lam) <= EIGENVALUE_CLAMP] = 0.0
     lam[np.abs(lam - 1.0) <= EIGENVALUE_CLAMP] = 1.0
     v = kernel.eigenvectors
-    # w[(i, j), k] = v_ik v_jk, so the kernels P = V diag(keep) V^T of a
-    # block of draws are w @ keep^T
-    w = (v[:, None, :] * v[None, :, :]).reshape(n * n, n)
 
     out = np.empty((m, n), dtype=bool)
-    block = min(m, max(1, SAMPLER_WORKSPACE // (n * n)))
+    block = _block_draws(n)
+    # one spare column lets a last product of one draw run as two
+    width = min(block, m + 1)
     starts = range(0, m, block)
     workers = min(streams.worker_count(), len(starts))
     spare = queue.SimpleQueue()
     for _ in range(workers):
-        spare.put((np.empty(n * n * block), np.empty((n - 1) ** 2 * block)))
+        spare.put(
+            (
+                np.empty((n, n, width)),
+                np.empty((n - 1) ** 2 * width),
+                np.empty((n, width)),
+                np.empty((n, n)),
+            )
+        )
 
     def fill(lo: int) -> None:
         hi = min(m, lo + block)
         u = streams.uniforms_at(seed, lo * 2 * n, (hi - lo) * 2 * n, stream=streams.STREAM_DPP)
         workspace = spare.get()
         try:
-            _sample_block(lam, w, u.reshape(hi - lo, 2 * n), workspace, out[lo:hi])
+            _sample_block(lam, v, u.reshape(hi - lo, 2 * n), workspace, out[lo:hi])
         finally:
             spare.put(workspace)
 
@@ -234,22 +267,25 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     return out
 
 
-def _sample_block(lam, w, u, workspace, chosen) -> None:
+def _sample_block(lam, v, u, workspace, chosen) -> None:
     """Draws of one block into `chosen`, a (b, n) view of the output.
 
-    The kernels sit in an (n, n, b) array, draws innermost, built by
-    products of at most BLAS_SERIAL_MADDS multiply-adds so that BLAS runs
-    them on this thread.
+    The kernels P = V diag(keep) V^T sit in an (n, n, b) array, draws
+    innermost, so each Schur step works on contiguous runs of draws.
     """
     n = lam.size
     b = u.shape[0]
-    kernels, scratch = workspace
-    keep = (u[:, :n] < lam[None, :]).astype(float)
-    proj = kernels[: n * n * b].reshape(n * n, b)
-    cols = max(1, BLAS_SERIAL_MADDS // n**3)
-    for lo in range(0, b, cols):
-        np.matmul(w, keep[lo : lo + cols].T, out=proj[:, lo : lo + cols])
-    proj = proj.reshape(n, n, b)
+    full, scratch, keep_t, vv = workspace
+    np.less(u[:, :n].T, lam[:, None], out=keep_t[:, :b])
+    keep_t[:, b:] = 0.0
+    rows, draws = _product_shape(n)
+    for i in range(n):
+        np.multiply(v, v[i], out=vv)
+        for j in range(0, n, rows):
+            for lo in range(0, b, draws):
+                hi = min(lo + draws, max(b, lo + 2))
+                np.matmul(vv[j : j + rows], keep_t[:, lo:hi], out=full[i, j : j + rows, lo:hi])
+    proj = full[:, :, :b]
     for t in range(n):
         p = np.clip(proj[t, t], 0.0, 1.0)
         inc = u[:, n + t] < p

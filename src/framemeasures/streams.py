@@ -78,6 +78,13 @@ def uniforms_at(seed: int, start: int, count: int, stream: int) -> np.ndarray:
     return _to_open_unit(_raw(seed, stream, start, count))
 
 
+# Multiply-adds up to which OpenBLAS runs a matrix product (gemm) on the
+# calling thread. A larger product starts the library's own threads, which
+# then compete with the workers of `map_ordered` for the cores, so a task
+# on the pool keeps each of its products within this bound.
+BLAS_SERIAL_MADDS = 1 << 18
+
+
 def worker_count() -> int:
     """Worker cap from FRAMES_THREADS (defaults to the CPU count).
 

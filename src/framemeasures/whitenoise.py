@@ -59,14 +59,10 @@ VAR_BAND = 5.0        # and |coord var - 1| <= 5*sqrt(2/M)
 # tile and its pairings stay in cache. Tiles fix the merge order, so a
 # new value changes the estimates' last bits.
 TILE_ROWS = 1 << 13
-# Multiply-adds up to which OpenBLAS runs a matrix product on the calling
-# thread. A larger product starts the library's own threads, which then
-# compete with the worker threads of `streams.map_ordered` for the cores.
-BLAS_SERIAL_MADDS = 1 << 18
 # Samples per matrix product inside a tile: 30 probes x 32 coordinates x
-# 256 samples stays under BLAS_SERIAL_MADDS. A product over the whole tile
-# made the white-noise pass of verify-all at 1M x 32 take about 1.4 s
-# instead of 0.8 s on 2 vCPUs.
+# 256 samples stays under streams.BLAS_SERIAL_MADDS. A product over the
+# whole tile made the white-noise pass of verify-all at 1M x 32 take about
+# 1.4 s instead of 0.8 s on 2 vCPUs.
 BLAS_ROWS = 256
 
 

@@ -331,8 +331,8 @@ class TestSampling:
         assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
 
     def test_block_boundary_reproducibility(self):
-        # n = 8 puts the internal draw-block size at 7812: m = 130000
-        # spans 17 blocks, and draws must not depend on the chunking
+        # n = 8 puts the internal draw-block size at 4096: m = 130000
+        # spans 32 blocks, and draws must not depend on the chunking
         rng = np.random.default_rng(31)
         k = random_kernel(rng, 8)
         big = sample_masks(k, 130_000, seed=11)
@@ -342,24 +342,28 @@ class TestSampling:
 
 class TestPool:
     """The sampler's blocks and the minors' chunks run on the `streams`
-    pool; no output bit depends on the thread count or the block size."""
+    pool. Masks equal those of the parent's single-thread sampler on the
+    kernels tried here, whatever the thread count and the block size."""
 
     @pytest.mark.parametrize("threads", ["1", "3"])
-    @pytest.mark.parametrize("n", range(1, 19))
+    @pytest.mark.parametrize("n", [*range(1, 19), 32, 64, 100, 400])
     def test_masks_equal_single_thread_reference(self, n, threads, monkeypatch):
+        # from n = 64 a block is one product wide, and at n = 400 each
+        # product takes 327 of the 400 rows
         monkeypatch.setenv("FRAMES_THREADS", threads)
         rng = np.random.default_rng(500 + n)
         k = random_kernel(rng, n)
-        block = dpp_mod.SAMPLER_WORKSPACE // (n * n)
-        m = 2 * block + 1  # three blocks, the last one a single draw
+        m = 2 * dpp_mod._block_draws(n) + 1  # three blocks, the last one a single draw
         np.testing.assert_array_equal(sample_masks(k, m, seed=n), reference_masks(k, m, n))
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_masks_do_not_depend_on_the_block_size(self, threads, monkeypatch):
+        # products of 7 draws, blocks of 7, 70 and 2331 draws
         monkeypatch.setenv("FRAMES_THREADS", threads)
+        monkeypatch.setattr(streams, "BLAS_SERIAL_MADDS", 7**3)
         k = projection_kernel(np.random.default_rng(33), 7)
         want = reference_masks(k, 2000, 4)
-        for workspace in (49, 49 * 10 + 1, 49 * 333):
+        for workspace in (49 * 7, 49 * 70 + 1, 49 * 2331):
             monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", workspace)
             np.testing.assert_array_equal(sample_masks(k, 2000, seed=4), want)
 
@@ -375,6 +379,7 @@ class TestPool:
         # wrote into another block's workspace would change its draws; small
         # blocks and chunks make many tasks
         monkeypatch.setattr(streams, "worker_count", lambda: 4)
+        monkeypatch.setattr(streams, "BLAS_SERIAL_MADDS", 36 * 7)
         monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 36 * 7)
         monkeypatch.setattr(dpp_mod, "MINOR_CHUNK", 5)
         k = random_kernel(np.random.default_rng(37), 6)
@@ -388,19 +393,22 @@ class TestPool:
         np.testing.assert_array_equal(masks, reference_masks(k, 3000, 8))
         np.testing.assert_array_equal(minors, per_subset_minors(k))
 
-    def test_sampler_memory_is_bounded(self, monkeypatch):
-        # 100k draws at n = 18 on two threads. Measured peak 18 MiB: the
-        # 1.8 MB output and, per block in flight, a 4 MB kernel workspace,
-        # its 4 MB Schur scratch and the block's uniforms.
+    @pytest.mark.parametrize("n, m, mib", [(18, 100_000, 24), (160, 30, 12)])
+    def test_sampler_memory_is_bounded(self, n, m, mib, monkeypatch):
+        # On two threads. Per block in flight, a kernel workspace and a
+        # Schur scratch of about 2 MB each (809 draws at n = 18, 10 at
+        # n = 160) and the block's uniforms; at n = 18 also the 1.8 MB
+        # output. Measured peaks 10.6 and 8.5 MiB; at n = 160 an (n^2, n)
+        # table of the products v_ik v_jk alone would take 31 MiB.
         monkeypatch.setenv("FRAMES_THREADS", "2")
-        k = random_kernel(np.random.default_rng(36), 18)
+        k = random_kernel(np.random.default_rng(n + 18), n)
         tracemalloc.start()
         try:
-            sample_masks(k, 100_000, seed=1)
+            sample_masks(k, m, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= mib * 2**20
 
 
 class TestMeasureSideChecks:
