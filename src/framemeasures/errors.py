@@ -85,6 +85,10 @@ class InvalidWeights(FrameMeasuresError, ValueError):
     (or, to be normalized, have a positive finite sum)."""
 
 
+class InvalidGramian(FrameMeasuresError, ValueError):
+    """A Gramian must be symmetric and positive semidefinite."""
+
+
 class TransportFailed(FrameMeasuresError, RuntimeError):
     """The transport LP found no optimal plan, or the plan's marginals
     miss the measures' weights."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NotAFrame
+from .errors import DimensionMismatch, InvalidGramian, NonFinite, NotAFrame
 
 TOL_PSD = 1e-10    # absolute floor on Gramian eigenvalues
 TOL_INEQ = 1e-10   # slack for inequality checks
@@ -94,11 +94,12 @@ class Frame:
 class GramMatrix:
     """Gramian G_{jk} = <phi_j, phi_k> of a frame.
 
-    Validated symmetric and positive semidefinite at construction: the
-    smallest eigenvalue, kept as `min_eigenvalue`, must clear -TOL_PSD.
-    That implies every leading principal minor is nonnegative, so the
-    minors (`leading_minors()`) are not tested: their determinants round
-    below zero on rank-deficient Gramians (n vectors in R^N, n > N).
+    Validated symmetric and positive semidefinite at construction (else
+    InvalidGramian): the smallest eigenvalue, kept as `min_eigenvalue`,
+    must clear -TOL_PSD. That implies every leading principal minor is
+    nonnegative, so the minors (`leading_minors()`) are not tested: their
+    determinants round below zero on rank-deficient Gramians (n vectors
+    in R^N, n > N).
     The absolute tolerance assumes desk-scale magnitudes (entries O(1)).
     """
 
@@ -111,10 +112,10 @@ class GramMatrix:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatch(f"Gramian must be square, got {g.shape}")
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
-            raise ValueError("Gramian is not symmetric")
+            raise InvalidGramian("Gramian is not symmetric")
         object.__setattr__(self, "min_eigenvalue", float(np.linalg.eigvalsh(g).min()))
         if self.min_eigenvalue < -TOL_PSD:
-            raise ValueError("Gramian is not positive semidefinite")
+            raise InvalidGramian("Gramian is not positive semidefinite")
 
     @property
     def size(self) -> int:

@@ -185,6 +185,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "decay: InvalidWeights: weights must be finite and strictly positive\n"
 
+    def test_gramian_rejection_is_typed(self, tmp_path, capsys):
+        # the absolute PSD tolerance refuses a frame scaled by 1e4; the
+        # refusal is a library error, not an internal one
+        path = tmp_path / "frame.json"
+        vectors = 1e4 * np.random.default_rng(8).normal(size=(8, 3))
+        fm.save_frame(fm.build_frame(vectors), path)
+        assert main(["frames", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "frames: InvalidGramian: Gramian is not positive semidefinite\n"
+        )
+
 
 class TestCommands:
     def test_markov_identity_transition_payload(self, onb_path, capsys):

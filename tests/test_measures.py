@@ -250,8 +250,10 @@ class TestWasserstein:
             assert float(u @ mu.weights + v @ nu.weights) == pytest.approx(d * d, abs=1e-9)
 
     def test_plan_equals_dense_constraint_reference(self):
-        # HiGHS receives the same constraint matrix, stored sparse, so the
-        # solve gives the same plan to the last bit as the dense matrix
+        # the priced solve and HiGHS on the full dense LP reach the same
+        # vertex: same support, entries and distance equal to rounding,
+        # and potentials solved on the plan's support (independent of the
+        # solver's duals) leave no negative reduced cost
         rng = np.random.default_rng(150)
         n, m = 150, 100
         mu = DiscreteMeasure.normalized(rng.normal(size=(n, 3)), rng.uniform(0.5, 1.5, n))
@@ -268,8 +270,53 @@ class TestWasserstein:
         res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
                       bounds=(0, None), method="highs")
         want = np.clip(res.x.reshape(n, m), 0.0, None)
-        np.testing.assert_array_equal(plan.matrix, want)
-        assert d == float(np.sqrt(max((want * cost).sum(), 0.0)))
+        np.testing.assert_array_equal(plan.matrix > 0.0, want > 0.0)
+        assert np.abs(plan.matrix - want).max() <= 1e-15
+        want_d = float(np.sqrt(max((want * cost).sum(), 0.0)))
+        assert abs(d - want_d) <= 4 * np.spacing(want_d)
+
+        # the support is a spanning tree, so u_i + v_j = C_ij on it fixes
+        # the potentials up to one constant
+        i, j = np.nonzero(plan.matrix)
+        assert i.size == n + m - 1
+        tree = np.zeros((i.size, n + m))
+        tree[np.arange(i.size), i] = 1.0
+        tree[np.arange(i.size), n + j] = 1.0
+        uv = np.linalg.lstsq(tree, cost[i, j], rcond=None)[0]
+        reduced = cost - uv[:n, None] - uv[None, n:]
+        assert reduced.min() >= -1e-12 * cost.max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_distance_scales_with_atoms(self, dim, scale):
+        # W2(s mu, s nu) = s W2(mu, nu): the solver's tolerances must be
+        # relative to the cost scale, not absolute
+        rng = np.random.default_rng(400 + dim)
+        mu = DiscreteMeasure.normalized(rng.normal(size=(60, dim)), rng.uniform(0.5, 1.5, 60))
+        nu = DiscreteMeasure.uniform(rng.normal(size=(45, dim)))
+        d, _ = wasserstein2(mu, nu)
+        scaled = [DiscreteMeasure.from_points(scale * x.atoms, x.weights) for x in (mu, nu)]
+        d_scaled, _ = wasserstein2(*scaled)
+        assert d_scaled / scale == pytest.approx(d, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_self_distance_and_symmetry_at_size(self, dim, uniform):
+        # the wasserstein suite's 1e-9 self_distance and symmetry bounds,
+        # on measures the size of the CLI's
+        rng = np.random.default_rng(500 + 2 * dim + uniform)
+
+        def draw():
+            k = int(rng.integers(40, 151))
+            pts = rng.normal(size=(k, dim))
+            if uniform:
+                return DiscreteMeasure.uniform(pts)
+            return DiscreteMeasure.normalized(pts, rng.uniform(0.5, 1.5, k))
+
+        for _ in range(10):
+            mu, nu = draw(), draw()
+            assert wasserstein2(mu, mu)[0] <= 1e-9
+            assert abs(wasserstein2(mu, nu)[0] - wasserstein2(nu, mu)[0]) <= 1e-9
 
 
 class TestOperators:
