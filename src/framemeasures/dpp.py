@@ -8,8 +8,10 @@ set: mu(Phi contains S) = det(K_S).
 
 Sampling is exact and two-phase (spectral method): eigenvectors of K are
 kept independently with probability lambda_i, and the resulting projection
-kernel is sampled point-by-point through its conditional kernels (Schur
-complements), vectorized across draws. A Moebius-inversion oracle
+kernel is sampled point by point: the probability of each point given
+the choices before it is a pivot of a left-looking LDL^T factorization
+(Poulson 2019), computed one column per point and vectorized across
+draws. A Moebius-inversion oracle
 enumerates the full subset distribution for n <= 20 as an independent
 cross-check.
 
@@ -44,11 +46,14 @@ BRUTEFORCE_MAX = 20
 # 10 (the widest layer at n = 20) take 3.3 MB.
 MINOR_CHUNK = 1 << 12
 # Doubles in the (n, n, block) projection-kernel workspace of one block of
-# `sample_masks`, at most; its Schur scratch holds about as many again.
-# 4 MB per block keeps the Schur updates near the cache, and two blocks in
-# flight hold 16 MB. Only above n = 500, where one product's two draws
-# exceed it, does a block take more.
-SAMPLER_WORKSPACE = 500_000
+# `sample_masks`, at most. The steps keep the pivot columns in its rows and
+# their denominators on its diagonal, and use the spent keep rows (n
+# doubles per draw) as scratch. Two products per block (4.8 MB) give each
+# of the n steps work enough that two threads keep up with one, which they
+# did not with one (809 draws at n = 18); two blocks in flight hold about
+# 10 MB. Only above n = 547, where one product's two draws exceed it, does
+# a block take more.
+SAMPLER_WORKSPACE = 600_000
 
 
 @dataclass(frozen=True)
@@ -216,10 +221,12 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     Phase 1 keeps eigenvector i with probability lambda_i (eigenvalues
     within 1e-10 of 0 or 1 are clamped first, so projection directions
     never flicker). Phase 2 samples the induced projection kernel exactly,
-    walking the ground set and conditioning by Schur complement on each
-    accept/reject. Draw i consumes uniforms [i*2n, (i+1)*2n) of the
-    (seed, STREAM_DPP) stream, so every draw depends only on
-    (seed, draw index).
+    walking the ground set: point t is kept when its uniform falls below
+    the pivot p_t of a left-looking LDL^T factorization of the kernel,
+    whose step t conditions on the accept/reject of every earlier point
+    and costs (n - t) t multiply-adds. Draw i consumes uniforms
+    [i*2n, (i+1)*2n) of the (seed, STREAM_DPP) stream, so every draw
+    depends only on (seed, draw index).
 
     Blocks of `_block_draws(n)` draws run on the `streams` pool. Within
     and across blocks, the kernel products cover fixed groups of draws
@@ -247,7 +254,6 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
         spare.put(
             (
                 np.empty((n, n, width)),
-                np.empty((n - 1) ** 2 * width),
                 np.empty((n, width)),
                 np.empty((n, n)),
             )
@@ -271,11 +277,17 @@ def _sample_block(lam, v, u, workspace, chosen) -> None:
     """Draws of one block into `chosen`, a (b, n) view of the output.
 
     The kernels P = V diag(keep) V^T sit in an (n, n, b) array, draws
-    innermost, so each Schur step works on contiguous runs of draws.
+    innermost. Step t computes only pivot column t of the conditioned
+    kernels, left-looking: c_t[t:] = P[t:, t] - sum_{s<t} c_s[t:] c_s[t] / d_s,
+    one contraction over s, in place of row t of the kernels (P[t, t:],
+    equal to P[t:, t]), which no later step reads as a kernel entry. The
+    pivot p = c_t[t] decides point t, and d_t, p when it is kept and
+    p - 1 when not, replaces it on the diagonal. Every array the steps
+    write is in `workspace`.
     """
     n = lam.size
     b = u.shape[0]
-    full, scratch, keep_t, vv = workspace
+    full, keep_t, vv = workspace
     np.less(u[:, :n].T, lam[:, None], out=keep_t[:, :b])
     keep_t[:, b:] = 0.0
     rows, draws = _product_shape(n)
@@ -285,20 +297,27 @@ def _sample_block(lam, v, u, workspace, chosen) -> None:
             for lo in range(0, b, draws):
                 hi = min(lo + draws, max(b, lo + 2))
                 np.matmul(vv[j : j + rows], keep_t[:, lo:hi], out=full[i, j : j + rows, lo:hi])
-    proj = full[:, :, :b]
+    cols = full[:, :, :b]
+    # the diagonal: step t leaves d_t in place of its pivot
+    denom = full.reshape(n * n, -1)[:: n + 1, :b]
+    # keep^T is spent: at step t its rows s < t take c_s[t] / d_s and its
+    # rows from t on the contraction, then its row 0 is scratch
+    rest = keep_t[:, :b]
     for t in range(n):
-        p = np.clip(proj[t, t], 0.0, 1.0)
-        inc = u[:, n + t] < p
-        chosen[:, t] = inc
+        col = cols[t, t:]
+        if t:
+            np.divide(cols[:t, t], denom[:t], out=rest[:t])
+            np.einsum("sjb,sb->jb", cols[:t, t:], rest[:t], out=rest[t:])
+            np.subtract(col, rest[t:], out=col)
+        p = np.clip(col[0], 0.0, 1.0, out=col[0])
+        inc = np.less(u[:, n + t], p, out=chosen[:, t])
         if t == n - 1:
             break
-        denom = np.where(inc, np.maximum(p, 1e-12), np.minimum(p - 1.0, -1e-12))
-        # proj[t+1:, t+1:] -= col * row / denom, rounded as written, in place
-        k = n - t - 1
-        update = scratch[: k * k * b].reshape(k, k, b)
-        np.multiply(proj[t + 1 :, t, None], proj[t, None, t + 1 :], out=update)
-        np.divide(update, denom, out=update)
-        np.subtract(proj[t + 1 :, t + 1 :], update, out=proj[t + 1 :, t + 1 :])
+        # d_t: max(p, 1e-12) where point t is kept, else min(p - 1, -1e-12)
+        kept = np.maximum(p, 1e-12, out=rest[0])
+        np.subtract(p, 1.0, out=p)
+        np.minimum(p, -1e-12, out=p)
+        np.copyto(p, kept, where=inc)
 
 
 def empirical_subset_distribution(masks: np.ndarray) -> np.ndarray:

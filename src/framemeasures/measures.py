@@ -194,7 +194,9 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     shortlist grows by the entries whose reduced cost under that solve's
     duals is negative, until none is. The start is the north-west-corner
     coupling of both atom lists sorted by first coordinate, which is
-    already optimal in 1-D and is the diagonal for W2(mu, mu). Costs are
+    already optimal in 1-D and is the diagonal for W2(mu, mu); it is
+    returned without a solve when it costs nothing or when the potentials
+    along its staircase leave no negative reduced cost. Costs are
     divided by their maximum first, so the solver's absolute tolerances
     are relative to the cost scale, and the result scales with the atoms.
     The plan is a vertex with marginals exact to rounding. Returns
@@ -218,29 +220,63 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return distance, tp
 
 
-def _north_west_corner(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Support of the north-west-corner coupling of the atoms sorted by
-    first coordinate: a staircase of n + m - 1 entries (a spanning tree)."""
+def _north_west_corner(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The north-west-corner coupling of the atoms sorted by first
+    coordinate: its staircase of n + m - 1 entries (a spanning tree) as
+    rows, columns and amounts in path order, and whether each step moves
+    down (the entry before it used up its row) or right (its column)."""
     rows = np.argsort(mu.atoms[:, 0], kind="stable")
     cols = np.argsort(nu.atoms[:, 0], kind="stable")
-    n, m = rows.size, cols.size
-    # merge the inner breakpoints of both cumulative weights; each one
-    # moves the corner down (a row is used up) or right (a column is)
+    # merge the inner breakpoints of both cumulative weights
     ends = np.concatenate([np.cumsum(mu.weights[rows])[:-1], np.cumsum(nu.weights[cols])[:-1]])
-    down = np.arange(n + m - 2) < n - 1
-    steps = down[np.argsort(ends, kind="stable")]
-    i = np.concatenate([[0], np.cumsum(steps)])
-    j = np.concatenate([[0], np.cumsum(~steps)])
-    support = np.zeros((n, m), dtype=bool)
-    support[rows[i], cols[j]] = True
-    return support
+    down = np.argsort(ends, kind="stable") < rows.size - 1
+    i = np.concatenate([[0], np.cumsum(down)])
+    j = np.concatenate([[0], np.cumsum(~down)])
+    # an entry takes what is left of the row or column it uses up, so its
+    # rounding is that of the weights, not of the cumulative sums
+    a, b = mu.weights[rows].tolist(), nu.weights[cols].tolist()
+    amounts = []
+    row_left, col_left = a[0], b[0]
+    for row_done, r, s in zip(down.tolist(), i[1:].tolist(), j[1:].tolist()):
+        if row_done:
+            amounts.append(row_left)
+            row_left, col_left = a[r], col_left - row_left
+        else:
+            amounts.append(col_left)
+            row_left, col_left = row_left - col_left, b[s]
+    amounts.append(row_left)
+    # a near tie of the breakpoints can leave a rounding-sized negative entry
+    return rows[i], cols[j], np.clip(amounts, 0.0, None), down
+
+
+def _staircase_is_optimal(c: np.ndarray, i, j, amounts, down) -> bool:
+    """Whether the north-west-corner coupling is already optimal: it costs
+    nothing (every W2(mu, mu)), or the potentials that price its own
+    entries at 0 price no entry below -REDUCED_COST_TOL (in 1-D)."""
+    path = c[i, j]
+    if path @ amounts == 0.0:
+        return True
+    # u_i + v_j = c_ij along the path: a step down changes only u, a step
+    # right only v, each by the change in cost
+    step = np.diff(path)
+    u = np.zeros(c.shape[0])
+    v = np.zeros(c.shape[1])
+    u[i[np.concatenate([[True], down])]] = np.concatenate([[0.0], np.cumsum(step[down])])
+    v[j[np.concatenate([[True], ~down])]] = path[0] + np.concatenate([[0.0], np.cumsum(step[~down])])
+    return (c - u[:, None] - v[None, :]).min() >= -REDUCED_COST_TOL
 
 
 def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     n, m = cost.shape
     c = cost / cost.max()  # positive: merged atoms make some pair distinct
+    plan = np.zeros((n, m))
+    i, j, amounts, down = _north_west_corner(mu, nu)
+    if _staircase_is_optimal(c, i, j, amounts, down):
+        plan[i, j] = amounts
+        return plan
     b_eq = np.concatenate([mu.weights, nu.weights])
-    support = _north_west_corner(mu, nu)
+    support = np.zeros((n, m), dtype=bool)
+    support[i, j] = True
     first = True
     while True:
         i, j = np.nonzero(support)
@@ -265,7 +301,6 @@ def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
         score = c if first else np.where(violated, reduced, np.inf)
         support |= _smallest_per_line(score, PRICE_PARTNERS)
         first = False
-    plan = np.zeros((n, m))
     plan[i, j] = np.clip(res.x, 0.0, None)
     return plan
 

@@ -330,9 +330,22 @@ class TestSampling:
         masks = sample_masks(k, 100_000, seed=n)
         assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("n, r", [(64, 20), (128, 50)])
+    def test_projection_draws_are_certain(self, n, r, threads, monkeypatch):
+        # a rank-r projection kernel puts exactly r points in every draw, so
+        # each pivot, after sums over up to n - 1 earlier columns, must
+        # still come out as 0 or 1 to rounding; 500 draws span several
+        # blocks at both sizes
+        monkeypatch.setenv("FRAMES_THREADS", threads)
+        q, _ = np.linalg.qr(np.random.default_rng(n + r).normal(size=(n, n)))
+        k = kernel_from_matrix(q[:, :r] @ q[:, :r].T)
+        masks = sample_masks(k, 500, seed=r)
+        np.testing.assert_array_equal(masks.sum(axis=1), np.full(500, r))
+
     def test_block_boundary_reproducibility(self):
-        # n = 8 puts the internal draw-block size at 4096: m = 130000
-        # spans 32 blocks, and draws must not depend on the chunking
+        # n = 8 puts the internal draw-block size at 8192: m = 130000
+        # spans 16 blocks, and draws must not depend on the chunking
         rng = np.random.default_rng(31)
         k = random_kernel(rng, 8)
         big = sample_masks(k, 130_000, seed=11)
@@ -348,8 +361,8 @@ class TestPool:
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("n", [*range(1, 19), 32, 64, 100, 400])
     def test_masks_equal_single_thread_reference(self, n, threads, monkeypatch):
-        # from n = 64 a block is one product wide, and at n = 400 each
-        # product takes 327 of the 400 rows
+        # blocks are two products wide, except at n = 400, where a block is
+        # one product of two draws that takes 327 of the 400 rows
         monkeypatch.setenv("FRAMES_THREADS", threads)
         rng = np.random.default_rng(500 + n)
         k = random_kernel(rng, n)
@@ -395,11 +408,11 @@ class TestPool:
 
     @pytest.mark.parametrize("n, m, mib", [(18, 100_000, 24), (160, 30, 12)])
     def test_sampler_memory_is_bounded(self, n, m, mib, monkeypatch):
-        # On two threads. Per block in flight, a kernel workspace and a
-        # Schur scratch of about 2 MB each (809 draws at n = 18, 10 at
-        # n = 160) and the block's uniforms; at n = 18 also the 1.8 MB
-        # output. Measured peaks 10.6 and 8.5 MiB; at n = 160 an (n^2, n)
-        # table of the products v_ik v_jk alone would take 31 MiB.
+        # On two threads. Per block in flight, a kernel workspace of about
+        # 4 MB (1618 draws at n = 18, 20 at n = 160), whose rows and
+        # diagonal the steps reuse, and the block's uniforms; at n = 18 also
+        # the 1.8 MB output. Measured peaks 11.8 and 8.5 MiB; at n = 160 an
+        # (n^2, n) table of the products v_ik v_jk alone would take 31 MiB.
         monkeypatch.setenv("FRAMES_THREADS", "2")
         k = random_kernel(np.random.default_rng(n + 18), n)
         tracemalloc.start()

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ def brute_force_w2sq(mu, nu):
     raise NotImplementedError
 
 
+def quantile_w2sq(mu, nu):
+    """Oracle for 1-D measures: W2^2 of the sorted (quantile) coupling, in
+    exact rational arithmetic on the atoms and weights as stored."""
+    a = sorted(zip(mu.atoms[:, 0].tolist(), mu.weights.tolist()))
+    b = sorted(zip(nu.atoms[:, 0].tolist(), nu.weights.tolist()))
+    total = Fraction(0)
+    i = j = 0
+    left_a, left_b = Fraction(a[0][1]), Fraction(b[0][1])
+    while i < len(a) and j < len(b):
+        mass = min(left_a, left_b)
+        total += mass * (Fraction(a[i][0]) - Fraction(b[j][0])) ** 2
+        left_a -= mass
+        left_b -= mass
+        if left_a == 0:
+            i += 1
+            left_a = Fraction(a[i][1]) if i < len(a) else 0
+        if left_b == 0:
+            j += 1
+            left_b = Fraction(b[j][1]) if j < len(b) else 0
+    return float(total)
+
+
 def random_measure(rng, dim=2, max_atoms=5):
     n = int(rng.integers(1, max_atoms + 1))
     return DiscreteMeasure.normalized(rng.normal(size=(n, dim)), rng.random(n) + 0.1)
@@ -82,9 +105,11 @@ class TestConstruction:
             message = "infeasible"
 
         monkeypatch.setattr(measures_mod, "linprog", lambda *a, **k: Infeasible())
-        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
+        # a pair whose north-west-corner start is not optimal, so the LP runs
+        mu = DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 5.0]])
+        nu = DiscreteMeasure.uniform([[0.0, 5.0], [1.0, 0.0]])
         with pytest.raises(TransportFailed, match="transport LP failed: infeasible"):
-            wasserstein2(mu, mu)
+            wasserstein2(mu, nu)
 
     def test_decay_length_below_one_is_typed(self):
         with pytest.raises(InvalidEnsembleSize):
@@ -317,6 +342,36 @@ class TestWasserstein:
             mu, nu = draw(), draw()
             assert wasserstein2(mu, mu)[0] <= 1e-9
             assert abs(wasserstein2(mu, nu)[0] - wasserstein2(nu, mu)[0]) <= 1e-9
+
+    def test_optimal_start_skips_the_solver(self, monkeypatch):
+        # the north-west-corner start is optimal in 1-D, where its own
+        # potentials certify it, and for W2(mu, mu), where it costs nothing;
+        # neither solves an LP, while a 3-D pair still does
+        calls = []
+        solve = measures_mod.linprog
+        monkeypatch.setattr(measures_mod, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        rng = np.random.default_rng(600)
+
+        def measure(k, dim, uniform):
+            pts = rng.normal(size=(k, dim))
+            if uniform:
+                return DiscreteMeasure.uniform(pts)
+            return DiscreteMeasure.normalized(pts, rng.uniform(0.5, 1.5, k))
+
+        # uniform 81 and 96 atoms tie at every third of the mass
+        mu, nu = measure(81, 1, True), measure(96, 1, True)
+        d, _ = wasserstein2(mu, nu)
+        assert d * d == pytest.approx(quantile_w2sq(mu, nu), rel=4e-15)
+        for k, l, uniform in [(40, 150, True), (150, 150, True), (60, 45, False), (2, 150, False)]:
+            wasserstein2(measure(k, 1, uniform), measure(l, 1, uniform))
+        for dim in (1, 3):
+            mu = measure(150, dim, False)
+            assert wasserstein2(mu, mu)[0] == 0.0
+        assert calls == []
+
+        mu, nu = measure(150, 3, False), measure(100, 3, False)
+        wasserstein2(mu, nu)
+        assert len(calls) >= 1
 
 
 class TestOperators:
