@@ -15,12 +15,10 @@ draws. A Moebius-inversion oracle
 enumerates the full subset distribution for n <= 20 as an independent
 cross-check.
 
-Both exact oracles split into independent pieces that run on the
-`streams.map_ordered` pool, whose size FRAMES_THREADS caps: the sampler's
-blocks of draws, and the enumeration's chunks of subsets. A draw's
-uniforms depend only on (seed, draw index) and its kernel on a product
-over a fixed group of draws; a minor is one factorization of its own
-submatrix. So no bit depends on the thread count, and the sampler's block
+The sampler's blocks of draws run on the `streams.map_ordered` pool,
+whose size FRAMES_THREADS caps. A draw's uniforms depend only on
+(seed, draw index) and its kernel on a product over a fixed group of
+draws. So no bit depends on the thread count, and the sampler's block
 size does not change which product computes a draw.
 """
 import queue
@@ -42,9 +40,6 @@ SPECTRUM_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10
 BRUTEFORCE_MAX = 20
-# Subsets per batched `det` call, one pool task: 2^12 submatrices of size
-# 10 (the widest layer at n = 20) take 3.3 MB.
-MINOR_CHUNK = 1 << 12
 # Doubles in the (n, n, block) projection-kernel workspace of one block of
 # `sample_masks`, at most. The steps keep the pivot columns in its rows and
 # their denominators on its diagonal, and use the spent keep rows (n
@@ -123,13 +118,18 @@ def inclusion_probability(kernel: DppKernel, indices) -> float:
 
 
 def _subset_minors(kernel: DppKernel) -> np.ndarray:
-    """det(K_S) for every subset S, indexed by bitmask.
+    """det(K_S) for every subset S, indexed by bitmask, from one tree of
+    Schur complements (Griffin & Tsatsomeros 2006), O(2^n) work in all.
 
-    The bitmasks are grouped by cardinality, and each pool task makes one
-    batched `det` call over MINOR_CHUNK masks of one cardinality. Each
-    minor is the same LAPACK factorization of the same submatrix (indices
-    ascending) as a single `det` call, so its bits depend neither on the
-    batching nor on the thread count.
+    Step k extends each code S below 2^k by index k: out[S | 2^k] =
+    out[S] * p, where p = K[k, k] - d[S, 0, 0] = det(K_{S+k}) / det(K_S).
+    Row S of the stack d is K[k:, k:] minus the Schur complement of S, the
+    sum of the updates c c^T / p so far; kept apart from K, each pivot is
+    rounded once at K's scale. S keeps d[S, 1:, 1:], and S | 2^k adds
+    c c^T / p to it, with c = K[k, k+1:] - d[S, 0, 1:]. A pivot <= 0
+    counts as 0: its include branch gets minors 0 and the exclude branch's
+    row. For a positive semidefinite K this is exact (a zero pivot forces
+    a zero row), so no minor is negative and nothing divides by 0.
     """
     n = kernel.size
     if n > BRUTEFORCE_MAX:
@@ -137,23 +137,22 @@ def _subset_minors(kernel: DppKernel) -> np.ndarray:
     mat = kernel.matrix
     out = np.empty(1 << n)
     out[0] = 1.0
-    size = np.bitwise_count(np.arange(1 << n))
-    by_size = np.argsort(size, kind="stable")
-    ends = np.cumsum(np.bincount(size)).tolist()
-    chunks = [
-        by_size[lo : min(lo + MINOR_CHUNK, hi)]
-        for lo_layer, hi in zip(ends, ends[1:])
-        for lo in range(lo_layer, hi, MINOR_CHUNK)
-    ]
-
-    def fill(codes: np.ndarray) -> None:
-        # the set bits of each code, ascending: row-major order of nonzero
-        bits = (codes[:, None] >> np.arange(n)) & 1
-        idx = np.nonzero(bits)[1].reshape(codes.size, -1)
-        out[codes] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
-
-    for _ in streams.map_ordered(fill, chunks):
-        pass
+    d = np.zeros((1, n, n))
+    for k in range(n):
+        half, m = 1 << k, n - k - 1
+        p = mat[k, k] - d[:, 0, 0]
+        null = p <= 0.0
+        p[null] = 0.0
+        np.multiply(out[:half], p, out=out[half : 2 * half])
+        p[null] = np.inf  # c c^T / inf = 0: the include row is the exclude one
+        c = mat[k, k + 1 :] - d[:, 0, 1:]
+        nxt = np.empty((2 * half, m, m))
+        keep, inc = nxt[:half], nxt[half:]
+        np.copyto(keep, d[:, 1:, 1:])
+        np.multiply(c[:, :, None], c[:, None, :], out=inc)
+        np.divide(inc, p[:, None, None], out=inc)
+        np.add(keep, inc, out=inc)
+        d = nxt
     return out
 
 

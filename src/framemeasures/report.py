@@ -102,6 +102,10 @@ class CheckRecord:
     z_score: float
     passed: bool
 
+    def __post_init__(self):
+        # a value of -0.0 (say, a negated zero minor) reports as 0
+        object.__setattr__(self, "value", self.value + 0.0)
+
     def to_dict(self) -> dict:
         # non-finite statistics (exact checks) serialize as JSON null
         def num(v):

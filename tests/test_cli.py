@@ -252,6 +252,19 @@ class TestCommands:
         assert main(["dpp", str(kpath), "--bruteforce", "--samples", "2000"]) == 0
         capsys.readouterr()
 
+    def test_dpp_singular_kernel_reports_unsigned_zeros(self, tmp_path, capsys):
+        # the kernel's zero eigenvalue and zero full minor, negated, are -0.0
+        kpath = tmp_path / "k.json"
+        kpath.write_text(json.dumps({"k": [[0.5, 0.5], [0.5, 0.5]]}))
+        argv = ["dpp", str(kpath), "--bruteforce", "--samples", "2000", "--format", "csv"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        values = {row[0]: row[1] for row in rows}
+        assert values["spectrum_unit_interval_excess"] == "0"
+        assert values["principal_minor_negativity"] == "0"
+        assert "-0" not in values.values()
+        assert math.copysign(1.0, CheckRecord("x", -0.0, 0.0, 0.0, 0.0, True).value) == 1.0
+
     def test_gaussian_check_selection(self, capsys):
         assert main(["gaussian", "--samples", "5000", "--dim", "4",
                      "--checks", "isometry,charfn"]) == 0

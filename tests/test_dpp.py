@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,15 +47,58 @@ def projection_kernel(rng, n):
     return kernel_from_matrix(q[:, : n // 2] @ q[:, : n // 2].T)
 
 
-def per_subset_minors(kernel):
-    """Reference: one `det` call per subset, indexed by bitmask."""
-    n = kernel.size
-    out = np.empty(1 << n)
-    out[0] = 1.0
-    for code in range(1, 1 << n):
-        idx = [i for i in range(n) if code >> i & 1]
-        out[code] = np.linalg.det(kernel.matrix[np.ix_(idx, idx)])
+def frame_kernel(rng, n):
+    """Kernel of n vectors in R^d, d = max(1, n // 3), the last one within
+    1e-7 of the first: rank d, so most minors vanish."""
+    d = max(1, n // 3)
+    v = rng.normal(size=(n, d))
+    if n > 1:
+        v[-1] = v[0] + 1e-7 * rng.normal(size=d)
+    return kernel_from_frame(build_frame(v))
+
+
+def bareiss_det(rows):
+    """Exact determinant of a square integer matrix (fraction-free
+    Gaussian elimination, a row swap on a zero pivot)."""
+    a = [list(r) for r in rows]
+    k = len(a)
+    sign, prev = 1, 1
+    for i in range(k - 1):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if a[r][i]), None)
+            if swap is None:
+                return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+        prev = a[i][i]
+    return sign * a[-1][-1] if k else 1
+
+
+def exact_minors(kernel):
+    """det(K_S) of the float kernel's entries for every subset S, as exact
+    fractions indexed by bitmask: the entries times their common
+    power-of-two denominator are integers."""
+    entries = [[Fraction(float(x)) for x in row] for row in kernel.matrix]
+    den = max((x.denominator for row in entries for x in row), default=1)
+    ints = [[int(x * den) for x in row] for row in entries]
+    out = []
+    for code in range(1 << kernel.size):
+        idx = [i for i in range(kernel.size) if code >> i & 1]
+        det = bareiss_det([[ints[i][j] for j in idx] for i in idx])
+        out.append(Fraction(det, den ** len(idx)))
     return out
+
+
+def restrict(table, keep):
+    """The marginal on the indices `keep` (ascending) of a subset table
+    indexed by bitmask."""
+    n = table.size.bit_length() - 1
+    # axis j of the cube is bit n - 1 - j of the code
+    cube = table.reshape((2,) * n)
+    return cube.sum(axis=tuple(n - 1 - i for i in range(n) if i not in keep)).ravel()
 
 
 # Reflections I - u u^T / 2 of 0/1 vectors with four ones, multiplied in order.
@@ -208,9 +252,51 @@ class TestBruteforce:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_batched_minors_equal_per_subset_det(self, n):
+        # each minor is the exact determinant of its submatrix of the float
+        # entries to within 2^-52
         rng = np.random.default_rng(40 + n)
-        for k in (random_kernel(rng, n), projection_kernel(rng, n)):
-            np.testing.assert_array_equal(_subset_minors(k), per_subset_minors(k))
+        for k in (random_kernel(rng, n), projection_kernel(rng, n), frame_kernel(rng, n)):
+            got = _subset_minors(k)
+            worst = max(abs(Fraction(float(x)) - e) for x, e in zip(got, exact_minors(k)))
+            assert worst <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_null_pivots_give_exact_zeros(self, n):
+        # a pivot <= 0 zeroes its include branch: no division by 0, no
+        # negative minor, and a zero row zeroes every minor it enters
+        rng = np.random.default_rng(60 + n)
+        j = n // 2
+        zero_row = random_kernel(rng, n).matrix.copy()
+        zero_row[j] = zero_row[:, j] = 0.0
+        codes = np.arange(1 << n)
+        with np.errstate(all="raise"):
+            minors = _subset_minors(kernel_from_matrix(zero_row))
+            assert np.all(minors[codes >> j & 1 == 1] == 0.0)
+            assert np.all(minors[codes >> j & 1 == 0] > 0.0)
+            np.testing.assert_array_equal(
+                _subset_minors(kernel_from_matrix(np.zeros((n, n)))), codes == 0
+            )
+            np.testing.assert_array_equal(_subset_minors(kernel_from_matrix(np.eye(n))), 1.0)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            for r in range(1, n):
+                k = kernel_from_matrix(q[:, :r] @ q[:, :r].T)
+                minors = _subset_minors(k)
+                assert np.all(np.isfinite(minors)) and minors.min() >= 0.0
+                # a rank-r projection puts exactly r points in every draw
+                table = _moebius(minors)
+                assert table[np.bitwise_count(codes) != r].sum() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_restriction_is_determinantal(self, n):
+        # the marginal of DPP(K) on A is DPP(K_A); A leaves out index 0, so
+        # the tree reaches K_A's minors by other paths than K_A's own tree
+        rng = np.random.default_rng(70 + n)
+        for k in (random_kernel(rng, n), projection_kernel(rng, n), frame_kernel(rng, n)):
+            table = subset_distribution_bruteforce(k)
+            for size in {1, (n + 1) // 2, n - 1}:
+                keep = sorted(rng.choice(np.arange(1, n), size, replace=False).tolist())
+                want = subset_distribution_bruteforce(kernel_from_matrix(k.matrix[np.ix_(keep, keep)]))
+                np.testing.assert_allclose(restrict(table, keep), want, rtol=0, atol=1e-12)
 
     def test_moebius_leaves_minors_and_refuses_negative_mass(self):
         k = random_kernel(np.random.default_rng(15), 5)
@@ -229,10 +315,9 @@ class TestBruteforce:
 
     def test_at_the_cap(self):
         # n = BRUTEFORCE_MAX: 2^20 minors in bounded memory. Measured peak
-        # 34 MiB on two threads (the 8 MiB table, its Moebius copy, the
-        # 8 MiB codes sorted by cardinality and a 3.3 MB chunk of 10 x 10
-        # submatrices per thread); an unchunked widest layer alone takes
-        # 148 MB.
+        # 28 MiB, in the tree: the 8 MiB minors and two levels of the
+        # Schur-complement stack, 2^k (20 - k)^2 doubles at level k (9 MiB
+        # at k = 17, the largest).
         k = random_kernel(np.random.default_rng(41), 20, scale=0.8)
         tracemalloc.start()
         try:
@@ -354,9 +439,9 @@ class TestSampling:
 
 
 class TestPool:
-    """The sampler's blocks and the minors' chunks run on the `streams`
-    pool. Masks equal those of the parent's single-thread sampler on the
-    kernels tried here, whatever the thread count and the block size."""
+    """The sampler's blocks run on the `streams` pool. Masks equal those of
+    the parent's single-thread sampler on the kernels tried here, whatever
+    the thread count and the block size."""
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("n", [*range(1, 19), 32, 64, 100, 400])
@@ -390,21 +475,18 @@ class TestPool:
     def test_workspaces_are_not_shared_under_stress(self, monkeypatch):
         # more workers than cores and a short switch interval: a block that
         # wrote into another block's workspace would change its draws; small
-        # blocks and chunks make many tasks
+        # blocks make many tasks
         monkeypatch.setattr(streams, "worker_count", lambda: 4)
         monkeypatch.setattr(streams, "BLAS_SERIAL_MADDS", 36 * 7)
         monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 36 * 7)
-        monkeypatch.setattr(dpp_mod, "MINOR_CHUNK", 5)
         k = random_kernel(np.random.default_rng(37), 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             masks = sample_masks(k, 3000, seed=8)
-            minors = _subset_minors(k)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(masks, reference_masks(k, 3000, 8))
-        np.testing.assert_array_equal(minors, per_subset_minors(k))
 
     @pytest.mark.parametrize("n, m, mib", [(18, 100_000, 24), (160, 30, 12)])
     def test_sampler_memory_is_bounded(self, n, m, mib, monkeypatch):
