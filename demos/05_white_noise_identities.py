@@ -11,7 +11,7 @@ import numpy as np
 import framemeasures as fm
 
 D, M, SEED = 32, 500_000, 123
-ens = fm.WhiteNoiseEnsemble.generate(D, M, seed=SEED)
+ens = fm.WhiteNoiseEnsemble(D, M, SEED)
 print(f"ensemble: D = {D}, M = {M}, seed = {SEED}")
 
 rng = np.random.default_rng(9)

@@ -10,7 +10,7 @@ import numpy as np
 
 import framemeasures as fm
 
-ens = fm.WhiteNoiseEnsemble.generate(16, 400_000, seed=77)
+ens = fm.WhiteNoiseEnsemble(16, 400_000, 77)
 rng = np.random.default_rng(11)
 
 x = rng.normal(size=16)
@@ -19,7 +19,7 @@ y = rng.normal(size=16)
 y /= np.linalg.norm(y)
 
 # density at a single outcome, and its ensemble mean (must be 1)
-w = ens.samples[0]
+w = ens.coordinates()[0]
 print(f"rn_density(x, omega_0) = {fm.rn_density(x, w):.6f}")
 est = fm.rn_mean_check(x, ens)
 print(f"ensemble mean of the density: {est.value:.6f} (target 1, z {est.z_score:+.2f})")

@@ -85,7 +85,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = run(config_from_args(args))
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
+        # OSError: an input path that is missing, a directory or unreadable
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
@@ -100,8 +101,12 @@ def main(argv=None) -> int:
 
     text = report_csv_text(report) if args.format == "csv" else report.to_json() + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.overall_pass else 1

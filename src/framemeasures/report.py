@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -23,6 +24,11 @@ DEFAULT_TOLERANCES = {
 }
 
 CSV_COLUMNS = ("name", "value", "target", "std_error", "z_score", "pass")
+
+# field type of ExperimentConfig -> (the JSON value it is read from, its name)
+_JSON_TYPES = {
+    str: (str, "string"), int: (int, "integer"), dict: (dict, "object"), tuple: (list, "array"),
+}
 
 
 @dataclass(frozen=True)
@@ -47,18 +53,25 @@ class ExperimentConfig:
             raise ConfigError("samples must be positive")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
-        for key in self.tolerances:
+        for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(
                     f"unknown tolerance {key!r}; known: {sorted(DEFAULT_TOLERANCES)}"
                 )
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"config field 'tolerances': {key!r} needs a number, "
+                                  f"got {value!r}")
+        # an integer would be opened as a file descriptor
+        if not all(isinstance(path, str) for path in self.inputs):
+            raise ConfigError(f"config field 'inputs' must hold paths, got {list(self.inputs)!r}")
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Strict parse: unknown fields are rejected."""
+        """Strict parse: unknown fields, and values not of the field's JSON
+        type (an integer for seed, samples and dim), are rejected."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         types = {f.name: f.type for f in fields(cls)}
@@ -67,6 +80,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "command" not in doc:
             raise ConfigError('config needs a "command" field')
+        for name, value in doc.items():
+            json_type, label = _JSON_TYPES[types[name]]
+            if not isinstance(value, json_type) or isinstance(value, bool):
+                raise ConfigError(f"config field {name!r} must be a JSON {label}, got {value!r}")
         # fields the document leaves out take the dataclass defaults
         return cls(**{name: types[name](value) for name, value in doc.items()})
 

@@ -261,7 +261,6 @@ def _resolve(config, items):
     pending = [item for item in items if not isinstance(item, CheckRecord)]
     if not pending:
         return items
-    # never materialized: the pass regenerates its tiles
     ens = wn.WhiteNoiseEnsemble(config.dim, config.samples, config.seed)
     results = iter(ens.reduce(r for _, *reductions in pending for r in reductions))
     records = []

@@ -9,13 +9,13 @@ covariance, synthesis/reconstruction, projection) holds *exactly* at any
 truncation D >= dim(x), so Monte-Carlo verification at desk scale is
 unbiased.
 
-A WhiteNoiseEnsemble is M seeded sample vectors in R^D: sample i is row i
-of `streams.normal_matrix(seed, M, D, STREAM_WHITENOISE)`, positions
-[i*D, (i+1)*D) of that stream (`streams.normal_rows`), so prefixes of a
-larger ensemble coincide with smaller ensembles. `generate` caches the
-whole (M, D) matrix; an ensemble constructed directly from (D, M, seed)
-holds no samples and regenerates them on every pass, in memory
-O(workers * TILE_ROWS * D).
+A WhiteNoiseEnsemble is the triple (D, M, seed) and nothing more: sample i
+is row i of `streams.normal_matrix(seed, M, D, STREAM_WHITENOISE)`,
+positions [i*D, (i+1)*D) of that stream (`streams.normal_rows`), so the
+first m samples of an ensemble are the ensemble of m samples
+(`restrict(m)`). No sample is stored: every pass regenerates its tiles, in
+memory O(workers * TILE_ROWS * D), and checks the 5-sigma mean/variance
+sanity band on the way.
 
 Each scalar estimator is written once, as a `Reduction`: the probe vectors
 it pairs with every sample and a per-tile contribution (count, mean and M2
@@ -23,13 +23,11 @@ of per-sample values, or plain sums). `WhiteNoiseEnsemble.reduce` runs any
 number of reductions in one pass: each tile of TILE_ROWS samples is paired
 with the stacked probes of all of them in one GEMM, and the tile
 statistics are merged in tile order (Chan, Golub & LeVeque 1979). The
-order is fixed, so estimates are bitwise identical for any thread count,
-for cached and regenerated samples, and for `restrict(m)` versus
-generating m samples. A pass over regenerated samples also checks the
-5-sigma mean/variance sanity band. A public check such as
-`ito_isometry_check(x, ens)` is its reduction (`ito_isometry(x)`) run
+order is fixed, so estimates are bitwise identical for any thread count
+and for `restrict(m)` versus an ensemble of m samples. A public check such
+as `ito_isometry_check(x, ens)` is its reduction (`ito_isometry(x)`) run
 alone; the array functions (`pairings`, `gaussian_process_from_frame`,
-`synthesis_mc`) read the whole matrix.
+`synthesis_mc`) read the whole (M, D) matrix from `coordinates()`.
 """
 import itertools
 import math
@@ -136,65 +134,44 @@ class Reduction:
 
 @dataclass(frozen=True)
 class WhiteNoiseEnsemble:
-    """Seeded i.i.d. standard-normal coordinate vectors in R^D.
-
-    `samples` is the cached (M, D) matrix, or None for an ensemble that
-    regenerates its samples on every pass.
-    """
+    """M seeded i.i.d. standard-normal coordinate vectors in R^D, held as
+    the stream they are read from; see the module docstring."""
 
     truncation_dim: int
     sample_count: int
     seed: int
-    samples: np.ndarray | None = None
 
     def __post_init__(self):
         if self.truncation_dim < 1 or self.sample_count < 1:
             raise InvalidEnsembleSize("truncation_dim and sample_count must be positive")
 
-    @classmethod
-    def generate(
-        cls,
-        truncation_dim: int,
-        sample_count: int,
-        seed: int,
-        workers: int | None = None,
-    ) -> "WhiteNoiseEnsemble":
-        """Generate and cache the samples deterministically from (D, M, seed).
-
-        Coordinates come from a counter-based stream, inverse-CDF
-        transformed; see `streams.normal_rows`. A per-coordinate
-        mean/variance sanity band (5 sigma), taken from the column sums of
-        each tile as it is generated, guards against generator defects.
-        """
-        ens = cls(truncation_dim, sample_count, seed)
-        z = np.empty((sample_count, truncation_dim))
-
-        def fill(tile):
-            lo, hi = tile
-            return _column_sums(ens._regenerate(lo, hi, out=z[lo:hi]))
-
-        _check_band(sum(streams.map_ordered(fill, _tiles(sample_count), workers)), sample_count)
-        z.setflags(write=False)
-        return replace(ens, samples=z)
-
     def restrict(self, sample_count: int) -> "WhiteNoiseEnsemble":
-        """First `sample_count` samples; identical to generating with
-        the smaller M directly (samples depend only on (seed, index))."""
+        """The first `sample_count` samples, an ensemble of that size."""
         if not 1 <= sample_count <= self.sample_count:
             raise InvalidEnsembleSize("restricted count must be in 1..sample_count")
-        samples = None if self.samples is None else self.samples[:sample_count]
-        return replace(self, sample_count=sample_count, samples=samples)
-
-    def coordinates(self) -> np.ndarray:
-        """The (M, D) matrix: the cached one, or all samples regenerated."""
-        if self.samples is not None:
-            return self.samples
-        return WhiteNoiseEnsemble.generate(self.truncation_dim, self.sample_count, self.seed).samples
+        return replace(self, sample_count=sample_count)
 
     def _regenerate(self, lo: int, hi: int, out=None) -> np.ndarray:
         return streams.normal_rows(
             self.seed, lo, hi, self.truncation_dim, stream=streams.STREAM_WHITENOISE, out=out
         )
+
+    def coordinates(self) -> np.ndarray:
+        """The (M, D) matrix of all samples, regenerated tile by tile.
+
+        Coordinates come from a counter-based stream, inverse-CDF
+        transformed; see `streams.normal_rows`. The 5-sigma sanity band,
+        taken from the column sums of each tile as it is generated, guards
+        against generator defects.
+        """
+        z = np.empty((self.sample_count, self.truncation_dim))
+
+        def fill(tile):
+            lo, hi = tile
+            return _column_sums(self._regenerate(lo, hi, out=z[lo:hi]))
+
+        _check_band(sum(streams.map_ordered(fill, _tiles(self.sample_count))), self.sample_count)
+        return z
 
     def reduce(self, reductions) -> list:
         """The results of `reductions`, all computed in one pass over the
@@ -209,27 +186,20 @@ class WhiteNoiseEnsemble:
             )
         sizes = [len(r.probes) for r in reductions]
         rows = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
-        merges = [r.merge for r in reductions]
-        regenerate = self.samples is None
-        if regenerate:
-            merges.append(operator.add)
+        # the last statistic is the column sums behind the sanity band
+        merges = [r.merge for r in reductions] + [operator.add]
 
         def tile_stats(tile):
-            lo, hi = tile
-            z = self._regenerate(lo, hi) if regenerate else self.samples[lo:hi]
+            z = self._regenerate(*tile)
             p = _pair(stacked, z)
-            stats = [r.block(p[sl], z) for r, sl in zip(reductions, rows)]
-            if regenerate:
-                stats.append(_column_sums(z))
-            return stats
+            return [r.block(p[sl], z) for r, sl in zip(reductions, rows)] + [_column_sums(z)]
 
         totals = None
         for stats in streams.map_ordered(tile_stats, _tiles(self.sample_count)):
             totals = stats if totals is None else [
                 merge(a, b) for merge, a, b in zip(merges, totals, stats)
             ]
-        if regenerate:
-            _check_band(totals.pop(), self.sample_count)
+        _check_band(totals.pop(), self.sample_count)
         return [r.finish(t, self.sample_count) for r, t in zip(reductions, totals)]
 
 

@@ -17,7 +17,7 @@ def onb2():
 @pytest.fixture(scope="session")
 def ens_small():
     # shared medium ensemble for unit tests: D = 16, M = 2e5
-    return WhiteNoiseEnsemble.generate(16, 200_000, seed=20240811)
+    return WhiteNoiseEnsemble(16, 200_000, seed=20240811)
 
 
 def random_spanning_frame(rng, dim=None, n=None):

@@ -13,6 +13,8 @@ import pytest
 from scipy.stats import chisquare
 
 import framemeasures as fm
+from framemeasures import translation
+from framemeasures import whitenoise as wn
 from framemeasures.dpp import _subset_minors
 from framemeasures.report import ExperimentConfig
 from framemeasures.suites import run as run_suite
@@ -27,8 +29,15 @@ def _report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def ens32():
-    # shared across criteria 5, 6, 8, 9, 10
-    return fm.WhiteNoiseEnsemble.generate(32, 1_000_000, seed=MASTER_SEED)
+    # shared across criteria 5, 6, 8, 9, 10; each runs its checks in one pass
+    return fm.WhiteNoiseEnsemble(32, 1_000_000, seed=MASTER_SEED)
+
+
+def _z_scores(results):
+    """|z| of every McEstimate of a pass's results."""
+    for r in results:
+        for est in r if isinstance(r, tuple) else (r,):
+            yield abs(est.z_score)
 
 
 def random_frame(rng, max_dim=8, max_n=16, spanning=False):
@@ -144,18 +153,17 @@ def test_criterion_04_determinantal_measure():
 def test_criterion_05_ito_isometry_and_char_functional(ens32):
     t0 = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED + 5)
-    worst_z = 0.0
+    reductions = []
     for _ in range(20):
         x = rng.normal(size=32)
         x /= np.linalg.norm(x)
-        worst_z = max(worst_z, abs(fm.ito_isometry_check(x, ens32).z_score))
-        re, im = fm.char_functional_check(x, ens32)
-        worst_z = max(worst_z, abs(re.z_score), abs(im.z_score))
+        reductions += [wn.ito_isometry(x), wn.char_functional(x)]
 
     x1 = rng.normal(size=32)
     x1 /= np.linalg.norm(x1)
-    re1, _ = fm.char_functional_check(x1, ens32)
-    re2, _ = fm.char_functional_check(x1 * math.sqrt(2.0), ens32)
+    reductions += [wn.char_functional(x1), wn.char_functional(x1 * math.sqrt(2.0))]
+    *checks, (re1, _), (re2, _) = ens32.reduce(reductions)
+    worst_z = max(_z_scores(checks))
     targets_ok = (
         re1.target == pytest.approx(math.exp(-0.5), rel=1e-12)
         and re2.target == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -173,17 +181,44 @@ def test_criterion_06_moments(ens32):
     rng = np.random.default_rng(MASTER_SEED + 6)
     x = rng.normal(size=32)
     x /= np.linalg.norm(x)
-    worst_z = 0.0
-    targets = []
-    for order in (2, 4, 6, 3, 5, 7):
-        est = fm.moment_check(x, order, ens32)
-        worst_z = max(worst_z, abs(est.z_score))
-        targets.append(est.target)
+    ests = ens32.reduce(wn.moment(x, order) for order in (2, 4, 6, 3, 5, 7))
+    worst_z = max(_z_scores(ests))
+    targets = [est.target for est in ests]
     elapsed = time.perf_counter() - t0
     even_ok = targets[:3] == [pytest.approx(1.0), pytest.approx(3.0), pytest.approx(15.0)]
     odd_ok = targets[3:] == [0.0, 0.0, 0.0]
     ok = worst_z <= 4.0 and even_ok and odd_ok and elapsed < 30.0
     _report(6, "Gaussian moments", ok, f"(max |z| = {worst_z:.2f}, {elapsed:.1f}s)")
+
+
+def _reconstruction_errors(x, head):
+    """Reduction to the errors of `reconstruct_mc(x, ens)` and of
+    `reconstruct_mc(x, ens.restrict(head))` in one pass over ens.
+
+    Tile statistics are (rows, tile sum, head sum, tile pairings and
+    samples); the merge adds the part of the tile in which the first
+    `head` samples end to the sum of the tiles before it, as the last,
+    partial tile of the restricted ensemble would be. `head` must lie past
+    the first tile.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def block(p, z):
+        return len(z), np.einsum("i,ij->j", p[0], z), None, (p[0], z)
+
+    def merge(a, b):
+        done, total, head_sum, _ = a
+        rows, tile, _, (p, z) = b
+        if done < head <= done + rows:
+            k = head - done
+            head_sum = total + np.einsum("i,ij->j", p[:k], z[:k])
+        return done + rows, total + tile, head_sum, None
+
+    def finish(stats, m):
+        _, total, head_sum, _ = stats
+        return float(np.linalg.norm(total / m - x)), float(np.linalg.norm(head_sum / head - x))
+
+    return wn.Reduction(np.atleast_2d(x), block, finish, merge)
 
 
 def test_criterion_07_frame_decomposition():
@@ -192,13 +227,12 @@ def test_criterion_07_frame_decomposition():
     band = 4.0 * math.sqrt((d + 1.0) / m)
     errs_full, errs_half = [], []
     for trial in range(20):
-        ens = fm.WhiteNoiseEnsemble.generate(d, m, seed=MASTER_SEED + 70 + trial)
+        ens = fm.WhiteNoiseEnsemble(d, m, seed=MASTER_SEED + 70 + trial)
         rng = np.random.default_rng(MASTER_SEED + 700 + trial)
         x = rng.normal(size=d)
         x /= np.linalg.norm(x)
-        _, err = fm.reconstruct_mc(x, ens)
+        ((err, err_half),) = ens.reduce([_reconstruction_errors(x, m // 2)])
         errs_full.append(err)
-        _, err_half = fm.reconstruct_mc(x, ens.restrict(m // 2))
         errs_half.append(err_half)
     ratio = float(np.median(errs_half) / np.median(errs_full))
     elapsed = time.perf_counter() - t0
@@ -211,10 +245,8 @@ def test_criterion_07_frame_decomposition():
 def test_criterion_08_gramian_covariance(ens32):
     t0 = time.perf_counter()
     mb = fm.mercedes_benz_frame()
-    proc = fm.gaussian_process_from_frame(mb, ens32)
-    dist = float(np.linalg.norm(
-        fm.empirical_covariance(proc) - fm.gram(mb).entries
-    ))
+    (cov,) = ens32.reduce([wn.gramian_covariance(mb)])
+    dist = float(np.linalg.norm(cov - fm.gram(mb).entries))
     bound = 5.0 * mb.n_frame / math.sqrt(ens32.sample_count)
     elapsed = time.perf_counter() - t0
     ok = dist <= bound and elapsed < 20.0
@@ -236,17 +268,19 @@ def test_criterion_09_translation(ens32):
     y = rng.normal(size=32)
     y -= float(y @ x) * x
     y /= np.linalg.norm(y)
-    z_mean = fm.rn_mean_check(x, ens32).z_score
-    est_zero = fm.translated_second_moment(np.zeros(32), y, ens32)
-    est_perp = fm.translated_second_moment(x, y, ens32)
-    est_same = fm.translated_second_moment(x, x, ens32)
+    ests = ens32.reduce([
+        translation.rn_mean(x),
+        translation.translated_moment(np.zeros(32), y),
+        translation.translated_moment(x, y),
+        translation.translated_moment(x, x),
+    ])
+    _, est_zero, est_perp, est_same = ests
     targets_ok = (
         est_zero.target == pytest.approx(1.0)
         and est_perp.target == pytest.approx(1.0)
         and est_same.target == pytest.approx(2.0)
     )
-    worst_z = max(abs(z_mean), abs(est_zero.z_score), abs(est_perp.z_score),
-                  abs(est_same.z_score))
+    worst_z = max(_z_scores(ests))
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-12 and targets_ok and worst_z <= 4.0 and elapsed < 30.0
     _report(9, "translation identities", ok,
@@ -257,13 +291,15 @@ def test_criterion_10_karhunen_loeve(ens32):
     t0 = time.perf_counter()
     pf = fm.parseval_rescale(fm.mercedes_benz_frame())
     rng = np.random.default_rng(MASTER_SEED + 10)
-    worst_z = 0.0
+    reductions = []
     for _ in range(10):
         x = rng.normal(size=2)
         x /= np.linalg.norm(x)
-        est = fm.kl_variance_check(pf, x, ens32)
+        reductions.append(translation.kl_variance(pf, x))
+    ests = ens32.reduce(reductions)
+    for est in ests:
         assert est.target == pytest.approx(1.0, abs=1e-10)
-        worst_z = max(worst_z, abs(est.z_score))
+    worst_z = max(_z_scores(ests))
     elapsed = time.perf_counter() - t0
     ok = worst_z <= 4.0 and elapsed < 20.0
     _report(10, "Karhunen-Loeve expansion", ok,
@@ -333,13 +369,14 @@ def test_invariant_all_check_ops_z_band(ens32):
     x /= np.linalg.norm(x)
     y = rng.normal(size=32)
     y /= np.linalg.norm(y)
-    zs = [fm.ito_isometry_check(x, ens32).z_score]
-    re, im = fm.char_functional_check(x, ens32)
-    zs += [re.z_score, im.z_score]
-    zs += [fm.moment_check(x, order, ens32).z_score for order in range(1, 7)]
-    zs += [fm.projection_check(x, y, ens32).z_score,
-           fm.projection_check(x, x, ens32).z_score]
-    assert max(abs(z) for z in zs) <= 4.0
+    results = ens32.reduce([
+        wn.ito_isometry(x),
+        wn.char_functional(x),
+        *(wn.moment(x, order) for order in range(1, 7)),
+        wn.projection(x, y),
+        wn.projection(x, x),
+    ])
+    assert max(_z_scores(results)) <= 4.0
 
 
 def test_criterion_13_reproducibility(monkeypatch):

@@ -58,6 +58,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(command="nosuch")
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "abc"), ("seed", 1.9), ("seed", True), ("samples", [1]), ("dim", None),
+        ("command", 3), ("inputs", "mb.json"), ("inputs", [1]), ("tolerances", [["z_max", 5.0]]),
+        ("tolerances", {"z_max": "abc"}),
+    ])
+    def test_field_types(self, field, value):
+        doc = {"command": "frames", field: value}
+        with pytest.raises(ConfigError, match=repr(field)):
+            ExperimentConfig.from_dict(doc)
+
     def test_positivity(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(command="gaussian", samples=0)
@@ -148,6 +158,17 @@ class TestExitCodes:
         assert main(["gaussian", "--checks", "nosuch"]) == 2
         assert main(["gaussian", "--tolerance", "zmax=1"]) == 2
         capsys.readouterr()
+
+    def test_unreadable_input_is_two(self, tmp_path, capsys):
+        assert main(["frames", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: [Errno 21] Is a directory")
+
+    def test_unwritable_out_is_two(self, measure_path, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "report.json"
+        assert main(["decay", measure_path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: --out:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("markov", "--paths"), ("markov", "--horizon"), ("decay", "--n-max"),

@@ -179,7 +179,7 @@ class TestKarhunenLoeve:
     def test_onb_coordinates(self, ens_small):
         onb = orthonormal_basis_frame(2)
         vals = kl_expand(onb, [1.0, 0.0], ens_small)
-        np.testing.assert_array_equal(vals, ens_small.samples[:, 0])
+        np.testing.assert_array_equal(vals, ens_small.coordinates()[:, 0])
         est = kl_variance_check(onb, [1.0, 0.0], ens_small)
         assert est.target == pytest.approx(1.0)
         assert abs(est.z_score) <= 4
@@ -208,12 +208,12 @@ class TestKarhunenLoeve:
             kl_expand(mb, [1.0, 0.0], ens_small)
 
     def test_frame_count_exceeds_truncation(self, mb):
-        tiny = WhiteNoiseEnsemble.generate(2, 100, seed=0)
+        tiny = WhiteNoiseEnsemble(2, 100, seed=0)
         with pytest.raises(DimensionExceedsTruncation):
             kl_expand(parseval_rescale(mb), [1.0, 0.0], tiny)
 
     def test_kl_is_pairing_for_onb_of_full_space(self):
-        ens = WhiteNoiseEnsemble.generate(4, 5000, seed=4)
+        ens = WhiteNoiseEnsemble(4, 5000, seed=4)
         onb = orthonormal_basis_frame(4)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         np.testing.assert_allclose(kl_expand(onb, x, ens), pairings(x, ens), rtol=1e-12)

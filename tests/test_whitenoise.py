@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -42,31 +43,38 @@ from conftest import unit
 
 class TestEnsemble:
     def test_deterministic(self):
-        a = WhiteNoiseEnsemble.generate(4, 1000, seed=1)
-        b = WhiteNoiseEnsemble.generate(4, 1000, seed=1)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        # an ensemble is its (D, M, seed) triple: equal triples, equal samples
+        names = [f.name for f in dataclasses.fields(WhiteNoiseEnsemble)]
+        assert names == ["truncation_dim", "sample_count", "seed"]
+        a = WhiteNoiseEnsemble(4, 1000, seed=1)
+        assert a == WhiteNoiseEnsemble(4, 1000, seed=1)
+        np.testing.assert_array_equal(a.coordinates(), a.coordinates())
 
     def test_prefix_property(self):
-        big = WhiteNoiseEnsemble.generate(4, 70_000, seed=2)  # spans two blocks
-        small = WhiteNoiseEnsemble.generate(4, 35_000, seed=2)
-        np.testing.assert_array_equal(big.samples[:35_000], small.samples)
-        np.testing.assert_array_equal(big.restrict(35_000).samples, small.samples)
+        big = WhiteNoiseEnsemble(4, 70_000, seed=2)  # spans two blocks
+        assert big.restrict(35_000) == WhiteNoiseEnsemble(4, 35_000, seed=2)
+        head = big.restrict(35_000).coordinates()
+        np.testing.assert_array_equal(head, big.coordinates()[:35_000])
 
-    def test_worker_count_invariance(self):
-        a = WhiteNoiseEnsemble.generate(3, 200_000, seed=3, workers=1)
-        b = WhiteNoiseEnsemble.generate(3, 200_000, seed=3, workers=4)
-        np.testing.assert_array_equal(a.samples, b.samples)
+    def test_worker_count_invariance(self, monkeypatch):
+        # M = 70,000 spans two blocks and ends in a partial tile
+        ens = WhiteNoiseEnsemble(3, 70_000, seed=3)
+        stream = streams.normal_matrix(3, 70_000, 3, streams.STREAM_WHITENOISE)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("FRAMES_THREADS", threads)
+            np.testing.assert_array_equal(ens.coordinates(), stream)
 
     def test_sanity_band(self, ens_small):
         m = ens_small.sample_count
-        assert np.abs(ens_small.samples.mean(axis=0)).max() <= 5 / math.sqrt(m)
-        assert np.abs(ens_small.samples.var(axis=0, ddof=1) - 1).max() <= 5 * math.sqrt(2 / m)
+        z = ens_small.coordinates()
+        assert np.abs(z.mean(axis=0)).max() <= 5 / math.sqrt(m)
+        assert np.abs(z.var(axis=0, ddof=1) - 1).max() <= 5 * math.sqrt(2 / m)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            WhiteNoiseEnsemble.generate(0, 10, seed=0)
+            WhiteNoiseEnsemble(0, 10, seed=0)
         with pytest.raises(ValueError):
-            WhiteNoiseEnsemble.generate(4, 0, seed=0)
+            WhiteNoiseEnsemble(4, 0, seed=0)
 
 
 class TestPairing:
@@ -344,28 +352,11 @@ class TestFusedPass:
         three = _bits(ens.reduce(_all_reductions(mb)))
         assert one == three
 
-    def test_materialized_equals_regenerated(self, mb):
-        lazy = WhiteNoiseEnsemble(FUSED_D, FUSED_M, FUSED_SEED)
-        cached = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, FUSED_SEED)
-        assert lazy.samples is None and cached.samples is not None
-        assert _bits(lazy.reduce(_all_reductions(mb))) == _bits(cached.reduce(_all_reductions(mb)))
-
     def test_restrict_equals_direct(self, mb):
         m = 2 * streams.BLOCK_ROWS + 5
         direct = _bits(WhiteNoiseEnsemble(FUSED_D, m, FUSED_SEED).reduce(_all_reductions(mb)))
-        lazy = WhiteNoiseEnsemble(FUSED_D, FUSED_M, FUSED_SEED).restrict(m)
-        cached = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, FUSED_SEED).restrict(m)
-        assert _bits(lazy.reduce(_all_reductions(mb))) == direct
-        assert _bits(cached.reduce(_all_reductions(mb))) == direct
-
-    def test_regenerated_blocks_are_sample_rows(self):
-        cached = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, FUSED_SEED)
-        for lo in range(0, FUSED_M, streams.BLOCK_ROWS):
-            hi = min(FUSED_M, lo + streams.BLOCK_ROWS)
-            block = streams.normal_rows(
-                FUSED_SEED, lo, hi, FUSED_D, stream=streams.STREAM_WHITENOISE
-            )
-            np.testing.assert_array_equal(block, cached.samples[lo:hi])
+        restricted = WhiteNoiseEnsemble(FUSED_D, FUSED_M, FUSED_SEED).restrict(m)
+        assert _bits(restricted.reduce(_all_reductions(mb))) == direct
 
     def test_suite_peak_memory_is_tile_sized(self, monkeypatch):
         # peak memory is O(workers * TILE_ROWS * D): pin the workers
@@ -399,7 +390,7 @@ class TestSuiteRecordsMatchPublicFunctions:
 
     def test_gaussian(self, mb):
         recs = self._records("gaussian")
-        ens = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, self.SEED)
+        ens = WhiteNoiseEnsemble(FUSED_D, FUSED_M, self.SEED)
         p = _probe_vectors(self.SEED, 3, FUSED_D)
         for i in range(3):
             self._agree(recs[f"isometry_x{i}"], ito_isometry_check(p[i], ens))
@@ -426,7 +417,7 @@ class TestSuiteRecordsMatchPublicFunctions:
 
     def test_translate(self):
         recs = self._records("translate")
-        ens = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, self.SEED)
+        ens = WhiteNoiseEnsemble(FUSED_D, FUSED_M, self.SEED)
         x, y = _probe_vectors(self.SEED, 2, FUSED_D)
         self._agree(recs["rn_density_mean"], translation.rn_mean_check(x, ens))
         self._agree(recs["translated_second_moment"],
@@ -441,7 +432,7 @@ class TestSuiteRecordsMatchPublicFunctions:
         path = tmp_path / "pf.json"
         save_frame(pf, path)
         recs = self._records("kl", [str(path)])
-        ens = WhiteNoiseEnsemble.generate(FUSED_D, FUSED_M, self.SEED)
+        ens = WhiteNoiseEnsemble(FUSED_D, FUSED_M, self.SEED)
         for i, x in enumerate(_probe_vectors(self.SEED, 3, pf.dim)):
             self._agree(recs[f"kl_variance_x{i}"], translation.kl_variance_check(pf, x, ens))
 
@@ -464,7 +455,7 @@ class TestLibraryErrors:
 
         monkeypatch.setattr(streams, "normal_rows", shifted)
         with pytest.raises(SanityBandViolated) as info:
-            WhiteNoiseEnsemble.generate(4, 20_000, seed=1)
+            WhiteNoiseEnsemble(4, 20_000, seed=1).coordinates()
         assert isinstance(info.value, RuntimeError)
         with pytest.raises(SanityBandViolated):
             ito_isometry_check([1.0], WhiteNoiseEnsemble(4, 20_000, seed=1))
