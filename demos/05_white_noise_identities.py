@@ -17,6 +17,18 @@ print(f"ensemble: D = {D}, M = {M}, seed = {SEED}")
 rng = np.random.default_rng(9)
 x = rng.normal(size=D)
 x /= np.linalg.norm(x)
+y = rng.normal(size=D)
+y /= np.linalg.norm(y)
+
+ORDERS = (2, 4, 6, 3)
+# every scalar check below, in one pass over the regenerated samples
+iso, (re, im), *moments, (_, err), proj = ens.reduce([
+    fm.ito_isometry(x),
+    fm.char_functional(x),
+    *(fm.moment(x, order) for order in ORDERS),
+    fm.reconstruction(x),
+    fm.projection(y, y),
+])
 
 
 def show(name, est):
@@ -25,16 +37,15 @@ def show(name, est):
 
 
 # Ito isometry: E <x, w>^2 = ||x||^2
-show("Ito isometry", fm.ito_isometry_check(x, ens))
+show("Ito isometry", iso)
 
 # characteristic functional: E exp(i<x, w>) = exp(-||x||^2/2)
-re, im = fm.char_functional_check(x, ens)
 show("char functional (real)", re)
 show("char functional (imag)", im)
 
 # Gaussian moments: E <x, w>^(2k) = (2k-1)!! ||x||^(2k), odd vanish
-for order in (2, 4, 6, 3):
-    show(f"moment order {order}", fm.moment_check(x, order, ens))
+for order, est in zip(ORDERS, moments):
+    show(f"moment order {order}", est)
 
 # the Gaussian process indexed by a frame has the Gramian as covariance
 mb = fm.mercedes_benz_frame()
@@ -51,11 +62,8 @@ print("\njoint density of the first two process coordinates at 0:",
       fm.joint_density(g2, [0.0, 0.0]))
 
 # frame decomposition x = integral <x, w> w dmu(w), realized by averaging
-x_hat, err = fm.reconstruct_mc(x, ens)
 print(f"\nreconstruction error ||x_hat - x|| = {err:.5f} "
       f"(rms prediction sqrt((D+1)/M) = {np.sqrt((D + 1) / M):.5f})")
 
 # Q = T T* fixes range elements: <Q f, probe> = <y, probe> for f = <y, .>
-y = rng.normal(size=D)
-y /= np.linalg.norm(y)
-show("projection idempotence", fm.projection_check(y, y, ens))
+show("projection idempotence", proj)

@@ -17,12 +17,23 @@ x = rng.normal(size=16)
 x /= np.linalg.norm(x)
 y = rng.normal(size=16)
 y /= np.linalg.norm(y)
+pf = fm.parseval_rescale(fm.mercedes_benz_frame())
+x2d = np.array([0.6, -0.8])
+
+# every ensemble mean below, in one pass over the regenerated samples
+POWERS = (1, 2)
+rn_mean, second, *shifts, kl = ens.reduce([
+    fm.rn_mean(x),
+    fm.translated_moment(x, y),
+    *(fm.translation_consistency(x, y, power) for power in POWERS),
+    fm.kl_variance(pf, x2d),
+])
 
 # density at a single outcome, and its ensemble mean (must be 1)
 w = ens.coordinates()[0]
 print(f"rn_density(x, omega_0) = {fm.rn_density(x, w):.6f}")
-est = fm.rn_mean_check(x, ens)
-print(f"ensemble mean of the density: {est.value:.6f} (target 1, z {est.z_score:+.2f})")
+print(f"ensemble mean of the density: {rn_mean.value:.6f} "
+      f"(target 1, z {rn_mean.z_score:+.2f})")
 
 # pointwise cocycle: E(x1) E(x2) = exp(<x1, x2>) E(x1 + x2)
 x1, x2 = rng.normal(size=(2, 16))
@@ -31,22 +42,17 @@ print(f"\ncocycle lhs {lhs:.12e} vs rhs {rhs:.12e} "
       f"(rel diff {abs(lhs - rhs) / rhs:.1e})")
 
 # integral E(x) <y, w>^2 dmu = <x, y>^2 + ||y||^2
-est = fm.translated_second_moment(x, y, ens)
-print(f"\ntranslated second moment: {est.value:.5f} vs {est.target:.5f} "
-      f"(z {est.z_score:+.2f})")
+print(f"\ntranslated second moment: {second.value:.5f} vs {second.target:.5f} "
+      f"(z {second.z_score:+.2f})")
 
 # change of variables: integrating against the density = shifting the argument
-for power in (1, 2):
-    est = fm.translation_consistency_check(x, y, ens, power=power)
+for power, est in zip(POWERS, shifts):
     print(f"shift consistency, g = <y,.>^{power}: diff {est.value:+.5f} "
           f"(z {est.z_score:+.2f})")
 
 # Karhunen-Loeve for the Parseval-rescaled Mercedes-Benz frame
-pf = fm.parseval_rescale(fm.mercedes_benz_frame())
 print(f"\nParseval rescale: bounds [{pf.lower_bound:.12f}, {pf.upper_bound:.12f}]")
-x2d = np.array([0.6, -0.8])
 vals = fm.kl_expand(pf, x2d, ens)
-est = fm.kl_variance_check(pf, x2d, ens)
-print(f"KL expansion of {x2d}: empirical E[(Tx)^2] = {est.value:.5f} "
-      f"vs coefficient energy {est.target:.5f} (z {est.z_score:+.2f})")
+print(f"KL expansion of {x2d}: empirical E[(Tx)^2] = {kl.value:.5f} "
+      f"vs coefficient energy {kl.target:.5f} (z {kl.z_score:+.2f})")
 print("per-sample values are plain Gaussians:", np.round(vals[:5], 4))

@@ -68,27 +68,28 @@ from .translation import (
     cocycle_check,
     exp_functional,
     kl_expand,
-    kl_variance_check,
+    kl_variance,
     parseval_rescale,
     rn_density,
-    rn_mean_check,
-    translated_second_moment,
-    translation_consistency_check,
+    rn_mean,
+    translated_moment,
+    translation_consistency,
 )
 from .whitenoise import (
     McEstimate,
     WhiteNoiseEnsemble,
-    char_functional_check,
+    char_functional,
     empirical_covariance,
     gaussian_process_from_frame,
-    ito_isometry_check,
+    gramian_covariance,
+    ito_isometry,
     joint_density,
     mc_estimate,
-    moment_check,
+    moment,
     pairing,
     pairings,
-    projection_check,
-    reconstruct_mc,
+    projection,
+    reconstruction,
     synthesis_mc,
 )
 

@@ -53,6 +53,12 @@ class ExperimentConfig:
             raise ConfigError("samples must be positive")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
+        known = sorted(opt.name for opt in COMMANDS[self.command].options)
+        unknown = sorted(set(self.options) - set(known))
+        if unknown:
+            raise ConfigError(
+                f"unknown options {unknown} for command {self.command!r}; known: {known}"
+            )
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(

@@ -30,7 +30,6 @@ from .errors import (
 from .frames import Frame, analysis, as_rows, as_vector, build_frame
 from .whitenoise import (
     MAX_MOMENT_ORDER,
-    McEstimate,
     Reduction,
     WhiteNoiseEnsemble,
     _mean_reduction,
@@ -53,11 +52,7 @@ def _density(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
             f"vector dimension {x.shape[-1]} exceeds truncation {omega.shape[-1]}"
         )
     # <x, omega> with x zero-padded to omega's length, as `pairing` reads it
-    exponent = np.vecdot(x, omega[..., : x.shape[-1]]) - 0.5 * np.vecdot(x, x)
-    peak = float(np.abs(exponent).max(initial=0.0))
-    if peak > EXP_LIMIT:
-        raise Overflow(f"density exponent {peak:.3g} outside double range")
-    return np.exp(exponent)
+    return _exp_values(np.vecdot(x, omega[..., : x.shape[-1]]), np.vecdot(x, x))
 
 
 def rn_density(x, omega):
@@ -82,8 +77,9 @@ class ExpFunctional:
             raise NonPositiveFunctional("exponential functional must be strictly positive")
 
 
-def _exp_values(t: np.ndarray, norm_sq: float) -> np.ndarray:
-    """E(x) at samples with pairings t = <x, omega>, ||x||^2 = norm_sq."""
+def _exp_values(t: np.ndarray, norm_sq) -> np.ndarray:
+    """E(x) at samples with pairings t = <x, omega>, ||x||^2 = norm_sq;
+    norm_sq is a float, or an array that broadcasts against t."""
     exponents = t - 0.5 * norm_sq
     peak = float(np.abs(exponents).max()) if exponents.size else 0.0
     if peak > EXP_LIMIT:
@@ -125,23 +121,18 @@ def _widen(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def rn_mean(x) -> Reduction:
-    """Reduction behind `rn_mean_check`."""
-    x = as_vector(x)
-    norm_sq = float(x @ x)
-    return _mean_reduction(x, lambda p: _exp_values(p, norm_sq), [1.0])
-
-
-def rn_mean_check(x, ens: WhiteNoiseEnsemble) -> McEstimate:
     """Ensemble mean of E(x) against 1 (the density integrates to 1).
 
     Single-sample variance is exp(||x||^2) - 1: bands degrade quickly,
     keep ||x||^2 modest.
     """
-    return ens.reduce([rn_mean(x)])[0]
+    x = as_vector(x)
+    norm_sq = float(x @ x)
+    return _mean_reduction(x, lambda p: _exp_values(p, norm_sq), [1.0])
 
 
 def translated_moment(x, y) -> Reduction:
-    """Reduction behind `translated_second_moment`."""
+    """Mean of E(x) <y, omega>^2 against <x, y>^2 + ||y||^2."""
     x = as_vector(x)
     y = as_vector(y)
     d = min(x.size, y.size)
@@ -152,13 +143,11 @@ def translated_moment(x, y) -> Reduction:
     )
 
 
-def translated_second_moment(x, y, ens: WhiteNoiseEnsemble) -> McEstimate:
-    """Mean of E(x) <y, omega>^2 against <x, y>^2 + ||y||^2."""
-    return ens.reduce([translated_moment(x, y)])[0]
-
-
 def translation_consistency(x, y, power: int = 1) -> Reduction:
-    """Reduction behind `translation_consistency_check`."""
+    """Change of variables: mean of E(x) g - mean of g(. + x) against 0,
+    for g(omega) = <y, omega>^power, 1 <= power <= 9. Per-sample
+    differences share omega_m, so the standard error reflects the coupled
+    estimator."""
     if not 1 <= power <= MAX_MOMENT_ORDER:
         raise KTooLarge(f"power must be in 1..{MAX_MOMENT_ORDER}, got {power}")
     x = as_vector(x)
@@ -172,14 +161,6 @@ def translation_consistency(x, y, power: int = 1) -> Reduction:
         return e * _power(t, power) - _power(t + shift, power)
 
     return _mean_reduction(_stacked(x, y), values, [0.0])
-
-
-def translation_consistency_check(x, y, ens: WhiteNoiseEnsemble, power: int = 1) -> McEstimate:
-    """Change of variables: mean of E(x) g - mean of g(. + x) against 0,
-    for g(omega) = <y, omega>^power, 1 <= power <= 9. Per-sample
-    differences share omega_m, so the standard error reflects the coupled
-    estimator."""
-    return ens.reduce([translation_consistency(x, y, power)])[0]
 
 
 def parseval_rescale(frame: Frame) -> Frame:
@@ -221,17 +202,13 @@ def kl_expand(frame: Frame, x, ens: WhiteNoiseEnsemble) -> np.ndarray:
 
 
 def kl_variance(frame: Frame, x) -> Reduction:
-    """Reduction behind `kl_variance_check`: the Karhunen-Loeve values
-    are the pairings with the coefficient vector (<x, phi_n>)_n."""
+    """Empirical E[(T x)^2] against sum_n <x, phi_n>^2.
+
+    The Karhunen-Loeve values are the pairings with the coefficient
+    vector (<x, phi_n>)_n. For a Parseval frame the target equals
+    ||x||^2; stating it as the coefficient energy keeps the check valid
+    for near-Parseval frames.
+    """
     _require_parseval(frame)
     coeffs = analysis(frame, x)
     return _mean_reduction(coeffs, lambda p: p * p, [coeffs @ coeffs])
-
-
-def kl_variance_check(frame: Frame, x, ens: WhiteNoiseEnsemble) -> McEstimate:
-    """Empirical E[(T x)^2] against sum_n <x, phi_n>^2.
-
-    For a Parseval frame the target equals ||x||^2; stating it as the
-    coefficient energy keeps the check valid for near-Parseval frames.
-    """
-    return ens.reduce([kl_variance(frame, x)])[0]

@@ -24,10 +24,11 @@ number of reductions in one pass: each tile of TILE_ROWS samples is paired
 with the stacked probes of all of them in one GEMM, and the tile
 statistics are merged in tile order (Chan, Golub & LeVeque 1979). The
 order is fixed, so estimates are bitwise identical for any thread count
-and for `restrict(m)` versus an ensemble of m samples. A public check such
-as `ito_isometry_check(x, ens)` is its reduction (`ito_isometry(x)`) run
-alone; the array functions (`pairings`, `gaussian_process_from_frame`,
-`synthesis_mc`) read the whole (M, D) matrix from `coordinates()`.
+and for `restrict(m)` versus an ensemble of m samples. A check is run by
+passing its reduction to `reduce`, alone or with others:
+`ens.reduce([ito_isometry(x), moment(x, 4)])`. The array functions
+(`pairings`, `gaussian_process_from_frame`, `synthesis_mc`) read the whole
+(M, D) matrix from `coordinates()`.
 """
 import itertools
 import math
@@ -297,33 +298,28 @@ def pairings(x, ens: WhiteNoiseEnsemble) -> np.ndarray:
 
 
 def ito_isometry(x) -> Reduction:
-    """Reduction behind `ito_isometry_check`."""
+    """Mean of <x, omega>^2 against ||x||^2 (isometry into L^2)."""
     x = as_vector(x)
     return _mean_reduction(x, lambda p: p * p, [x @ x])
 
 
-def ito_isometry_check(x, ens: WhiteNoiseEnsemble) -> McEstimate:
-    """Mean of <x, omega>^2 against ||x||^2 (isometry into L^2)."""
-    return ens.reduce([ito_isometry(x)])[0]
-
-
 def char_functional(x) -> Reduction:
-    """Reduction behind `char_functional_check`."""
+    """Mean of exp(i <x, omega>) against exp(-||x||^2 / 2).
+
+    Finishes to (real, imaginary) McEstimates; the imaginary target is 0.
+    """
     x = as_vector(x)
     target = math.exp(-0.5 * float(x @ x))
     return _mean_reduction(x, lambda p: np.concatenate([np.cos(p), np.sin(p)]), [target, 0.0])
 
 
-def char_functional_check(x, ens: WhiteNoiseEnsemble):
-    """Mean of exp(i <x, omega>) against exp(-||x||^2 / 2).
-
-    Returns (real, imaginary) McEstimates; the imaginary target is 0.
-    """
-    return ens.reduce([char_functional(x)])[0]
-
-
 def moment(x, order: int) -> Reduction:
-    """Reduction behind `moment_check`."""
+    """Mean of <x, omega>^order against the Gaussian moment.
+
+    Even order 2k targets (2k-1)!! * ||x||^(2k); odd orders target 0.
+    Orders above 9 are refused: the single-sample variance grows like
+    (4k-1)!! and drowns the estimate at desk-scale M.
+    """
     if not 1 <= order <= MAX_MOMENT_ORDER:
         raise KTooLarge(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {order}")
     x = as_vector(x)
@@ -332,16 +328,6 @@ def moment(x, order: int) -> Reduction:
     else:
         target = 0.0
     return _mean_reduction(x, lambda p: _power(p, order), [target])
-
-
-def moment_check(x, order: int, ens: WhiteNoiseEnsemble) -> McEstimate:
-    """Mean of <x, omega>^order against the Gaussian moment.
-
-    Even order 2k targets (2k-1)!! * ||x||^(2k); odd orders target 0.
-    Orders above 9 are refused: the single-sample variance grows like
-    (4k-1)!! and drowns the estimate at desk-scale M.
-    """
-    return ens.reduce([moment(x, order)])[0]
 
 
 def gaussian_process_from_frame(frame: Frame, ens: WhiteNoiseEnsemble) -> np.ndarray:
@@ -413,7 +399,12 @@ def synthesis_mc(f_values, ens: WhiteNoiseEnsemble) -> np.ndarray:
 
 
 def reconstruction(x) -> Reduction:
-    """Reduction behind `reconstruct_mc`."""
+    """Frame decomposition x = integral <x, omega> omega dmu via MC.
+
+    Finishes to (x_hat, err) with x_hat the synthesis of f(omega) =
+    <x, omega> and err = ||x_hat - x||. The per-sample integrand has
+    covariance trace (D+1) ||x||^2, so E[err^2] = (D+1) ||x||^2 / M.
+    """
     x = as_vector(x)
 
     def finish(total, m):
@@ -427,29 +418,14 @@ def reconstruction(x) -> Reduction:
     )
 
 
-def reconstruct_mc(x, ens: WhiteNoiseEnsemble):
-    """Frame decomposition x = integral <x, omega> omega dmu via MC.
-
-    Returns (x_hat, err) with x_hat the synthesis of f(omega) = <x, omega>
-    and err = ||x_hat - x||. The per-sample integrand has covariance trace
-    (D+1) ||x||^2, so E[err^2] = (D+1) ||x||^2 / M.
-    """
-    return ens.reduce([reconstruction(x)])[0]
-
-
 def projection(y, x_probe) -> Reduction:
-    """Reduction behind `projection_check`."""
-    y = as_vector(y)
-    x_probe = as_vector(x_probe)
-    d = min(y.size, x_probe.size)
-    target = float(y[:d] @ x_probe[:d])
-    return _mean_reduction(_stacked(y, x_probe), lambda p: p[:1] * p[1:], [target])
-
-
-def projection_check(y, x_probe, ens: WhiteNoiseEnsemble) -> McEstimate:
     """Idempotence of Q = T T* on range elements, contracted against a probe.
 
     For f = <y, .>, compares <synthesis_mc(f), x_probe> (sample mean of
     <y, omega><x_probe, omega>) with the exact value <y, x_probe>.
     """
-    return ens.reduce([projection(y, x_probe)])[0]
+    y = as_vector(y)
+    x_probe = as_vector(x_probe)
+    d = min(y.size, x_probe.size)
+    target = float(y[:d] @ x_probe[:d])
+    return _mean_reduction(_stacked(y, x_probe), lambda p: p[:1] * p[1:], [target])

@@ -192,8 +192,8 @@ def test_criterion_06_moments(ens32):
 
 
 def _reconstruction_errors(x, head):
-    """Reduction to the errors of `reconstruct_mc(x, ens)` and of
-    `reconstruct_mc(x, ens.restrict(head))` in one pass over ens.
+    """Reduction to the errors of `reconstruction(x)` over ens and over
+    `ens.restrict(head)`, in one pass over ens.
 
     Tile statistics are (rows, tile sum, head sum, tile pairings and
     samples); the merge adds the part of the tile in which the first

@@ -52,6 +52,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(command="frames", tolerances={"z_mx": 4.0})
 
+    def test_strict_options(self):
+        # an option its command does not have is refused, not ignored
+        with pytest.raises(ConfigError, match=r"known: \['n_max'\]"):
+            ExperimentConfig.from_dict({"command": "decay", "options": {"n_maxx": 3}})
+        with pytest.raises(ConfigError, match=r"\['bogus'\].*known: \[\]"):
+            ExperimentConfig(command="verify-all", options={"bogus": 1})
+        with pytest.raises(ConfigError, match="'check'"):
+            ExperimentConfig(command="gaussian", options={"check": ["isometry"]})
+
     def test_requires_command(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({})

@@ -1,5 +1,6 @@
-"""Each demo script runs to completion."""
+"""Each demo script, and the README's library example, runs to completion."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,22 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    proc = _run([str(demo)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_python_block_runs():
+    # a public name renamed or deleted without a README edit fails here
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    proc = _run(["-c", "\n".join(blocks)])
     assert proc.returncode == 0, proc.stderr[-2000:]

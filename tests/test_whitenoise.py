@@ -9,18 +9,18 @@ from framemeasures import (
     McEstimate,
     WhiteNoiseEnsemble,
     build_frame,
-    char_functional_check,
+    char_functional,
     empirical_covariance,
     gaussian_process_from_frame,
     gram,
-    ito_isometry_check,
+    ito_isometry,
     joint_density,
     mc_estimate,
-    moment_check,
+    moment,
     pairing,
     pairings,
-    projection_check,
-    reconstruct_mc,
+    projection,
+    reconstruction,
     save_frame,
     synthesis_mc,
 )
@@ -96,36 +96,35 @@ class TestPairing:
 
 class TestItoIsometry:
     def test_zero_vector(self, ens_small):
-        est = ito_isometry_check(np.zeros(4), ens_small)
+        [est] = ens_small.reduce([ito_isometry(np.zeros(4))])
         assert est.value == 0.0 and est.target == 0.0 and est.z_score == 0.0
 
     def test_unit_vector_band(self, ens_small):
         # chi-square(1) variance 2 gives the CLT band 3*sqrt(2/M)
         x = unit([1.0, 2.0, -1.0, 0.5])
-        est = ito_isometry_check(x, ens_small)
+        [est] = ens_small.reduce([ito_isometry(x)])
         assert abs(est.value - 1.0) <= 3 * math.sqrt(2 / ens_small.sample_count)
         assert abs(est.z_score) <= 4
 
     def test_exact_quadratic_scaling(self, ens_small):
         x = np.array([0.5, -1.0, 0.25, 0.0])
-        a = ito_isometry_check(x, ens_small)
-        b = ito_isometry_check(2.0 * x, ens_small)
+        a, b = ens_small.reduce([ito_isometry(x), ito_isometry(2.0 * x)])
         assert b.value == 4.0 * a.value  # doubling is exact in binary
 
 
 class TestCharFunctional:
     def test_zero_vector_exact(self, ens_small):
-        re, im = char_functional_check(np.zeros(3), ens_small)
+        [(re, im)] = ens_small.reduce([char_functional(np.zeros(3))])
         assert re.value == 1.0 and im.value == 0.0
 
     def test_unit_norm_target(self, ens_small):
-        re, im = char_functional_check(unit([1.0, 1.0, 1.0]), ens_small)
+        [(re, im)] = ens_small.reduce([char_functional(unit([1.0, 1.0, 1.0]))])
         assert re.target == pytest.approx(math.exp(-0.5))
         assert abs(re.z_score) <= 4 and abs(im.z_score) <= 4
 
     def test_norm_sq_two_target(self, ens_small):
         x = math.sqrt(2.0) * unit([2.0, -1.0, 0.0, 1.0])
-        re, _ = char_functional_check(x, ens_small)
+        [(re, _)] = ens_small.reduce([char_functional(x)])
         assert re.target == pytest.approx(math.exp(-1.0))
         assert abs(re.z_score) <= 4
 
@@ -134,25 +133,25 @@ class TestMoments:
     @pytest.mark.parametrize("order,coef", [(2, 1.0), (4, 3.0), (6, 15.0)])
     def test_even_targets(self, ens_small, order, coef):
         x = unit([1.0, -2.0, 0.5, 3.0])
-        est = moment_check(x, order, ens_small)
+        [est] = ens_small.reduce([moment(x, order)])
         assert est.target == pytest.approx(coef)
         assert abs(est.z_score) <= 4
 
     @pytest.mark.parametrize("order", [1, 3, 5])
     def test_odd_targets_zero(self, ens_small, order):
-        est = moment_check(unit([0.3, 0.1, -0.7]), order, ens_small)
+        [est] = ens_small.reduce([moment(unit([0.3, 0.1, -0.7]), order)])
         assert est.target == 0.0
         assert abs(est.z_score) <= 4
 
     def test_norm_scaling(self, ens_small):
-        est = moment_check(2.0 * unit([1.0, 1.0]), 2, ens_small)
+        [est] = ens_small.reduce([moment(2.0 * unit([1.0, 1.0]), 2)])
         assert est.target == pytest.approx(4.0)
 
-    def test_order_cap(self, ens_small):
+    def test_order_cap(self):
         with pytest.raises(KTooLarge):
-            moment_check([1.0], 10, ens_small)
+            moment([1.0], 10)
         with pytest.raises(KTooLarge):
-            moment_check([1.0], 0, ens_small)
+            moment([1.0], 0)
 
 
 class TestGaussianProcess:
@@ -239,7 +238,7 @@ class TestSynthesisReconstruction:
             synthesis_mc(np.ones(10), ens_small)
 
     def test_reconstruct_zero_exact(self, ens_small):
-        x_hat, err = reconstruct_mc(np.zeros(4), ens_small)
+        [(x_hat, err)] = ens_small.reduce([reconstruction(np.zeros(4))])
         assert err == 0.0
         np.testing.assert_array_equal(x_hat, np.zeros(16))
 
@@ -247,15 +246,15 @@ class TestSynthesisReconstruction:
         # Isserlis oracle: E||<x,w>w - x||^2 = (D+1)||x||^2
         x = np.zeros(16)
         x[:4] = unit([1.0, 2.0, 3.0, 4.0])
-        _, err = reconstruct_mc(x, ens_small)
+        [(_, err)] = ens_small.reduce([reconstruction(x)])
         assert err <= 3 * math.sqrt(17 / ens_small.sample_count)
 
     def test_reconstruct_linearity(self, ens_small):
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(2, 5))
-        hx, _ = reconstruct_mc(x, ens_small)
-        hy, _ = reconstruct_mc(y, ens_small)
-        hxy, _ = reconstruct_mc(x + y, ens_small)
+        (hx, _), (hy, _), (hxy, _) = ens_small.reduce(
+            [reconstruction(x), reconstruction(y), reconstruction(x + y)]
+        )
         np.testing.assert_allclose(hxy, hx + hy, rtol=1e-12, atol=1e-14)
 
     def test_adjointness_at_sample_level(self, ens_small):
@@ -269,17 +268,17 @@ class TestSynthesisReconstruction:
 
 class TestProjection:
     def test_zero_case(self, ens_small):
-        est = projection_check(np.zeros(3), np.zeros(3), ens_small)
+        [est] = ens_small.reduce([projection(np.zeros(3), np.zeros(3))])
         assert est.value == 0.0 and est.target == 0.0
 
     def test_range_idempotence(self, ens_small):
         y = unit([1.0, -1.0, 2.0])
-        est = projection_check(y, y, ens_small)
+        [est] = ens_small.reduce([projection(y, y)])
         assert est.target == pytest.approx(1.0)
         assert abs(est.z_score) <= 4
 
     def test_orthogonal_probe(self, ens_small):
-        est = projection_check([1.0, 0.0], [0.0, 1.0], ens_small)
+        [est] = ens_small.reduce([projection([1.0, 0.0], [0.0, 1.0])])
         assert est.target == 0.0
         assert abs(est.z_score) <= 4
 
@@ -372,9 +371,11 @@ class TestFusedPass:
 
 
 class TestSuiteRecordsMatchPublicFunctions:
-    """Each gaussian/translate/kl record, taken from the fused pass, agrees
-    with the public function it reports. BLAS may round the stacked product
-    and a lone product differently, so agreement is to 1e-12, not bitwise."""
+    """Each gaussian/translate/kl record, taken from the suite's pass,
+    agrees with the public builder it reports run through `reduce`, and
+    the covariance and adjointness records with the array functions. BLAS
+    may round a product differently when the probes are stacked
+    differently, so agreement is to 1e-12, not bitwise."""
 
     SEED = 11
 
@@ -392,18 +393,29 @@ class TestSuiteRecordsMatchPublicFunctions:
         recs = self._records("gaussian")
         ens = WhiteNoiseEnsemble(FUSED_D, FUSED_M, self.SEED)
         p = _probe_vectors(self.SEED, 3, FUSED_D)
+        y_perp = p[1] - float(p[1] @ p[2]) * p[2]
+        charfn = (("unit", p[0]), ("sqrt2", p[1] * math.sqrt(2.0)))
+        orders = (2, 4, 6, 3, 5)
+        ests = iter(ens.reduce([
+            *(ito_isometry(v) for v in p),
+            *(char_functional(x) for _, x in charfn),
+            *(moment(p[0], order) for order in orders),
+            reconstruction(p[0]),
+            projection(p[2], p[2]),
+            projection(p[2], y_perp),
+        ]))
         for i in range(3):
-            self._agree(recs[f"isometry_x{i}"], ito_isometry_check(p[i], ens))
-        for label, x in (("unit", p[0]), ("sqrt2", p[1] * math.sqrt(2.0))):
-            re, im = char_functional_check(x, ens)
+            self._agree(recs[f"isometry_x{i}"], next(ests))
+        for label, _ in charfn:
+            re, im = next(ests)
             self._agree(recs[f"charfn_{label}_real"], re)
             self._agree(recs[f"charfn_{label}_imag"], im)
-        for order in (2, 4, 6, 3, 5):
-            self._agree(recs[f"moment_{order}"], moment_check(p[0], order, ens))
+        for order in orders:
+            self._agree(recs[f"moment_{order}"], next(ests))
         cov = empirical_covariance(gaussian_process_from_frame(mb, ens))
         dist = float(np.linalg.norm(cov - gram(mb).entries))
         assert recs["covariance_frobenius"].value == pytest.approx(dist, rel=1e-12)
-        x_hat, err = reconstruct_mc(p[0], ens)
+        _, err = next(ests)
         assert recs["reconstruct_error"].value == pytest.approx(err, rel=1e-12)
         # a rounding-level residual: compare absolutely
         f = pairings(p[0], ens)
@@ -411,21 +423,23 @@ class TestSuiteRecordsMatchPublicFunctions:
         rhs = float(synthesis_mc(f, ens) @ p[1])
         adj = abs(lhs - rhs) / abs(rhs)
         assert abs(recs["synthesis_adjoint_rel_residual"].value - adj) <= 1e-12
-        self._agree(recs["projection_self"], projection_check(p[2], p[2], ens))
-        y_perp = p[1] - float(p[1] @ p[2]) * p[2]
-        self._agree(recs["projection_orthogonal"], projection_check(p[2], y_perp, ens))
+        self._agree(recs["projection_self"], next(ests))
+        self._agree(recs["projection_orthogonal"], next(ests))
 
     def test_translate(self):
         recs = self._records("translate")
         ens = WhiteNoiseEnsemble(FUSED_D, FUSED_M, self.SEED)
         x, y = _probe_vectors(self.SEED, 2, FUSED_D)
-        self._agree(recs["rn_density_mean"], translation.rn_mean_check(x, ens))
-        self._agree(recs["translated_second_moment"],
-                    translation.translated_second_moment(x, y, ens))
-        self._agree(recs["shift_consistency_linear"],
-                    translation.translation_consistency_check(x, y, ens, power=1))
-        self._agree(recs["shift_consistency_quadratic"],
-                    translation.translation_consistency_check(x, y, ens, power=2))
+        names = ("rn_density_mean", "translated_second_moment",
+                 "shift_consistency_linear", "shift_consistency_quadratic")
+        ests = ens.reduce([
+            translation.rn_mean(x),
+            translation.translated_moment(x, y),
+            translation.translation_consistency(x, y, power=1),
+            translation.translation_consistency(x, y, power=2),
+        ])
+        for name, est in zip(names, ests, strict=True):
+            self._agree(recs[name], est)
 
     def test_kl(self, mb, tmp_path):
         pf = translation.parseval_rescale(mb)
@@ -433,8 +447,10 @@ class TestSuiteRecordsMatchPublicFunctions:
         save_frame(pf, path)
         recs = self._records("kl", [str(path)])
         ens = WhiteNoiseEnsemble(FUSED_D, FUSED_M, self.SEED)
-        for i, x in enumerate(_probe_vectors(self.SEED, 3, pf.dim)):
-            self._agree(recs[f"kl_variance_x{i}"], translation.kl_variance_check(pf, x, ens))
+        probes = _probe_vectors(self.SEED, 3, pf.dim)
+        ests = ens.reduce(translation.kl_variance(pf, x) for x in probes)
+        for i, est in enumerate(ests):
+            self._agree(recs[f"kl_variance_x{i}"], est)
 
 
 class TestLibraryErrors:
@@ -458,6 +474,6 @@ class TestLibraryErrors:
             WhiteNoiseEnsemble(4, 20_000, seed=1).coordinates()
         assert isinstance(info.value, RuntimeError)
         with pytest.raises(SanityBandViolated):
-            ito_isometry_check([1.0], WhiteNoiseEnsemble(4, 20_000, seed=1))
+            WhiteNoiseEnsemble(4, 20_000, seed=1).reduce([ito_isometry([1.0])])
         assert main(["gaussian", "--samples", "20000", "--dim", "4"]) == 3
         assert "SanityBandViolated" in capsys.readouterr().err
