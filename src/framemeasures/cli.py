@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in command.options:
             if opt.exclusive:
                 group = group or p.add_mutually_exclusive_group()
-            # left out, an option reads None and takes its table default
-            kwargs = {"action": "store_true"} if opt.type is bool else {"type": opt.type}
+            # the text is parsed, and a left-out option (None) defaulted, by ExperimentConfig
+            kwargs = {"action": "store_true"} if isinstance(opt.default, bool) else {}
             (group if opt.exclusive else p).add_argument(opt.flag, help=opt.help, **kwargs)
         for setting, default in _SETTINGS.items():
             p.add_argument(f"--{setting}", type=int, default=default)
@@ -61,20 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> ExperimentConfig:
     command = COMMANDS[args.command]
-    options = {}
-    for opt in command.options:
-        value = getattr(args, opt.name)
-        if value is None:
-            value = opt.default
-        elif opt.parse:
-            value = opt.parse(value)
-        options[opt.name] = value
     return ExperimentConfig(
         command=args.command,
         **{setting: getattr(args, setting) for setting in _SETTINGS},
         tolerances=_parse_tolerances(args.tolerance),
         inputs=tuple(getattr(args, inp.name) for inp in command.inputs),
-        options=options,
+        options={opt.name: getattr(args, opt.name) for opt in command.options},
     )
 
 

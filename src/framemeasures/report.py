@@ -53,12 +53,20 @@ class ExperimentConfig:
             raise ConfigError("samples must be positive")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
-        known = sorted(opt.name for opt in COMMANDS[self.command].options)
+        options = COMMANDS[self.command].options
+        known = sorted(opt.name for opt in options)
         unknown = sorted(set(self.options) - set(known))
         if unknown:
             raise ConfigError(
                 f"unknown options {unknown} for command {self.command!r}; known: {known}"
             )
+        # every option: a given value through its parser, a left-out one (or
+        # a JSON null) at its table default
+        given = {name: value for name, value in self.options.items() if value is not None}
+        object.__setattr__(self, "options", {
+            opt.name: opt.parse(given[opt.name], opt.flag) if opt.name in given else opt.default
+            for opt in options
+        })
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(
@@ -67,6 +75,9 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"config field 'tolerances': {key!r} needs a number, "
                                   f"got {value!r}")
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"config field 'tolerances': {key!r} needs a finite "
+                                  f"number >= 0, got {value!r}")
         # an integer would be opened as a file descriptor
         if not all(isinstance(path, str) for path in self.inputs):
             raise ConfigError(f"config field 'inputs' must hold paths, got {list(self.inputs)!r}")
@@ -101,16 +112,10 @@ class ExperimentConfig:
             "dim": self.dim,
             "tolerances": dict(self.tolerances),
             "inputs": list(self.inputs),
-            "options": {k: _jsonable(v) for k, v in self.options.items()},
+            # option values are JSON values once parsed; tuples become arrays
+            "options": {k: list(v) if isinstance(v, tuple) else v
+                        for k, v in self.options.items()},
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if hasattr(v, "tolist"):
-        return v.tolist()
-    return v
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,16 @@
 `COMMANDS`, at the end of this module, is the one table of commands: for
 each, its help text, its positional inputs with their loaders, its
 options (flag, value parser, default, help) and its record builder. The
-CLI builds its parser and its ExperimentConfig from the table; `run`
-dispatches a config through it, loads the inputs, fills in the table
-default of every option the config leaves out, times the builder and
-assembles the Report. verify-all calls the other builders on built-in
-inputs and resolves all white-noise checks in one pass over one ensemble.
+CLI builds its parser from the table, and ExperimentConfig parses every
+option value through it; `run` dispatches a config through it, loads the
+inputs, times the builder and assembles the Report. verify-all calls the
+other builders on built-in inputs and resolves all white-noise checks in
+one pass over one ensemble.
 """
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -52,19 +53,12 @@ def run(config: ExperimentConfig) -> Report:
             f"got {len(config.inputs)}"
         )
     loaded = [inp.load(path) for inp, path in zip(command.inputs, config.inputs)]
-    out = _call(command.build, config, *loaded, **config.options)
+    out = command.build(config, *loaded, **config.options)
     records, extras = out if isinstance(out, tuple) else (out, {})
     return build_report(
         config.command, config, _resolve(config, records), time.perf_counter() - start,
         extras=extras,
     )
-
-
-def _call(build, /, *args, **given):
-    """`build(*args)` with each of its command's options set to the value
-    in `given`, or to the table default where `given` leaves it out."""
-    options = next(command.options for command in COMMANDS.values() if command.build is build)
-    return build(*args, **{opt.name: given.get(opt.name, opt.default) for opt in options})
 
 
 def _probe_vectors(seed: int, count: int, dim: int, unit: bool = True) -> np.ndarray:
@@ -138,7 +132,6 @@ def _wasserstein_records(config, mu, nu, prefix=""):
 # ------------------------------------------------------------------ decay
 
 def _decay_records(config, mu, prefix="", *, n_max):
-    n_max = int(n_max)
     seq = measures_mod.lower_bound_decay(mu, n_max)
     m2 = measures_mod.second_moment(mu)
     records = [
@@ -156,15 +149,12 @@ def _markov_records(
     config, frame, prefix="", *, start_index, start_vector, horizon, paths, paths_csv
 ):
     chain = markov_mod.build_chain(frame)
-    if start_vector is not None:
-        x = np.asarray(start_vector, dtype=float)
-    else:
-        start_index = int(start_index)
+    x = start_vector
+    if x is None:
         if not 0 <= start_index < frame.n_frame:
             raise ConfigError(f"start index {start_index} outside 0..{frame.n_frame - 1}")
         x = frame.vectors[start_index]
-    paths = int(paths)
-    idx, probs = markov_mod.sample_path_indices(chain, x, int(horizon), paths, config.seed)
+    idx, probs = markov_mod.sample_path_indices(chain, x, horizon, paths, config.seed)
     recompute = float(np.abs(probs[:200] - markov_mod.path_probability(chain, x, idx[:200])).max())
     records = [
         bound_record(prefix + "row_sum_residual", chain.row_sum_residual, markov_mod.ROW_SUM_TOL),
@@ -274,10 +264,6 @@ def _resolve(config, items):
 
 
 def _gaussian_records(config, prefix="", *, checks):
-    checks = checks or GAUSSIAN_CHECKS
-    unknown = set(checks) - set(GAUSSIAN_CHECKS)
-    if unknown:
-        raise ConfigError(f"unknown gaussian checks: {sorted(unknown)}")
     z_max = config.tolerance("z_max")
     rel = config.tolerance("exact_rel")
     d = config.dim
@@ -334,14 +320,13 @@ def _translate_records(config, prefix="", *, x, y):
     d = config.dim
     if x is None or y is None:
         probes = _probe_vectors(config.seed, 2, d)
-        x = probes[0] if x is None else np.asarray(x, dtype=float)
-        y = probes[1] if y is None else np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if float(x @ x) > 4.0:
+        x = probes[0] if x is None else x
+        y = probes[1] if y is None else y
+    norm_sq = float(np.dot(x, x))
+    if norm_sq > 4.0:
         log.warning(
             "||x||^2 = %.3g > 4; importance-sampling variance grows like "
-            "exp(||x||^2) and 4-sigma bands lose power", float(x @ x),
+            "exp(||x||^2) and 4-sigma bands lose power", norm_sq,
         )
 
     triples = streams.normal_matrix(config.seed, 1000, 3 * d, stream=streams.STREAM_COCYCLE)
@@ -370,10 +355,7 @@ def _kl_records(config, frame, prefix="", *, x):
             trans_mod.PARSEVAL_TOL,
         )
     ]
-    if x is not None:
-        xs = [np.asarray(x, dtype=float)]
-    else:
-        xs = list(_probe_vectors(config.seed, 3, frame.dim))
+    xs = [x] if x is not None else list(_probe_vectors(config.seed, 3, frame.dim))
     for i, probe in enumerate(xs):
         items.append(_mc(trans_mod.kl_variance(frame, probe), z_max, prefix + f"kl_variance_x{i}"))
     return items
@@ -390,42 +372,90 @@ def _verify_all_records(config):
     records += _frames_records(config, frames_mod.orthonormal_basis_frame(4), "frames.onb.")
     records += _wasserstein_records(config, mu, nu, "wasserstein.")
     records += _decay_records(config, mu, "decay.", n_max=16)
-    records += _call(_markov_records, config, mb, "markov.", paths=2000)[0]
-    records += _call(_dpp_records, config, dpp_mod.kernel_from_frame(mb), "dpp.", bruteforce=True)
+    records += _markov_records(config, mb, "markov.", **_options("markov", paths=2000))[0]
+    records += _dpp_records(config, dpp_mod.kernel_from_frame(mb), "dpp.",
+                            **_options("dpp", bruteforce=True))
     # `run` resolves these in one pass over one shared ensemble
-    records += _call(_gaussian_records, config, "gaussian.")
-    records += _call(_translate_records, config, "translate.")
-    records += _call(_kl_records, config, trans_mod.parseval_rescale(mb), "kl.")
+    records += _gaussian_records(config, "gaussian.", **_options("gaussian"))
+    records += _translate_records(config, "translate.", **_options("translate"))
+    records += _kl_records(config, trans_mod.parseval_rescale(mb), "kl.", **_options("kl"))
     return records
+
+
+def _options(command, **given):
+    """Every option of `command`: the given ones, and the rest at their defaults."""
+    return ExperimentConfig(command, options=given).options
 
 
 # ---------------------------------------------------------- command table
 
-def _parse_vector(text, flag):
-    """Inline JSON array or a path to a JSON file holding one."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
+# Each parser takes an option's value as command-line text or as a config's
+# JSON value, and returns the option's value or raises a ConfigError that
+# names the flag.
+
+def _integer(value, flag, least=None):
+    """An integer (>= least), as decimal text or a JSON integer; never a
+    bool or a float, so 1.9 is refused rather than truncated."""
+    number = value
+    if isinstance(value, str):
         try:
-            with open(text) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"{flag} value {text!r} is neither JSON nor a readable file: {exc}")
-    if not isinstance(doc, list):
-        raise ConfigError(f"vector must be a JSON array, got {type(doc).__name__}")
-    return doc
+            number = int(value)
+        except ValueError:
+            pass
+    if (isinstance(number, bool) or not isinstance(number, numbers.Integral)
+            or least is not None and number < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{flag} needs an integer{bound}, got {value!r}")
+    return int(number)
 
 
-def positive_int(text):
-    """Argument type of a count option, an integer >= 1 (argparse's error names it)."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
+def _count(value, flag):
+    return _integer(value, flag, least=1)
+
+
+def _path(value, flag):
+    # an integer would be opened as a file descriptor
+    if not isinstance(value, str):
+        raise ConfigError(f"{flag} needs a path, got {value!r}")
     return value
 
 
-def _parse_checks(text):
-    return tuple(c for c in text.split(",") if c)
+def _switch(value, flag):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{flag} needs true or false, got {value!r}")
+    return value
+
+
+def _parse_checks(value, flag):
+    """A comma list, or a list of names, from GAUSSIAN_CHECKS."""
+    checks = value.split(",") if isinstance(value, str) else value
+    if isinstance(checks, (list, tuple)):
+        checks = tuple(c for c in checks if c)
+        if checks and all(c in GAUSSIAN_CHECKS for c in checks):
+            return checks
+    raise ConfigError(f"{flag} needs checks from {list(GAUSSIAN_CHECKS)}, got {value!r}")
+
+
+def _parse_vector(value, flag):
+    """A flat array of numbers: given inline as JSON text, as a path to a
+    JSON file holding one, or as a config's JSON array."""
+    doc = value
+    if isinstance(value, str):
+        try:
+            doc = json.loads(value)
+        except json.JSONDecodeError:
+            try:
+                with open(value) as fh:
+                    doc = json.load(fh)
+            except OSError as exc:
+                raise ConfigError(
+                    f"{flag} value {value!r} is neither JSON nor a readable file: {exc}"
+                )
+    if not isinstance(doc, (list, tuple)) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
+    ):
+        raise ConfigError(f"{flag} needs a flat array of numbers, got {doc!r}")
+    return list(doc)
 
 
 @dataclass(frozen=True)
@@ -442,15 +472,14 @@ class Option:
     """A command option, keyed in ExperimentConfig.options by its flag
     without the dashes ("--n-max" -> "n_max").
 
-    `type` is applied by the argument parser (`bool` makes a switch);
-    `parse` turns the given text into the value after parsing, so that
-    its errors are config errors. A left-out option takes `default`.
+    ExperimentConfig turns a given value into the option's value with
+    `parse(value, flag)`; a left-out option takes `default`. A bool
+    default makes the option a switch.
     """
 
     flag: str
+    parse: Callable
     default: object = None
-    type: Callable | None = None
-    parse: Callable | None = None
     help: str | None = None
     exclusive: bool = False  # in the command's one mutually exclusive group
 
@@ -479,8 +508,8 @@ def _measure(name):
 
 
 def _vector(flag, exclusive=False):
-    return Option(flag, parse=lambda text: _parse_vector(text, flag),
-                  help="inline JSON vector or file path", exclusive=exclusive)
+    return Option(flag, _parse_vector, help="inline JSON vector or file path",
+                  exclusive=exclusive)
 
 
 COMMANDS = {
@@ -488,26 +517,26 @@ COMMANDS = {
     "wasserstein": Command("exact W2 distance between two measures", _wasserstein_records,
                            (_measure("mu"), _measure("nu"))),
     "decay": Command("coordinate decay diagnostic of a measure", _decay_records,
-                     (_measure("mu"),), (Option("--n-max", 64, positive_int),)),
+                     (_measure("mu"),), (Option("--n-max", _count, 64),)),
     "markov": Command(
         "frame-induced Markov chain and path sampling", _markov_records, (_FRAME,), (
-            Option("--start-index", 0, int, exclusive=True),
+            Option("--start-index", _integer, 0, exclusive=True),
             _vector("--start-vector", exclusive=True),
-            Option("--horizon", 2, positive_int),
-            Option("--paths", 1000, positive_int),
-            Option("--paths-csv", help="write one CSV row per sampled path here"),
+            Option("--horizon", _count, 2),
+            Option("--paths", _count, 1000),
+            Option("--paths-csv", _path, help="write one CSV row per sampled path here"),
         ),
     ),
     "dpp": Command(
         "determinantal measure from a frame or kernel", _dpp_records,
         (Input("input", 'frame JSON or kernel JSON ({"k": [[...]]})', _load_kernel),), (
-            Option("--bruteforce", False, bool,
+            Option("--bruteforce", _switch, False,
                    help="enumerate the exact subset distribution (n <= 20)"),
-            Option("--draws-csv", help="write one CSV row per draw here"),
+            Option("--draws-csv", _path, help="write one CSV row per draw here"),
         ),
     ),
     "gaussian": Command("white-noise identity checks", _gaussian_records, options=(
-        Option("--checks", GAUSSIAN_CHECKS, parse=_parse_checks,
+        Option("--checks", _parse_checks, GAUSSIAN_CHECKS,
                help=f"comma list from {GAUSSIAN_CHECKS}"),
     )),
     "translate": Command("translated-measure identity checks", _translate_records,

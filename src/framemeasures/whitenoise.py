@@ -152,26 +152,18 @@ class WhiteNoiseEnsemble:
             raise InvalidEnsembleSize("restricted count must be in 1..sample_count")
         return replace(self, sample_count=sample_count)
 
-    def _regenerate(self, lo: int, hi: int, out=None) -> np.ndarray:
-        return streams.normal_rows(
-            self.seed, lo, hi, self.truncation_dim, stream=streams.STREAM_WHITENOISE, out=out
-        )
-
     def coordinates(self) -> np.ndarray:
-        """The (M, D) matrix of all samples, regenerated tile by tile.
+        """The (M, D) matrix of all samples, regenerated whole.
 
         Coordinates come from a counter-based stream, inverse-CDF
-        transformed; see `streams.normal_rows`. The 5-sigma sanity band,
-        taken from the column sums of each tile as it is generated, guards
-        against generator defects.
+        transformed; see `streams.normal_matrix`. The 5-sigma sanity band,
+        taken from the column sums of the whole matrix, guards against
+        generator defects.
         """
-        z = np.empty((self.sample_count, self.truncation_dim))
-
-        def fill(tile):
-            lo, hi = tile
-            return _column_sums(self._regenerate(lo, hi, out=z[lo:hi]))
-
-        _check_band(sum(streams.map_ordered(fill, _tiles(self.sample_count))), self.sample_count)
+        z = streams.normal_matrix(
+            self.seed, self.sample_count, self.truncation_dim, streams.STREAM_WHITENOISE
+        )
+        _check_band(_column_sums(z), self.sample_count)
         return z
 
     def reduce(self, reductions) -> list:
@@ -191,7 +183,9 @@ class WhiteNoiseEnsemble:
         merges = [r.merge for r in reductions] + [operator.add]
 
         def tile_stats(tile):
-            z = self._regenerate(*tile)
+            z = streams.normal_rows(
+                self.seed, *tile, self.truncation_dim, stream=streams.STREAM_WHITENOISE
+            )
             p = _pair(stacked, z)
             return [r.block(p[sl], z) for r, sl in zip(reductions, rows)] + [_column_sums(z)]
 

@@ -1,6 +1,9 @@
 import json
 import logging
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 import framemeasures as fm
 from framemeasures import frames as frames_mod
 from framemeasures import streams
-from framemeasures.cli import main
+from framemeasures.cli import build_parser, config_from_args, main
 from framemeasures.errors import ConfigError
 from framemeasures.report import (
     CheckRecord,
@@ -18,7 +21,7 @@ from framemeasures.report import (
     parse_csv_records,
     report_csv_text,
 )
-from framemeasures.suites import run
+from framemeasures.suites import COMMANDS, run
 
 
 @pytest.fixture()
@@ -76,6 +79,30 @@ class TestConfig:
         doc = {"command": "frames", field: value}
         with pytest.raises(ConfigError, match=repr(field)):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("command, options, flag", [
+        ("decay", {"n_max": "abc"}, "--n-max"), ("decay", {"n_max": 1.9}, "--n-max"),
+        ("decay", {"n_max": True}, "--n-max"),
+        ("dpp", {"bruteforce": "no"}, "--bruteforce"), ("markov", {"paths_csv": 1}, "--paths-csv"),
+        ("markov", {"start_index": "1.5"}, "--start-index"), ("gaussian", {"checks": ""}, "--checks"),
+        ("gaussian", {"checks": "isometry,nosuch"}, "--checks"), ("translate", {"x": "[[1]]"}, "--x"),
+    ])
+    def test_option_values(self, command, options, flag):
+        # a library config's values are parsed as strictly as the CLI's text
+        with pytest.raises(ConfigError, match=f"^{flag} "):
+            ExperimentConfig(command=command, options=options)
+        with pytest.raises(ConfigError, match=f"^{flag} "):
+            ExperimentConfig.from_dict({"command": command, "options": options})
+
+    def test_checks_string_names_checks(self):
+        report = run(ExperimentConfig(command="gaussian", samples=2000, dim=4,
+                                      options={"checks": "isometry"}))
+        assert [r.name for r in report.records] == ["isometry_x0", "isometry_x1", "isometry_x2"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_values(self, value):
+        with pytest.raises(ConfigError, match="'z_max' needs a finite number >= 0"):
+            ExperimentConfig(command="gaussian", tolerances={"z_max": value})
 
     def test_positivity(self):
         with pytest.raises(ConfigError):
@@ -166,6 +193,7 @@ class TestExitCodes:
         assert main(["frames", str(tmp_path / "missing.json")]) == 2
         assert main(["gaussian", "--checks", "nosuch"]) == 2
         assert main(["gaussian", "--tolerance", "zmax=1"]) == 2
+        assert main(["gaussian", "--tolerance", "z_max=nan"]) == 2
         capsys.readouterr()
 
     def test_unreadable_input_is_two(self, tmp_path, capsys):
@@ -185,10 +213,17 @@ class TestExitCodes:
     def test_count_below_one_is_a_usage_error(self, command, flag, mb_path, measure_path,
                                               capsys):
         path = mb_path if command == "markov" else measure_path
-        with pytest.raises(SystemExit) as info:
-            main([command, path, flag, "0"])
-        assert info.value.code == 2
-        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert main([command, path, flag, "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag} ")
+
+    @pytest.mark.parametrize("argv", [
+        ["translate", "--x", '["a"]'], ["translate", "--x", "[[1, 2]]"],
+        ["translate", "--y", "[true]"], ["markov", "{mb}", "--start-vector", '["a", 1]'],
+    ])
+    def test_malformed_vector_is_two(self, argv, mb_path, capsys):
+        argv = [arg.format(mb=mb_path) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {argv[-2]} needs a flat array")
 
     def test_vector_errors_name_their_flag(self, mb_path, tmp_path, capsys):
         missing = str(tmp_path / "nosuchfile")
@@ -388,7 +423,7 @@ class TestReportContract:
         assert main(["markov", mb_path, "--out", str(out)]) == 0
         cli_doc = json.loads(out.read_text())
         lib_doc = run(ExperimentConfig(command="markov", inputs=(mb_path,))).to_dict()
-        assert lib_doc["config"]["options"] == {}
+        assert lib_doc["config"]["options"] == cli_doc["config"]["options"]
         assert lib_doc["records"] == cli_doc["records"]
         assert lib_doc["extras"] == cli_doc["extras"]
 
@@ -419,3 +454,54 @@ def test_rank_deficient_frame_passes(tmp_path, capsys):
     fm.save_frame(fm.build_frame(np.random.default_rng(15).normal(size=(40, 10))), path)
     assert main(["frames", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["overall_pass"] is True
+
+
+# One value of every option of the command table: its command-line text and
+# the JSON value a config gives for it (None: a switch, given by its flag).
+OPTION_VALUES = {
+    "n_max": ("3", 3),
+    "start_index": ("2", 2),
+    "start_vector": ("[0.5, 1]", [0.5, 1]),
+    "horizon": ("4", 4),
+    "paths": ("50", 50),
+    "paths_csv": ("paths.csv", "paths.csv"),
+    "bruteforce": (None, True),
+    "draws_csv": ("draws.csv", "draws.csv"),
+    "checks": ("isometry,charfn", ["isometry", "charfn"]),
+    "x": ("[1.0, 0]", [1.0, 0]),
+    "y": ("[0, 2.5]", [0, 2.5]),
+}
+
+
+def _cli_config(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
+def test_every_option_parses_alike_from_text_and_json():
+    assert set(OPTION_VALUES) == {opt.name for c in COMMANDS.values() for opt in c.options}
+    for name, command in COMMANDS.items():
+        inputs = [f"in{i}.json" for i in range(len(command.inputs))]
+        for opt in command.options:
+            text, value = OPTION_VALUES[opt.name]
+            argv = [name, *inputs, opt.flag] + ([] if text is None else [text])
+            given = ExperimentConfig(command=name, inputs=tuple(inputs),
+                                     options={opt.name: value})
+            assert _cli_config(argv) == given, argv
+        # every option set at once (a config may give both exclusive ones)
+        everything = ExperimentConfig(
+            command=name, seed=3, samples=7, dim=5, tolerances={"z_max": 3.5},
+            inputs=tuple(inputs), options={opt.name: OPTION_VALUES[opt.name][1]
+                                           for opt in command.options},
+        )
+        doc = json.loads(json.dumps(everything.to_dict()))
+        assert ExperimentConfig.from_dict(doc) == everything
+
+    # each command line of the README's command block parses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Commands:\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) == len(COMMANDS)
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "framemeasures"
+        assert _cli_config(argv[1:]).command == argv[1]
