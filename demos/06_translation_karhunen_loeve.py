@@ -20,17 +20,18 @@ y /= np.linalg.norm(y)
 pf = fm.parseval_rescale(fm.mercedes_benz_frame())
 x2d = np.array([0.6, -0.8])
 
-# every ensemble mean below, in one pass over the regenerated samples
+# every ensemble mean and array below, in one pass over the regenerated samples
 POWERS = (1, 2)
-rn_mean, second, *shifts, kl = ens.reduce([
+rn_mean, second, *shifts, kl, vals = ens.reduce([
     fm.rn_mean(x),
     fm.translated_moment(x, y),
     *(fm.translation_consistency(x, y, power) for power in POWERS),
     fm.kl_variance(pf, x2d),
+    fm.kl_expand(pf, x2d),
 ])
 
 # density at a single outcome, and its ensemble mean (must be 1)
-w = ens.coordinates()[0]
+w = ens.restrict(1).coordinates()[0]
 print(f"rn_density(x, omega_0) = {fm.rn_density(x, w):.6f}")
 print(f"ensemble mean of the density: {rn_mean.value:.6f} "
       f"(target 1, z {rn_mean.z_score:+.2f})")
@@ -52,7 +53,6 @@ for power, est in zip(POWERS, shifts):
 
 # Karhunen-Loeve for the Parseval-rescaled Mercedes-Benz frame
 print(f"\nParseval rescale: bounds [{pf.lower_bound:.12f}, {pf.upper_bound:.12f}]")
-vals = fm.kl_expand(pf, x2d, ens)
 print(f"KL expansion of {x2d}: empirical E[(Tx)^2] = {kl.value:.5f} "
       f"vs coefficient energy {kl.target:.5f} (z {kl.z_score:+.2f})")
 print("per-sample values are plain Gaussians:", np.round(vals[:5], 4))

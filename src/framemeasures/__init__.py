@@ -90,7 +90,6 @@ from .whitenoise import (
     pairings,
     projection,
     reconstruction,
-    synthesis_mc,
 )
 
 __version__ = "0.1.0"

@@ -41,10 +41,6 @@ class KTooLarge(FrameMeasuresError):
     """Moment order beyond the Monte-Carlo resolution cap."""
 
 
-class LengthMismatch(FrameMeasuresError):
-    """Per-sample value array does not match the ensemble size."""
-
-
 class SingularGramian(FrameMeasuresError):
     """Joint density requires a strictly positive definite Gramian."""
 

@@ -15,7 +15,7 @@ the analysis function expands as (T x)(omega) = sum_n <x, phi_n> Z_n with
 i.i.d. N(0,1) coordinates Z_n, the Gaussian Karhunen-Loeve expansion; at
 truncation the white-noise coordinates themselves furnish the Z_n.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from .frames import Frame, analysis, as_rows, as_vector, build_frame
 from .whitenoise import (
     MAX_MOMENT_ORDER,
     Reduction,
-    WhiteNoiseEnsemble,
     _mean_reduction,
     _power,
+    _rows,
     _stacked,
     pairings,
 )
@@ -87,12 +87,14 @@ def _exp_values(t: np.ndarray, norm_sq) -> np.ndarray:
     return np.exp(exponents)
 
 
-def exp_functional(x, ens: WhiteNoiseEnsemble) -> ExpFunctional:
-    """E(x)(omega_m) = exp(<x, omega_m> - ||x||^2 / 2) for every sample."""
-    t = pairings(x, ens)
+def exp_functional(x) -> Reduction:
+    """Reduction to E(x)(omega_m) = exp(<x, omega_m> - ||x||^2 / 2) for
+    every sample m, an ExpFunctional."""
     x = as_vector(x).copy()
     x.setflags(write=False)
-    return ExpFunctional(x=x, values=_exp_values(t, float(x @ x)))
+    norm_sq = float(x @ x)
+    values = _rows(x, lambda p: _exp_values(p[0], norm_sq))
+    return replace(values, finish=lambda parts, m: ExpFunctional(x, values.finish(parts, m)))
 
 
 def cocycle_check(x1, x2, omega):
@@ -184,21 +186,18 @@ def _require_parseval(frame: Frame) -> None:
         )
 
 
-def kl_expand(frame: Frame, x, ens: WhiteNoiseEnsemble) -> np.ndarray:
-    """Per-sample Karhunen-Loeve values (T x)(omega_m) for a Parseval frame:
+def kl_expand(frame: Frame, x) -> Reduction:
+    """Reduction to the per-sample Karhunen-Loeve values (T x)(omega_m)
+    for a Parseval frame, an (M,) array:
 
         sum_n <x, phi_n> omega_{m, n}
 
     with the white-noise coordinates standing in for the i.i.d. N(0,1)
-    system Z_n. Requires n_frame <= D.
+    system Z_n: the pairings with the coefficient vector. Requires
+    n_frame <= D.
     """
     _require_parseval(frame)
-    if frame.n_frame > ens.truncation_dim:
-        raise DimensionExceedsTruncation(
-            f"frame count {frame.n_frame} exceeds truncation {ens.truncation_dim}"
-        )
-    coeffs = analysis(frame, x)
-    return ens.coordinates()[:, : frame.n_frame] @ coeffs
+    return pairings(analysis(frame, x))
 
 
 def kl_variance(frame: Frame, x) -> Reduction:

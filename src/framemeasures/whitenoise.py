@@ -24,11 +24,14 @@ number of reductions in one pass: each tile of TILE_ROWS samples is paired
 with the stacked probes of all of them in one GEMM, and the tile
 statistics are merged in tile order (Chan, Golub & LeVeque 1979). The
 order is fixed, so estimates are bitwise identical for any thread count
-and for `restrict(m)` versus an ensemble of m samples. A check is run by
-passing its reduction to `reduce`, alone or with others:
-`ens.reduce([ito_isometry(x), moment(x, 4)])`. The array functions
-(`pairings`, `gaussian_process_from_frame`, `synthesis_mc`) read the whole
-(M, D) matrix from `coordinates()`.
+and for `restrict(m)` versus an ensemble of m samples. Per-sample arrays
+are reductions too (`pairings`, `gaussian_process_from_frame`): their
+tiles' rows are joined in sample order, in memory O(M k) for k probes.
+Every array and every estimate is computed by passing its reduction to
+`reduce`, alone or with others:
+`ens.reduce([ito_isometry(x), moment(x, 4), pairings(x)])`. Only
+`coordinates()`, the reference the stream tests compare against, holds
+the whole (M, D) matrix.
 """
 import itertools
 import math
@@ -44,7 +47,6 @@ from .errors import (
     DimensionExceedsTruncation,
     InvalidEnsembleSize,
     KTooLarge,
-    LengthMismatch,
     SanityBandViolated,
     SingularGramian,
 )
@@ -269,26 +271,33 @@ def _stacked(*vectors) -> np.ndarray:
     return out
 
 
-def _padded(x, truncation_dim: int) -> np.ndarray:
-    x = as_vector(x)
-    if x.size > truncation_dim:
-        raise DimensionExceedsTruncation(
-            f"vector dimension {x.size} exceeds truncation {truncation_dim}"
-        )
-    return x
+def _rows(probes, values: Callable = lambda p: p) -> Reduction:
+    """Reduction to a per-sample array: `values(p)` of each tile's
+    pairings p (k, rows) with `probes`, joined in sample order along the
+    last axis and transposed, so that row i belongs to sample i."""
+    return Reduction(
+        np.atleast_2d(probes),
+        # a copy: a view would keep the tile's pairings with every probe of the pass alive
+        block=lambda p, z: [values(p).copy()],
+        finish=lambda parts, m: np.concatenate(parts, axis=-1).T,
+    )
 
 
 def pairing(x, omega) -> float:
     """Extended pairing <x, omega> with x zero-padded to len(omega)."""
     omega = np.asarray(omega, dtype=float)
-    x = _padded(x, omega.size)
+    x = as_vector(x)
+    if x.size > omega.size:
+        raise DimensionExceedsTruncation(
+            f"vector dimension {x.size} exceeds truncation {omega.size}"
+        )
     return float(x @ omega[: x.size])
 
 
-def pairings(x, ens: WhiteNoiseEnsemble) -> np.ndarray:
-    """<x, omega_m> for every ensemble sample; the function T x in L^2."""
-    x = _padded(x, ens.truncation_dim)
-    return ens.coordinates()[:, : x.size] @ x
+def pairings(x) -> Reduction:
+    """Reduction to <x, omega_m> for every sample m, an (M,) array; the
+    function T x in L^2."""
+    return _rows(as_vector(x), lambda p: p[0])
 
 
 def ito_isometry(x) -> Reduction:
@@ -324,17 +333,14 @@ def moment(x, order: int) -> Reduction:
     return _mean_reduction(x, lambda p: _power(p, order), [target])
 
 
-def gaussian_process_from_frame(frame: Frame, ens: WhiteNoiseEnsemble) -> np.ndarray:
-    """(M, n_frame) matrix with entry (m, k) = <phi_k, omega_m>.
+def gaussian_process_from_frame(frame: Frame) -> Reduction:
+    """Reduction to the (M, n_frame) matrix with entry (m, k) =
+    <phi_k, omega_m>.
 
     The columns form a centered Gaussian process whose covariance matrix
     is the Gramian of the frame.
     """
-    if frame.dim > ens.truncation_dim:
-        raise DimensionExceedsTruncation(
-            f"frame dimension {frame.dim} exceeds truncation {ens.truncation_dim}"
-        )
-    return ens.coordinates()[:, : frame.dim] @ frame.vectors.T
+    return _rows(frame.vectors)
 
 
 def empirical_covariance(process: np.ndarray) -> np.ndarray:
@@ -345,8 +351,8 @@ def empirical_covariance(process: np.ndarray) -> np.ndarray:
 
 def gramian_covariance(frame: Frame) -> Reduction:
     """Reduction to the empirical covariance of the frame's Gaussian
-    process: `empirical_covariance(gaussian_process_from_frame(frame, ens))`
-    without the (M, n_frame) matrix."""
+    process: `empirical_covariance` of `gaussian_process_from_frame(frame)`'s
+    result without the (M, n_frame) matrix."""
     return Reduction(
         frame.vectors, block=lambda p, z: np.einsum("ik,jk->ij", p, p), finish=lambda s, m: s / m
     )
@@ -377,27 +383,13 @@ def joint_density(gram_matrix: GramMatrix, x):
     return float(density) if density.ndim == 0 else density
 
 
-def synthesis_mc(f_values, ens: WhiteNoiseEnsemble) -> np.ndarray:
-    """Monte-Carlo synthesis integral (1/M) sum_m f(omega_m) omega_m.
-
-    The population version maps L^2 functions back into the Hilbert
-    space; here it is a plain average of weighted samples, a vector in
-    R^D.
-    """
-    f = np.asarray(f_values, dtype=float)
-    if f.shape != (ens.sample_count,):
-        raise LengthMismatch(
-            f"expected {ens.sample_count} per-sample values, got shape {f.shape}"
-        )
-    return f @ ens.coordinates() / ens.sample_count
-
-
 def reconstruction(x) -> Reduction:
     """Frame decomposition x = integral <x, omega> omega dmu via MC.
 
-    Finishes to (x_hat, err) with x_hat the synthesis of f(omega) =
-    <x, omega> and err = ||x_hat - x||. The per-sample integrand has
-    covariance trace (D+1) ||x||^2, so E[err^2] = (D+1) ||x||^2 / M.
+    Finishes to (x_hat, err) with x_hat the Monte-Carlo synthesis
+    (1/M) sum_m f(omega_m) omega_m of f = <x, .>, a vector in R^D, and
+    err = ||x_hat - x||. The per-sample integrand has covariance trace
+    (D+1) ||x||^2, so E[err^2] = (D+1) ||x||^2 / M.
     """
     x = as_vector(x)
 
@@ -415,8 +407,9 @@ def reconstruction(x) -> Reduction:
 def projection(y, x_probe) -> Reduction:
     """Idempotence of Q = T T* on range elements, contracted against a probe.
 
-    For f = <y, .>, compares <synthesis_mc(f), x_probe> (sample mean of
-    <y, omega><x_probe, omega>) with the exact value <y, x_probe>.
+    For f = <y, .>, compares <x_hat, x_probe>, x_hat the synthesis of f
+    (the sample mean of <y, omega><x_probe, omega>), with the exact value
+    <y, x_probe>.
     """
     y = as_vector(y)
     x_probe = as_vector(x_probe)

@@ -219,6 +219,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["translate", "--x", '["a"]'], ["translate", "--x", "[[1, 2]]"],
         ["translate", "--y", "[true]"], ["markov", "{mb}", "--start-vector", '["a", 1]'],
+        ["translate", "--x", "[]"], ["kl", "{mb}", "--x", "[]"],
     ])
     def test_malformed_vector_is_two(self, argv, mb_path, capsys):
         argv = [arg.format(mb=mb_path) for arg in argv]
@@ -318,7 +319,7 @@ class TestCommands:
         capsys.readouterr()
 
     def test_dpp_singular_kernel_reports_unsigned_zeros(self, tmp_path, capsys):
-        # the kernel's zero eigenvalue and zero full minor, negated, are -0.0
+        # the kernel's zero eigenvalue, negated, is -0.0
         kpath = tmp_path / "k.json"
         kpath.write_text(json.dumps({"k": [[0.5, 0.5], [0.5, 0.5]]}))
         argv = ["dpp", str(kpath), "--bruteforce", "--samples", "2000", "--format", "csv"]
@@ -326,7 +327,6 @@ class TestCommands:
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         values = {row[0]: row[1] for row in rows}
         assert values["spectrum_unit_interval_excess"] == "0"
-        assert values["principal_minor_negativity"] == "0"
         assert "-0" not in values.values()
         assert math.copysign(1.0, CheckRecord("x", -0.0, 0.0, 0.0, 0.0, True).value) == 1.0
 

@@ -59,10 +59,10 @@ class TestRnDensity:
 class TestExpFunctional:
     def test_positive_and_recomputable(self, ens_small):
         x = np.array([0.4, -1.0, 0.2])
-        ef = exp_functional(x, ens_small)
+        ef, t = ens_small.reduce([exp_functional(x), pairings(x)])
         assert np.all(ef.values > 0.0)
         nsq = float(x @ x)
-        recomputed = np.exp(pairings(x, ens_small) - 0.5 * nsq)
+        recomputed = np.exp(t - 0.5 * nsq)
         np.testing.assert_allclose(ef.values, recomputed, rtol=1e-12)
 
     def test_non_positive_values_rejected(self):
@@ -178,15 +178,15 @@ class TestParsevalRescale:
 class TestKarhunenLoeve:
     def test_onb_coordinates(self, ens_small):
         onb = orthonormal_basis_frame(2)
-        vals = kl_expand(onb, [1.0, 0.0], ens_small)
+        vals, est = ens_small.reduce([kl_expand(onb, [1.0, 0.0]), kl_variance(onb, [1.0, 0.0])])
         np.testing.assert_array_equal(vals, ens_small.coordinates()[:, 0])
-        [est] = ens_small.reduce([kl_variance(onb, [1.0, 0.0])])
         assert est.target == pytest.approx(1.0)
         assert abs(est.z_score) <= 4
 
     def test_zero_vector(self, ens_small):
         onb = orthonormal_basis_frame(3)
-        np.testing.assert_array_equal(kl_expand(onb, np.zeros(3), ens_small), 0.0)
+        [vals] = ens_small.reduce([kl_expand(onb, np.zeros(3))])
+        np.testing.assert_array_equal(vals, 0.0)
 
     def test_parseval_mb_unit_energy(self, mb, ens_small):
         pf = parseval_rescale(mb)
@@ -203,20 +203,21 @@ class TestKarhunenLoeve:
         coeffs = analysis(pf, x)
         assert est.target == float(coeffs @ coeffs)
 
-    def test_non_parseval_rejected(self, mb, ens_small):
+    def test_non_parseval_rejected(self, mb):
         with pytest.raises(NotParseval):
-            kl_expand(mb, [1.0, 0.0], ens_small)
+            kl_expand(mb, [1.0, 0.0])
 
     def test_frame_count_exceeds_truncation(self, mb):
         tiny = WhiteNoiseEnsemble(2, 100, seed=0)
         with pytest.raises(DimensionExceedsTruncation):
-            kl_expand(parseval_rescale(mb), [1.0, 0.0], tiny)
+            tiny.reduce([kl_expand(parseval_rescale(mb), [1.0, 0.0])])
 
     def test_kl_is_pairing_for_onb_of_full_space(self):
         ens = WhiteNoiseEnsemble(4, 5000, seed=4)
         onb = orthonormal_basis_frame(4)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_allclose(kl_expand(onb, x, ens), pairings(x, ens), rtol=1e-12)
+        kl, t = ens.reduce([kl_expand(onb, x), pairings(x)])
+        np.testing.assert_allclose(kl, t, rtol=1e-12)
 
 
 def test_mercedes_benz_helper_consistency():
