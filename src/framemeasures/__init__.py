@@ -16,7 +16,6 @@ from .dpp import (
     empty_probability,
     inclusion_probability,
     kernel_from_frame,
-    kernel_from_gram,
     kernel_from_matrix,
     sample_masks,
     subset_distribution_bruteforce,

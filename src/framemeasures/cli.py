@@ -41,13 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         for inp in command.inputs:
             p.add_argument(inp.name, help=inp.help)
-        group = None
         for opt in command.options:
-            if opt.exclusive:
-                group = group or p.add_mutually_exclusive_group()
-            # the text is parsed, and a left-out option (None) defaulted, by ExperimentConfig
+            # ExperimentConfig parses, defaults and checks exclusive pairs
             kwargs = {"action": "store_true"} if isinstance(opt.default, bool) else {}
-            (group if opt.exclusive else p).add_argument(opt.flag, help=opt.help, **kwargs)
+            p.add_argument(opt.flag, help=opt.help, **kwargs)
         for setting, default in _SETTINGS.items():
             p.add_argument(f"--{setting}", type=int, default=default)
         p.add_argument("--out", help="write the report here instead of stdout")

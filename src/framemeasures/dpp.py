@@ -22,7 +22,7 @@ draws. So no bit depends on the thread count, and the sampler's block
 size does not change which product computes a draw.
 """
 import queue
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     NotDeterminantal,
     TooLarge,
 )
-from .frames import Frame, GramMatrix, gram
+from .frames import Frame, _gramian
 
 SPECTRUM_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -56,12 +56,24 @@ class DppKernel:
     """Symmetric correlation kernel with spectrum in [0, 1].
 
     eigenvalues/eigenvectors cache the symmetric eigendecomposition
-    (ascending order, eigenvectors as columns).
-    """
+    (ascending order, eigenvectors as columns). Kept from them: the
+    spectrum_excess max(-lambda_min, lambda_max - 1) over [0, 1], and the
+    sampler's keep_probabilities, eigenvalues within EIGENVALUE_CLAMP of 0
+    or 1 clamped there."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    spectrum_excess: float = field(init=False)
+    keep_probabilities: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        lam = self.eigenvalues
+        clamped = np.where(np.abs(lam - 1.0) <= EIGENVALUE_CLAMP, 1.0, lam)
+        clamped[np.abs(lam) <= EIGENVALUE_CLAMP] = 0.0
+        clamped.setflags(write=False)
+        object.__setattr__(self, "spectrum_excess", float(max(-lam[0], lam[-1] - 1.0)))
+        object.__setattr__(self, "keep_probabilities", clamped)
 
     @property
     def size(self) -> int:
@@ -80,27 +92,19 @@ def kernel_from_matrix(k) -> DppKernel:
         raise InvalidKernel("kernel is not symmetric")
     mat = (mat + mat.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    if eigenvalues[0] < -SPECTRUM_TOL or eigenvalues[-1] > 1.0 + SPECTRUM_TOL:
+    for arr in (mat, eigenvalues, eigenvectors):
+        arr.setflags(write=False)
+    kernel = DppKernel(matrix=mat, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    if kernel.spectrum_excess > SPECTRUM_TOL:
         raise InvalidKernel(
-            f"kernel spectrum [{eigenvalues[0]:.3g}, {eigenvalues[-1]:.3g}] "
-            "escapes [0, 1]"
+            f"kernel spectrum [{eigenvalues[0]:.3g}, {eigenvalues[-1]:.3g}] escapes [0, 1]"
         )
-    mat.setflags(write=False)
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return DppKernel(matrix=mat, eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return kernel
 
 
 def kernel_from_frame(frame: Frame) -> DppKernel:
     """K = G / beta: the Gramian normalized by the upper frame bound."""
-    g = gram(frame)
-    return kernel_from_matrix(g.entries / frame.upper_bound)
-
-
-def kernel_from_gram(gram_matrix: GramMatrix) -> DppKernel:
-    """Strict mode: accept an unnormalized Gramian only if its spectrum
-    already lies in [0, 1]."""
-    return kernel_from_matrix(gram_matrix.entries)
+    return kernel_from_matrix(_gramian(frame) / frame.upper_bound)
 
 
 def inclusion_probability(kernel: DppKernel, indices) -> float:
@@ -217,9 +221,9 @@ def _block_draws(n: int) -> int:
 def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     """m exact draws as a boolean (m, n) inclusion matrix.
 
-    Phase 1 keeps eigenvector i with probability lambda_i (eigenvalues
-    within 1e-10 of 0 or 1 are clamped first, so projection directions
-    never flicker). Phase 2 samples the induced projection kernel exactly,
+    Phase 1 keeps eigenvector i with probability lambda_i (clamped, in
+    the kernel's `keep_probabilities`, so projection directions never
+    flicker). Phase 2 samples the induced projection kernel exactly,
     walking the ground set: point t is kept when its uniform falls below
     the pivot p_t of a left-looking LDL^T factorization of the kernel,
     whose step t conditions on the accept/reject of every earlier point
@@ -237,9 +241,7 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     if m < 1:
         raise InvalidEnsembleSize("sample count m must be >= 1")
     n = kernel.size
-    lam = kernel.eigenvalues.copy()
-    lam[np.abs(lam) <= EIGENVALUE_CLAMP] = 0.0
-    lam[np.abs(lam - 1.0) <= EIGENVALUE_CLAMP] = 1.0
+    lam = kernel.keep_probabilities
     v = kernel.eigenvectors
 
     out = np.empty((m, n), dtype=bool)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidGramian, NonFinite, NotAFrame
 
-TOL_PSD = 1e-10    # absolute floor on Gramian eigenvalues
-TOL_INEQ = 1e-10   # slack for inequality checks
+TOL_PSD = 1e-10    # Gramian eigenvalues must clear -TOL_PSD * the largest one
+TOL_INEQ = 1e-10   # relative slack for inequality checks
 RANK_RTOL = 1e-12  # alpha <= RANK_RTOL * beta counts as spanning failure
 
 
@@ -86,8 +86,13 @@ class Frame:
     def is_tight(self, rtol: float = 1e-10) -> bool:
         return self.upper_bound - self.lower_bound <= rtol * self.upper_bound
 
+    @property
+    def parseval_residual(self) -> float:
+        """max(|alpha - 1|, |beta - 1|): 0 for a Parseval frame."""
+        return max(abs(self.lower_bound - 1.0), abs(self.upper_bound - 1.0))
+
     def is_parseval(self, tol: float = 1e-10) -> bool:
-        return abs(self.lower_bound - 1.0) <= tol and abs(self.upper_bound - 1.0) <= tol
+        return self.parseval_residual <= tol
 
 
 @dataclass(frozen=True)
@@ -95,16 +100,18 @@ class GramMatrix:
     """Gramian G_{jk} = <phi_j, phi_k> of a frame.
 
     Validated symmetric and positive semidefinite at construction (else
-    InvalidGramian): the smallest eigenvalue, kept as `min_eigenvalue`,
-    must clear -TOL_PSD. That implies every leading principal minor is
-    nonnegative, so the minors (`leading_minors()`) are not tested: their
-    determinants round below zero on rank-deficient Gramians (n vectors
-    in R^N, n > N).
-    The absolute tolerance assumes desk-scale magnitudes (entries O(1)).
+    InvalidGramian): the smallest eigenvalue, kept as `min_eigenvalue`
+    with the ascending `spectrum`, must clear -`psd_bound`, TOL_PSD times
+    the largest one, so the test holds at any scale. That implies every
+    leading principal minor is nonnegative, so the minors
+    (`leading_minors()`) are not tested: their determinants round below
+    zero on rank-deficient Gramians (n vectors in R^N, n > N).
     """
 
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False)
     min_eigenvalue: float = field(init=False)
+    psd_bound: float = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.entries, dtype=float)
@@ -113,8 +120,11 @@ class GramMatrix:
             raise DimensionMismatch(f"Gramian must be square, got {g.shape}")
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
             raise InvalidGramian("Gramian is not symmetric")
-        object.__setattr__(self, "min_eigenvalue", float(np.linalg.eigvalsh(g).min()))
-        if self.min_eigenvalue < -TOL_PSD:
+        keep = object.__setattr__  # frozen: the spectrum is computed once, here
+        keep(self, "spectrum", _readonly(np.linalg.eigvalsh(g)))
+        keep(self, "min_eigenvalue", float(self.spectrum[0]))
+        keep(self, "psd_bound", TOL_PSD * max(float(self.spectrum[-1]), 0.0))
+        if self.min_eigenvalue < -self.psd_bound:
             raise InvalidGramian("Gramian is not positive semidefinite")
 
     @property
@@ -127,7 +137,7 @@ class GramMatrix:
         return np.array([np.linalg.det(g[:k, :k]) for k in range(1, g.shape[0] + 1)])
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
+        return self.spectrum
 
 
 def build_frame(vectors) -> Frame:
@@ -145,8 +155,7 @@ def build_frame(vectors) -> Frame:
                 f"vector {i} has dimension {r.size}, expected {dim}"
             )
     mat = np.vstack(rows)
-    s = mat.T @ mat
-    s = (s + s.T) / 2.0
+    s = mat.T @ mat  # exactly symmetric, as in `_gramian`
     eigs = np.linalg.eigvalsh(s)
     alpha = float(max(eigs[0], 0.0))
     beta = float(eigs[-1])
@@ -174,10 +183,14 @@ def synthesis(frame: Frame, coeffs) -> np.ndarray:
     return frame.vectors.T @ c
 
 
+def _gramian(frame: Frame) -> np.ndarray:
+    """V V^T, formed here only; exactly symmetric (BLAS mirrors one triangle)."""
+    return frame.vectors @ frame.vectors.T
+
+
 def gram(frame: Frame) -> GramMatrix:
-    """Gramian of the frame (validated PSD within TOL_PSD)."""
-    g = frame.vectors @ frame.vectors.T
-    return GramMatrix(entries=_readonly((g + g.T) / 2.0))
+    """Gramian of the frame (validated PSD relative to its largest eigenvalue)."""
+    return GramMatrix(entries=_readonly(_gramian(frame)))
 
 
 @dataclass(frozen=True)
@@ -198,10 +211,9 @@ def verify_riesz_upper(frame: Frame, coeffs) -> RieszCheck:
         raise DimensionMismatch(
             f"expected {frame.n_frame} coefficients, got shape {c.shape}"
         )
-    g = frame.vectors @ frame.vectors.T
-    lhs = float(c @ g @ c)
+    lhs = float(c @ _gramian(frame) @ c)
     bound = float(frame.upper_bound * (c @ c))
-    return RieszCheck(lhs=lhs, bound=bound, ok=lhs <= bound + TOL_INEQ)
+    return RieszCheck(lhs=lhs, bound=bound, ok=lhs <= bound * (1.0 + TOL_INEQ))
 
 
 def dual_frame(frame: Frame) -> Frame:

@@ -21,7 +21,7 @@ from . import streams
 from .errors import (
     IndexOutOfRange, InvalidChain, InvalidEnsembleSize, NotAFrame, ZeroFrameVector, ZeroVector,
 )
-from .frames import Frame, analysis, as_vector
+from .frames import Frame, _gramian, analysis, as_vector
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_RTOL = 1e-12
@@ -92,7 +92,7 @@ def build_chain(frame: Frame) -> FrameChain:
     """Chain over frame indices; needs alpha > 0 and no zero frame vector."""
     if not frame.is_frame():
         raise NotAFrame("chain construction needs a positive lower frame bound")
-    g = frame.vectors @ frame.vectors.T
+    g = _gramian(frame)
     sq = g * g
     c = sq.sum(axis=1)
     if np.any(c == 0.0):

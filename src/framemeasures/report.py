@@ -19,7 +19,7 @@ SCHEMA_VERSION = 1
 DEFAULT_TOLERANCES = {
     "z_max": 4.0,          # acceptance band for Monte-Carlo z-scores
     "exact_rel": 1e-12,    # relative slack for exact pointwise identities
-    "tol_ineq": 1e-10,     # slack for inequality checks
+    "tol_ineq": 1e-10,     # slack for frame inequalities, times the upper bound
     "tv_max": 0.02,        # sampler-vs-oracle total variation cap
 }
 
@@ -63,6 +63,9 @@ class ExperimentConfig:
         # every option: a given value through its parser, a left-out one (or
         # a JSON null) at its table default
         given = {name: value for name, value in self.options.items() if value is not None}
+        exclusive = [opt.flag for opt in options if opt.exclusive and opt.name in given]
+        if len(exclusive) > 1:
+            raise ConfigError(f"options {' and '.join(exclusive)} exclude each other")
         object.__setattr__(self, "options", {
             opt.name: opt.parse(given[opt.name], opt.flag) if opt.name in given else opt.default
             for opt in options

@@ -77,7 +77,8 @@ def _info(name: str, value: float) -> CheckRecord:
 
 def _frames_records(config, frame, prefix=""):
     rel = config.tolerance("exact_rel")
-    ineq = config.tolerance("tol_ineq")
+    # the energies scale with beta, and so does their rounding
+    ineq = config.tolerance("tol_ineq") * frame.upper_bound
     probes = _probe_vectors(config.seed, 200, frame.dim, unit=False)
     coeffs = probes @ frame.vectors.T
     energy = (coeffs * coeffs).sum(axis=1)
@@ -95,7 +96,7 @@ def _frames_records(config, frame, prefix=""):
         _info(prefix + "beta", frame.upper_bound),
         bound_record(prefix + "sandwich_residual", sandwich, ineq),
         bound_record(prefix + "analysis_norm_rel_residual", norm_identity, rel),
-        bound_record(prefix + "gram_min_eigenvalue_neg", -g.min_eigenvalue, frames_mod.TOL_PSD),
+        bound_record(prefix + "gram_min_eigenvalue_neg", -g.min_eigenvalue, g.psd_bound),
     ]
     c = streams.uniforms_at(config.seed, 0, frame.n_frame, stream=streams.STREAM_RIESZ) - 0.5
     riesz = frames_mod.verify_riesz_upper(frame, c)
@@ -118,12 +119,11 @@ def _wasserstein_records(config, mu, nu, prefix=""):
     d, plan = measures_mod.wasserstein2(mu, nu)
     d_rev, _ = measures_mod.wasserstein2(nu, mu)
     d_self, _ = measures_mod.wasserstein2(mu, mu)
-    row_err = np.abs(plan.matrix.sum(axis=1) - mu.weights).max()
-    col_err = np.abs(plan.matrix.sum(axis=0) - nu.weights).max()
+    tol = measures_mod.MARGINAL_TOL
     return [
         _info(prefix + "w2_distance", d),
-        bound_record(prefix + "plan_row_marginal_residual", row_err, measures_mod.MARGINAL_TOL),
-        bound_record(prefix + "plan_col_marginal_residual", col_err, measures_mod.MARGINAL_TOL),
+        bound_record(prefix + "plan_row_marginal_residual", plan.row_marginal_residual, tol),
+        bound_record(prefix + "plan_col_marginal_residual", plan.col_marginal_residual, tol),
         bound_record(prefix + "symmetry_residual", abs(d - d_rev), 1e-9),
         bound_record(prefix + "self_distance", d_self, 1e-9),
     ]
@@ -139,7 +139,7 @@ def _decay_records(config, mu, prefix="", *, n_max):
     ]
     tail = float(np.abs(seq[mu.dim :]).max()) if n_max > mu.dim else 0.0
     records.append(bound_record(prefix + "decay_tail_beyond_dim", tail, 0.0))
-    records.append(exact_record(prefix + "decay_sum_vs_second_moment", seq.sum(), m2, 1e-12))
+    records.append(exact_record(prefix + "decay_sum_vs_second_moment", seq.sum(), m2, 1e-12 * m2))
     return records
 
 
@@ -149,11 +149,10 @@ def _markov_records(
     config, frame, prefix="", *, start_index, start_vector, horizon, paths, paths_csv
 ):
     chain = markov_mod.build_chain(frame)
-    x = start_vector
-    if x is None:
-        if not 0 <= start_index < frame.n_frame:
-            raise ConfigError(f"start index {start_index} outside 0..{frame.n_frame - 1}")
-        x = frame.vectors[start_index]
+    start_index = start_index or 0  # a null start index means vector 0
+    if start_vector is None and not 0 <= start_index < frame.n_frame:
+        raise ConfigError(f"start index {start_index} outside 0..{frame.n_frame - 1}")
+    x = frame.vectors[start_index] if start_vector is None else start_vector
     idx, probs = markov_mod.sample_path_indices(chain, x, horizon, paths, config.seed)
     recompute = float(np.abs(probs[:200] - markov_mod.path_probability(chain, x, idx[:200])).max())
     records = [
@@ -194,18 +193,15 @@ def _load_kernel(path):
 
 def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
     z_max = config.tolerance("z_max")
-    lam = kernel.eigenvalues
     records = [
-        bound_record(
-            prefix + "spectrum_unit_interval_excess",
-            max(-lam[0], lam[-1] - 1.0),
-            dpp_mod.SPECTRUM_TOL,
-        ),
+        bound_record(prefix + "spectrum_unit_interval_excess", kernel.spectrum_excess,
+                     dpp_mod.SPECTRUM_TOL),
     ]
     masks = dpp_mod.sample_masks(kernel, config.samples, config.seed)
     card = masks.sum(axis=1).astype(float)
-    records.append(mc_record(prefix + "cardinality_vs_trace",
-                             wn.mc_estimate(card, kernel.trace()), z_max))
+    # the trace of the law sampled (a projection kernel's is its rank exactly)
+    trace = float(kernel.keep_probabilities.sum())
+    records.append(mc_record(prefix + "cardinality_vs_trace", wn.mc_estimate(card, trace), z_max))
     if bruteforce:
         table = dpp_mod.subset_distribution_bruteforce(kernel)
         emp = dpp_mod.empirical_subset_distribution(masks)
@@ -349,11 +345,7 @@ def _translate_records(config, prefix="", *, x, y):
 def _kl_records(config, frame, prefix="", *, x):
     z_max = config.tolerance("z_max")
     items = [
-        bound_record(
-            prefix + "parseval_residual",
-            max(abs(frame.lower_bound - 1.0), abs(frame.upper_bound - 1.0)),
-            trans_mod.PARSEVAL_TOL,
-        )
+        bound_record(prefix + "parseval_residual", frame.parseval_residual, trans_mod.PARSEVAL_TOL)
     ]
     xs = [x] if x is not None else list(_probe_vectors(config.seed, 3, frame.dim))
     for i, probe in enumerate(xs):
@@ -481,7 +473,7 @@ class Option:
     parse: Callable
     default: object = None
     help: str | None = None
-    exclusive: bool = False  # in the command's one mutually exclusive group
+    exclusive: bool = False  # at most one of a command's exclusive options is given
 
     @property
     def name(self) -> str:
@@ -520,7 +512,7 @@ COMMANDS = {
                      (_measure("mu"),), (Option("--n-max", _count, 64),)),
     "markov": Command(
         "frame-induced Markov chain and path sampling", _markov_records, (_FRAME,), (
-            Option("--start-index", _integer, 0, exclusive=True),
+            Option("--start-index", _integer, exclusive=True, help="default 0"),
             _vector("--start-vector", exclusive=True),
             Option("--horizon", _count, 2),
             Option("--paths", _count, 1000),

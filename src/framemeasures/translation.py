@@ -176,10 +176,7 @@ def parseval_rescale(frame: Frame) -> Frame:
 
 
 def _require_parseval(frame: Frame) -> None:
-    if (
-        abs(frame.lower_bound - 1.0) > PARSEVAL_TOL
-        or abs(frame.upper_bound - 1.0) > PARSEVAL_TOL
-    ):
+    if not frame.is_parseval(PARSEVAL_TOL):
         raise NotParseval(
             f"frame bounds [{frame.lower_bound!r}, {frame.upper_bound!r}] "
             "are not 1 within 1e-10"

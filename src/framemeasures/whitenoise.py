@@ -371,7 +371,7 @@ def joint_density(gram_matrix: GramMatrix, x):
     g = gram_matrix.entries
     n = g.shape[0]
     x = as_rows(x, dim=n)
-    eigs = np.linalg.eigvalsh(g)
+    eigs = gram_matrix.eigenvalues()
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
         raise SingularGramian(
             f"smallest Gramian eigenvalue {eigs[0]:.3g} is numerically zero"

@@ -12,7 +12,7 @@ import framemeasures as fm
 from framemeasures import frames as frames_mod
 from framemeasures import streams
 from framemeasures.cli import build_parser, config_from_args, main
-from framemeasures.errors import ConfigError
+from framemeasures.errors import ConfigError, InvalidGramian
 from framemeasures.report import (
     CheckRecord,
     ExperimentConfig,
@@ -252,15 +252,23 @@ class TestExitCodes:
         assert err == "decay: InvalidWeights: weights must be finite and strictly positive\n"
 
     def test_gramian_rejection_is_typed(self, tmp_path, capsys):
-        # the absolute PSD tolerance refuses a frame scaled by 1e4; the
-        # refusal is a library error, not an internal one
+        # the PSD tolerance is relative to the largest eigenvalue, so a
+        # frame scaled by 1e4 passes; an indefinite matrix is a library
+        # error, not an internal one
         path = tmp_path / "frame.json"
         vectors = 1e4 * np.random.default_rng(8).normal(size=(8, 3))
         fm.save_frame(fm.build_frame(vectors), path)
-        assert main(["frames", str(path)]) == 3
-        assert capsys.readouterr().err == (
-            "frames: InvalidGramian: Gramian is not positive semidefinite\n"
-        )
+        assert main(["frames", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall_pass"] is True
+        with pytest.raises(InvalidGramian, match="not positive semidefinite"):
+            fm.GramMatrix([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_exclusive_options_are_a_config_error(self, mb_path, capsys):
+        with pytest.raises(ConfigError, match="--start-index and --start-vector"):
+            ExperimentConfig("markov", options={"start_index": 2, "start_vector": [1, 0]})
+        argv = ["markov", mb_path, "--start-index", "2", "--start-vector", "[1, 0]"]
+        assert main(argv) == 2
+        assert "--start-index and --start-vector" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -385,7 +393,7 @@ DEFAULT_OPTIONS = {
     "frames": "{}",
     "wasserstein": "{}",
     "decay": '{"n_max": 64}',
-    "markov": '{"start_index": 0, "start_vector": null, "horizon": 2, "paths": 1000, '
+    "markov": '{"start_index": null, "start_vector": null, "horizon": 2, "paths": 1000, '
               '"paths_csv": null}',
     "dpp": '{"bruteforce": false, "draws_csv": null}',
     "gaussian": '{"checks": ["isometry", "charfn", "moments", "covariance", "reconstruct", '
@@ -487,14 +495,17 @@ def test_every_option_parses_alike_from_text_and_json():
             given = ExperimentConfig(command=name, inputs=tuple(inputs),
                                      options={opt.name: value})
             assert _cli_config(argv) == given, argv
-        # every option set at once (a config may give both exclusive ones)
-        everything = ExperimentConfig(
-            command=name, seed=3, samples=7, dim=5, tolerances={"z_max": 3.5},
-            inputs=tuple(inputs), options={opt.name: OPTION_VALUES[opt.name][1]
-                                           for opt in command.options},
-        )
-        doc = json.loads(json.dumps(everything.to_dict()))
-        assert ExperimentConfig.from_dict(doc) == everything
+        # every option set at once, the exclusive ones one at a time
+        exclusive = [opt.name for opt in command.options if opt.exclusive] or [None]
+        for alone in exclusive:
+            everything = ExperimentConfig(
+                command=name, seed=3, samples=7, dim=5, tolerances={"z_max": 3.5},
+                inputs=tuple(inputs), options={opt.name: OPTION_VALUES[opt.name][1]
+                                               for opt in command.options
+                                               if not opt.exclusive or opt.name == alone},
+            )
+            doc = json.loads(json.dumps(everything.to_dict()))
+            assert ExperimentConfig.from_dict(doc) == everything
 
     # each command line of the README's command block parses
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

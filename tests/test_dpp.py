@@ -14,7 +14,6 @@ from framemeasures import (
     gram,
     inclusion_probability,
     kernel_from_frame,
-    kernel_from_gram,
     kernel_from_matrix,
     sample_masks,
     subset_distribution_bruteforce,
@@ -167,10 +166,11 @@ class TestKernelConstruction:
         np.testing.assert_allclose(np.sort(k.eigenvalues), [0.0, 1.0], atol=1e-12)
 
     def test_strict_gram_mode(self, mb):
+        # an unnormalized Gramian is a kernel only if its spectrum fits [0, 1]
         with pytest.raises(ValueError):
-            kernel_from_gram(gram(mb))  # spectrum reaches 1.5
+            kernel_from_matrix(gram(mb).entries)  # spectrum reaches 1.5
         small = build_frame(np.asarray(mb.vectors) / 2.0)
-        kernel_from_gram(gram(small))  # spectrum {0, 0.375} fits
+        kernel_from_matrix(gram(small).entries)  # spectrum {0, 0.375} fits
 
     def test_rejects_asymmetric_and_wide_spectrum(self):
         with pytest.raises(ValueError):

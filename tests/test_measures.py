@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from framemeasures.errors import (
     InvalidWeights,
     TransportFailed,
 )
-from framemeasures.measures import TransportPlan, measure_l2_normsq
+from framemeasures.measures import measure_l2_normsq
 
 
 def brute_force_w2sq(mu, nu):
@@ -95,9 +96,18 @@ class TestConstruction:
         assert isinstance(info.value, ValueError)
 
     def test_transport_failures_are_typed(self, monkeypatch):
-        plan = TransportPlan(matrix=np.array([[0.5, 0.0], [0.0, 0.4]]))
-        with pytest.raises(TransportFailed) as info:
-            plan.validate_marginals([0.5, 0.5], [0.5, 0.5])
+        # a pair whose north-west-corner start is not optimal, so the LP runs
+        mu = DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 5.0]])
+        nu = DiscreteMeasure.uniform([[0.0, 5.0], [1.0, 0.0]])
+
+        def misses_weights(c, A_eq, b_eq, **kwargs):
+            # "optimal", with duals that price nothing, but a plan of zeros
+            return SimpleNamespace(success=True, x=np.zeros(c.size),
+                                   eqlin=SimpleNamespace(marginals=np.zeros(b_eq.size)))
+
+        monkeypatch.setattr(measures_mod, "linprog", misses_weights)
+        with pytest.raises(TransportFailed, match="marginals off by 0.5") as info:
+            wasserstein2(mu, nu)
         assert isinstance(info.value, RuntimeError)
 
         class Infeasible:
@@ -105,9 +115,6 @@ class TestConstruction:
             message = "infeasible"
 
         monkeypatch.setattr(measures_mod, "linprog", lambda *a, **k: Infeasible())
-        # a pair whose north-west-corner start is not optimal, so the LP runs
-        mu = DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 5.0]])
-        nu = DiscreteMeasure.uniform([[0.0, 5.0], [1.0, 0.0]])
         with pytest.raises(TransportFailed, match="transport LP failed: infeasible"):
             wasserstein2(mu, nu)
 

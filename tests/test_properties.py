@@ -1,0 +1,154 @@
+"""Scale and order invariance of every constructor, and the invariants
+each constructor keeps (read by the suites, never recomputed).
+
+Each example draws a seed, a scale s log-uniform in [1e-6, 1e6] and a
+random permutation of the frame vectors or atoms.
+"""
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framemeasures import (
+    DiscreteMeasure,
+    GramMatrix,
+    build_chain,
+    build_frame,
+    gram,
+    joint_density,
+    kernel_from_frame,
+    save_frame,
+    wasserstein2,
+)
+from framemeasures.report import ExperimentConfig
+from framemeasures.suites import run
+
+SEEDS = st.integers(0, 2**32 - 1)
+LOG_SCALES = st.floats(-6.0, 6.0)
+
+
+def _vectors(rng, spanning=False):
+    d = int(rng.integers(1, 7))
+    n = int(rng.integers(d if spanning else 1, 13))
+    return rng.normal(size=(n, d))
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k))
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, LOG_SCALES)
+def test_frame_bounds_scale_by_s_squared_and_ignore_order(seed, log_s):
+    rng = np.random.default_rng(seed)
+    v = _vectors(rng)
+    s = 10.0**log_s
+    f = build_frame(v)
+    for g in (build_frame(s * v), build_frame(s * v[rng.permutation(len(v))])):
+        # relative to the top of the spectrum: alpha may be 0
+        top = s * s * f.upper_bound
+        assert abs(g.upper_bound - top) <= 1e-12 * top
+        assert abs(g.lower_bound - s * s * f.lower_bound) <= 1e-12 * top
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, LOG_SCALES)
+def test_gram_accepts_every_scale(seed, log_s):
+    rng = np.random.default_rng(seed)
+    v = _vectors(rng)
+    g = gram(build_frame(10.0**log_s * v[rng.permutation(len(v))]))
+    assert -g.min_eigenvalue <= g.psd_bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, LOG_SCALES)
+def test_kernel_and_chain_ignore_scale_and_follow_permutation(seed, log_s):
+    rng = np.random.default_rng(seed)
+    v = _vectors(rng, spanning=True)
+    perm = rng.permutation(len(v))
+    k, p = kernel_from_frame(build_frame(v)).matrix, build_chain(build_frame(v)).transition_matrix
+    for w, order in ((10.0**log_s * v, np.arange(len(v))), (10.0**log_s * v[perm], perm)):
+        f = build_frame(w)
+        # a permutation P turns K into P K P^T: rows and columns reordered
+        np.testing.assert_allclose(kernel_from_frame(f).matrix, k[np.ix_(order, order)],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(build_chain(f).transition_matrix, p[np.ix_(order, order)],
+                                   rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, LOG_SCALES)
+def test_w2_scales_by_s_and_keeps_its_marginal_residuals(seed, log_s):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    x = rng.normal(size=(int(rng.integers(1, 30)), dim))
+    y = rng.normal(size=(int(rng.integers(1, 30)), dim))
+    wx = rng.uniform(0.5, 1.5, len(x))
+    s = 10.0**log_s
+    d, _ = wasserstein2(DiscreteMeasure.normalized(x, wx), DiscreteMeasure.uniform(y))
+    order = rng.permutation(len(x))
+    mu = DiscreteMeasure.normalized(s * x[order], wx[order])
+    nu = DiscreteMeasure.uniform(s * y)
+    d_s, plan = wasserstein2(mu, nu)
+    assert d_s / s == pytest.approx(d, rel=1e-9, abs=1e-12)
+    assert plan.row_marginal_residual == np.abs(plan.matrix.sum(axis=1) - mu.weights).max()
+    assert plan.col_marginal_residual == np.abs(plan.matrix.sum(axis=0) - nu.weights).max()
+
+
+# derandomized: the dpp suite's cardinality record is a 4-sigma z-score,
+# so fresh examples on every run would fail at that gate's small rate
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(SEEDS, LOG_SCALES)
+def test_frame_suites_pass_at_any_scale(seed, log_s):
+    rng = np.random.default_rng(seed)
+    v = _vectors(rng, spanning=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "frame.json")
+        save_frame(build_frame(10.0**log_s * v[rng.permutation(len(v))]), path)
+        for command in ("frames", "markov", "dpp"):
+            report = run(ExperimentConfig(command, seed=seed % 1000, samples=2000,
+                                          inputs=(path,)))
+            failed = [r.name for r in report.records if not r.passed]
+            assert report.overall_pass, (command, failed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, LOG_SCALES)
+def test_measure_suites_pass_at_any_scale(seed, log_s):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name in ("mu", "nu"):
+            n = int(rng.integers(1, 40))
+            paths.append(os.path.join(tmp, name + ".json"))
+            with open(paths[-1], "w") as fh:
+                json.dump({"dim": dim, "atoms": (10.0**log_s * rng.normal(size=(n, dim))).tolist(),
+                           "weights": [1.0 / n] * n}, fh)
+        for command, inputs in (("decay", paths[:1]), ("wasserstein", paths)):
+            report = run(ExperimentConfig(command, inputs=tuple(inputs)))
+            failed = [r.name for r in report.records if not r.passed]
+            assert report.overall_pass, (command, failed)
+
+
+def test_kernel_from_frame_solves_one_eigenproblem(mb, monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    kernel_from_frame(mb)
+    assert len(calls) == 1
+
+
+def test_joint_density_reads_the_kept_spectrum(monkeypatch):
+    g = GramMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    calls = _count_eigensolves(monkeypatch)
+    joint_density(g, [0.3, -0.2])
+    joint_density(g, np.zeros((4, 2)))
+    assert calls == []
