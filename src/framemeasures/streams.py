@@ -48,13 +48,16 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 def _to_open_unit(raw: np.ndarray) -> np.ndarray:
     """uint64 -> float64 in the open interval (0, 1), 53-bit resolution.
 
-    Works in place: the result is a float64 view of `raw`'s buffer, which
-    is consumed. Value k = raw >> 11 maps to (k + 0.5) * 2^-53; the top
-    value k = 2^53 - 1 rounds to 1.0 and is clamped below it.
+    Consumes `raw`: the result is a float64 view of its buffer. Value
+    k = raw >> 11 maps to (k + 0.5) * 2^-53 by one exact int64 -> float64
+    cast (k < 2^53), which numpy makes from a copy of the shifted values
+    since source and result share the buffer; the top value k = 2^53 - 1
+    rounds to 1.0 and is clamped below it.
     """
     np.right_shift(raw, np.uint64(11), out=raw)
     out = raw.view(np.float64)
-    np.add(raw, 0.5, out=out, casting="unsafe")
+    np.copyto(out, raw.view(np.int64), casting="unsafe")
+    out += 0.5
     out *= 2.0**-53
     return np.minimum(out, _BELOW_ONE, out=out)
 
@@ -155,12 +158,38 @@ def normal_matrix(
     return out
 
 
-def inverse_cdf_index(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Indices j = min{ j : cumulative[j] >= u } for each uniform u.
+def cdf_table(cumulative: np.ndarray) -> np.ndarray:
+    """Search table of `inverse_cdf_index` for (r, n) non-decreasing rows.
 
-    Ties at floating-point boundaries (u == cumulative[j]) resolve to the
-    lower index. Uniforms beyond the last partial sum clamp to the final
-    index.
+    Row i holds cumulative[i] with its last partial sum replaced by +inf,
+    padded with +inf to width w = 2^ceil(log2 n). The +inf in column n - 1
+    is the clamp: a uniform beyond every earlier partial sum takes index
+    n - 1, however the row's total rounds.
     """
-    idx = np.searchsorted(cumulative, u, side="left")
-    return np.minimum(idx, len(cumulative) - 1)
+    rows, n = cumulative.shape
+    table = np.full((rows, 1 << (n - 1).bit_length()), np.inf)
+    table[:, : n - 1] = cumulative[:, : n - 1]
+    return table
+
+
+def inverse_cdf_index(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices j = min(min{ j : cumulative[row, j] >= u }, n - 1), one per
+    (row, u) pair, over a `cdf_table` of the cumulative rows.
+
+    Ties at floating-point boundaries (u == cumulative[row, j]) resolve to
+    the lower index; uniforms beyond the last partial sum clamp to the
+    final index: `np.searchsorted(cumulative[row], u, "left")` and the
+    clamp, bit for bit. Each of the log2(w) rounds of the bisection halves
+    the candidate range of every pair at once, without a branch: the count
+    of partial sums below u grows by s wherever entry pos + s - 1 lies
+    below u, for s = w/2, ..., 1.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    pos = rows * width
+    s = width >> 1
+    while s:
+        pos += (flat[s - 1 :][pos] < u) * s
+        s >>= 1
+    pos -= rows * width
+    return pos

@@ -9,6 +9,7 @@ from framemeasures import (
     FrameChain,
     build_chain,
     build_frame,
+    markov,
     normalizer,
     orthonormal_basis_frame,
     path_probability,
@@ -335,9 +336,23 @@ class TestSamplerBits:
         idx, prob = sample_path_indices(chain, np.array(x, dtype=float), k, m, seed)
         assert hashlib.sha256(idx.tobytes() + prob.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_chunk_size_changes_no_bit(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        vectors = INTEGER_FRAME if n == 7 else rng.normal(size=(n, 8))
+        chain = build_chain(build_frame(vectors))
+        x = rng.normal(size=chain.frame.dim)
+        idx, prob = sample_path_indices(chain, x, 5, 40, seed=n)
+        monkeypatch.setattr(markov, "PATH_CHUNK", 7)
+        small_idx, small_prob = sample_path_indices(chain, x, 5, 40, seed=n)
+        np.testing.assert_array_equal(small_idx, idx)
+        np.testing.assert_array_equal(small_prob.view(np.uint64), prob.view(np.uint64))
+
     def test_memory_is_output_sized(self):
-        # 200k paths over 64 states: the output and the uniforms take
-        # 27 MB; gathering an (m, n) CDF block per step peaked at 223 MiB
+        # 200k paths over 64 states: the output takes 14 MiB and one chunk
+        # of paths about 2 MiB, a 16 MiB peak; drawing every uniform up
+        # front peaked at 32 MiB, gathering an (m, n) CDF block per step
+        # at 223 MiB
         rng = np.random.default_rng(64)
         chain = build_chain(build_frame(rng.normal(size=(64, 16))))
         x = rng.normal(size=16)

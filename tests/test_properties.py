@@ -1,8 +1,9 @@
 """Scale and order invariance of every constructor, and the invariants
 each constructor keeps (read by the suites, never recomputed).
 
-Each example draws a seed, a scale s log-uniform in [1e-6, 1e6] and a
-random permutation of the frame vectors or atoms.
+Each example draws a seed, a scale s log-uniform in [1e-6, 1e6] (up to
+1e9 for the W2 symmetry bound) and a random permutation of the frame
+vectors or atoms.
 """
 import json
 import os
@@ -35,6 +36,14 @@ def _vectors(rng, spanning=False):
     d = int(rng.integers(1, 7))
     n = int(rng.integers(d if spanning else 1, 13))
     return rng.normal(size=(n, d))
+
+
+def _save_uniform_measure(atoms, directory, name):
+    path = os.path.join(directory, name + ".json")
+    with open(path, "w") as fh:
+        json.dump({"dim": atoms.shape[1], "atoms": atoms.tolist(),
+                   "weights": [1.0 / len(atoms)] * len(atoms)}, fh)
+    return path
 
 
 def _count_eigensolves(monkeypatch):
@@ -130,14 +139,25 @@ def test_measure_suites_pass_at_any_scale(seed, log_s):
         paths = []
         for name in ("mu", "nu"):
             n = int(rng.integers(1, 40))
-            paths.append(os.path.join(tmp, name + ".json"))
-            with open(paths[-1], "w") as fh:
-                json.dump({"dim": dim, "atoms": (10.0**log_s * rng.normal(size=(n, dim))).tolist(),
-                           "weights": [1.0 / n] * n}, fh)
+            paths.append(_save_uniform_measure(10.0**log_s * rng.normal(size=(n, dim)), tmp, name))
         for command, inputs in (("decay", paths[:1]), ("wasserstein", paths)):
             report = run(ExperimentConfig(command, inputs=tuple(inputs)))
             failed = [r.name for r in report.records if not r.passed]
             assert report.overall_pass, (command, failed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.floats(0.0, 9.0))
+def test_w2_symmetry_bound_follows_the_distance(seed, log_s):
+    # |W2(mu, nu) - W2(nu, mu)| grows with the atoms: 40 and 30 atoms in
+    # R^3 scaled by 1e7 often missed an absolute bound of 1e-9
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [_save_uniform_measure(10.0**log_s * rng.normal(size=(n, 3)), tmp, name)
+                 for name, n in (("mu", 40), ("nu", 30))]
+        report = run(ExperimentConfig("wasserstein", inputs=tuple(paths)))
+    failed = [r.name for r in report.records if not r.passed]
+    assert report.overall_pass, failed
 
 
 def test_kernel_from_frame_solves_one_eigenproblem(mb, monkeypatch):

@@ -45,9 +45,28 @@ def test_normal_matrix_worker_invariance():
 
 
 def test_inverse_cdf_lower_tie_break():
-    cum = np.array([0.25, 0.5, 1.0])
-    idx = streams.inverse_cdf_index(cum, np.array([0.1, 0.25, 0.26, 0.5, 0.99, 1.0]))
+    table = streams.cdf_table(np.array([[0.25, 0.5, 1.0]]))
+    u = np.array([0.1, 0.25, 0.26, 0.5, 0.99, 1.0])
+    idx = streams.inverse_cdf_index(table, np.zeros(len(u), dtype=np.int64), u)
     np.testing.assert_array_equal(idx, [0, 0, 1, 1, 2, 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65])
+def test_inverse_cdf_matches_searchsorted(n):
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(size=(9, n))
+    weights[rng.uniform(size=weights.shape) < 0.3] = 0.0  # repeated partial sums
+    weights[0] = 0.0  # every partial sum 0
+    weights[1, -1] = 0.0  # the last partial sums repeat
+    cum = np.cumsum(weights / np.maximum(weights.sum(axis=1, keepdims=True), 1e-300), axis=1)
+    cum[2] *= 0.9  # a total below 1: uniforms above it clamp
+    # uniforms on every partial sum (ties), between them, and beyond the last
+    u = np.concatenate([cum.ravel(), rng.uniform(size=2000), [np.nextafter(1.0, 0.0)]])
+    rows = rng.integers(0, len(cum), size=len(u))
+    rows[: cum.size] = np.repeat(np.arange(len(cum)), n)
+    expected = [min(np.searchsorted(cum[r], x, "left"), n - 1) for r, x in zip(rows, u)]
+    idx = streams.inverse_cdf_index(streams.cdf_table(cum), rows, u)
+    np.testing.assert_array_equal(idx, expected)
 
 
 def test_worker_count_env(monkeypatch):
