@@ -63,7 +63,6 @@ from .measures import (
     wasserstein2,
 )
 from .translation import (
-    ExpFunctional,
     cocycle_check,
     exp_functional,
     kl_expand,

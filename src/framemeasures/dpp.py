@@ -34,10 +34,9 @@ from .errors import (
     NotDeterminantal,
     TooLarge,
 )
-from .frames import Frame, _gramian
+from .frames import Frame, _gramian, as_symmetric
 
 SPECTRUM_TOL = 1e-10
-SYMMETRY_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10
 BRUTEFORCE_MAX = 20
 # Doubles in the (n, n, block) projection-kernel workspace of one block of
@@ -84,12 +83,9 @@ class DppKernel:
 
 
 def kernel_from_matrix(k) -> DppKernel:
-    """Validate a raw symmetric matrix as a correlation kernel."""
-    mat = np.asarray(k, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidKernel(f"kernel must be square, got shape {mat.shape}")
-    if np.abs(mat - mat.T).max() > SYMMETRY_TOL:
-        raise InvalidKernel("kernel is not symmetric")
+    """Validate a raw symmetric matrix (`frames.as_symmetric`) as a
+    correlation kernel."""
+    mat = as_symmetric(k, "kernel", InvalidKernel)
     mat = (mat + mat.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     for arr in (mat, eigenvalues, eigenvectors):

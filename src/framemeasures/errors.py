@@ -95,9 +95,5 @@ class SanityBandViolated(FrameMeasuresError, RuntimeError):
     generator defect, not bad luck."""
 
 
-class NonPositiveFunctional(FrameMeasuresError, ValueError):
-    """An exponential functional took a non-positive value."""
-
-
 class ConfigError(FrameMeasuresError):
     """Malformed CLI/config input."""

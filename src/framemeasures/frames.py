@@ -23,18 +23,18 @@ from .errors import DimensionMismatch, InvalidGramian, NonFinite, NotAFrame
 TOL_PSD = 1e-10    # Gramian eigenvalues must clear -TOL_PSD * the largest one
 TOL_INEQ = 1e-10   # relative slack for inequality checks
 RANK_RTOL = 1e-12  # alpha <= RANK_RTOL * beta counts as spanning failure
+TIGHT_RTOL = 1e-10  # beta - alpha <= TIGHT_RTOL * beta counts as tight
+PARSEVAL_TOL = 1e-10  # |alpha - 1| and |beta - 1| within it count as Parseval
+SYMMETRY_TOL = 1e-12  # asymmetry allowed, times max(1, the largest |entry|)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Validate and return a finite 1-D float64 vector."""
+    """Validate and return a finite 1-D float64 vector (`as_rows` of one
+    row)."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1:
         raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("vector has NaN or infinite coordinates")
-    if dim is not None and arr.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {arr.size}")
-    return arr
+    return as_rows(arr, dim)
 
 
 def as_rows(x, dim: int | None = None) -> np.ndarray:
@@ -48,6 +48,23 @@ def as_rows(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.shape[-1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {arr.shape[-1]}")
     return arr
+
+
+def as_symmetric(m, noun: str, error: type) -> np.ndarray:
+    """Validate and return a nonempty, square, finite float64 matrix whose
+    asymmetry max |m - m^T| is at most SYMMETRY_TOL * max(1, max |entry|).
+
+    Non-finite entries raise NonFinite; a bad shape or asymmetry raises
+    `error`, naming the matrix by `noun`.
+    """
+    mat = np.asarray(m, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise error(f"{noun} must be a nonempty square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise NonFinite(f"{noun} has NaN or infinite entries")
+    if np.abs(mat - mat.T).max() > SYMMETRY_TOL * max(1.0, float(np.abs(mat).max())):
+        raise error(f"{noun} is not symmetric")
+    return mat
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -81,28 +98,39 @@ class Frame:
 
     def is_frame(self) -> bool:
         """True when the vectors span R^dim (positive lower bound)."""
-        return self.lower_bound > RANK_RTOL * self.upper_bound
+        return _spans(self.lower_bound, self.upper_bound)
 
-    def is_tight(self, rtol: float = 1e-10) -> bool:
-        return self.upper_bound - self.lower_bound <= rtol * self.upper_bound
+    def is_tight(self) -> bool:
+        return _is_tight(self.lower_bound, self.upper_bound)
 
     @property
     def parseval_residual(self) -> float:
         """max(|alpha - 1|, |beta - 1|): 0 for a Parseval frame."""
         return max(abs(self.lower_bound - 1.0), abs(self.upper_bound - 1.0))
 
-    def is_parseval(self, tol: float = 1e-10) -> bool:
-        return self.parseval_residual <= tol
+    def is_parseval(self) -> bool:
+        return self.parseval_residual <= PARSEVAL_TOL
+
+
+def _spans(lower: float, upper: float) -> bool:
+    """The frame rule for bounds: the lower one clears RANK_RTOL * upper."""
+    return lower > RANK_RTOL * upper
+
+
+def _is_tight(lower: float, upper: float) -> bool:
+    """The tightness rule for bounds: they agree within TIGHT_RTOL * upper."""
+    return upper - lower <= TIGHT_RTOL * upper
 
 
 @dataclass(frozen=True)
 class GramMatrix:
     """Gramian G_{jk} = <phi_j, phi_k> of a frame.
 
-    Validated symmetric and positive semidefinite at construction (else
-    InvalidGramian): the smallest eigenvalue, kept as `min_eigenvalue`
-    with the ascending `spectrum`, must clear -`psd_bound`, TOL_PSD times
-    the largest one, so the test holds at any scale. That implies every
+    Validated by `as_symmetric` and positive semidefinite at construction
+    (else InvalidGramian, or NonFinite): the smallest eigenvalue, kept as
+    `min_eigenvalue` with the ascending `spectrum`, must clear
+    -`psd_bound`, TOL_PSD times the largest one, so the test holds at any
+    scale. That implies every
     leading principal minor is nonnegative, so the minors
     (`leading_minors()`) are not tested: their determinants round below
     zero on rank-deficient Gramians (n vectors in R^N, n > N).
@@ -114,12 +142,8 @@ class GramMatrix:
     psd_bound: float = field(init=False)
 
     def __post_init__(self):
-        g = np.asarray(self.entries, dtype=float)
+        g = as_symmetric(self.entries, "Gramian", InvalidGramian)
         object.__setattr__(self, "entries", g)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatch(f"Gramian must be square, got {g.shape}")
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
-            raise InvalidGramian("Gramian is not symmetric")
         keep = object.__setattr__  # frozen: the spectrum is computed once, here
         keep(self, "spectrum", _readonly(np.linalg.eigvalsh(g)))
         keep(self, "min_eigenvalue", float(self.spectrum[0]))
@@ -175,11 +199,7 @@ def analysis(frame: Frame, x) -> np.ndarray:
 
 def synthesis(frame: Frame, coeffs) -> np.ndarray:
     """sum_n c_n phi_n for a coefficient sequence of length n_frame."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (frame.n_frame,):
-        raise DimensionMismatch(
-            f"expected {frame.n_frame} coefficients, got shape {c.shape}"
-        )
+    c = as_vector(coeffs, dim=frame.n_frame)
     return frame.vectors.T @ c
 
 
@@ -206,11 +226,7 @@ def verify_riesz_upper(frame: Frame, coeffs) -> RieszCheck:
     The quadratic form c^T G c equals ||sum c_n phi_n||^2, so the estimate
     is the operator bound T*T <= beta I read on the Gramian side.
     """
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (frame.n_frame,):
-        raise DimensionMismatch(
-            f"expected {frame.n_frame} coefficients, got shape {c.shape}"
-        )
+    c = as_vector(coeffs, dim=frame.n_frame)
     lhs = float(c @ _gramian(frame) @ c)
     bound = float(frame.upper_bound * (c @ c))
     return RieszCheck(lhs=lhs, bound=bound, ok=lhs <= bound * (1.0 + TOL_INEQ))

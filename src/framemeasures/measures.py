@@ -20,8 +20,9 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from .errors import (
-    DimensionMismatch, InvalidEnsembleSize, InvalidWeights, NonFinite, TransportFailed,
+    DimensionMismatch, InvalidEnsembleSize, InvalidWeights, TransportFailed,
 )
+from .frames import _is_tight, _spans, as_rows, as_vector
 
 WEIGHT_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -65,11 +66,9 @@ class DiscreteMeasure:
 
     @classmethod
     def from_points(cls, atoms, weights=None) -> "DiscreteMeasure":
-        pts = np.atleast_2d(np.asarray(atoms, dtype=float))
-        if pts.size == 0:
-            raise DimensionMismatch("a measure needs at least one atom")
-        if not np.all(np.isfinite(pts)):
-            raise NonFinite("atoms have NaN or infinite coordinates")
+        pts = np.atleast_2d(as_rows(atoms))
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise DimensionMismatch(f"atoms must form a nonempty (n, d) array, got {pts.shape}")
         if weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
@@ -149,14 +148,16 @@ def prob_frame_operator(mu: DiscreteMeasure) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureFrameBounds:
+    """Probabilistic frame bounds, judged by the rules of `frames.Frame`."""
+
     lower: float
     upper: float
 
-    def is_frame(self, rtol: float = 1e-12) -> bool:
-        return self.lower > rtol * self.upper
+    def is_frame(self) -> bool:
+        return _spans(self.lower, self.upper)
 
-    def is_tight(self, rtol: float = 1e-10) -> bool:
-        return self.upper - self.lower <= rtol * max(self.upper, 1e-300)
+    def is_tight(self) -> bool:
+        return _is_tight(self.lower, self.upper)
 
 
 def measure_frame_bounds(mu: DiscreteMeasure) -> MeasureFrameBounds:
@@ -316,33 +317,24 @@ def _smallest_per_line(score: np.ndarray, k: int) -> np.ndarray:
 
 def prob_analysis(mu: DiscreteMeasure, x) -> np.ndarray:
     """Table of <x, y_i> over the atoms: the function T_mu x in L^2(mu)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (mu.dim,):
-        raise DimensionMismatch(f"expected vector of dimension {mu.dim}")
-    return mu.atoms @ x
+    return mu.atoms @ as_vector(x, dim=mu.dim)
 
 
 def prob_synthesis(mu: DiscreteMeasure, table) -> np.ndarray:
     """Adjoint of prob_analysis: sum_i w_i f_i y_i."""
-    f = np.asarray(table, dtype=float)
-    if f.shape != (mu.n_atoms,):
-        raise DimensionMismatch(f"expected one table value per atom ({mu.n_atoms})")
+    f = as_vector(table, dim=mu.n_atoms)
     return mu.atoms.T @ (mu.weights * f)
 
 
 def prob_gramian_apply(mu: DiscreteMeasure, table) -> np.ndarray:
     """Gramian G_mu f at each atom: (G_mu f)(y_j) = sum_i w_i <y_j, y_i> f_i."""
-    f = np.asarray(table, dtype=float)
-    if f.shape != (mu.n_atoms,):
-        raise DimensionMismatch(f"expected one table value per atom ({mu.n_atoms})")
+    f = as_vector(table, dim=mu.n_atoms)
     return mu.atoms @ (mu.atoms.T @ (mu.weights * f))
 
 
 def measure_l2_normsq(mu: DiscreteMeasure, table) -> float:
     """Squared L^2(mu) norm of a function table: sum_i w_i f_i^2."""
-    f = np.asarray(table, dtype=float)
-    if f.shape != (mu.n_atoms,):
-        raise DimensionMismatch(f"expected one table value per atom ({mu.n_atoms})")
+    f = as_vector(table, dim=mu.n_atoms)
     return float(mu.weights @ (f * f))
 
 

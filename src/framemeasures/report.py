@@ -25,9 +25,11 @@ DEFAULT_TOLERANCES = {
 
 CSV_COLUMNS = ("name", "value", "target", "std_error", "z_score", "pass")
 
-# field type of ExperimentConfig -> (the JSON value it is read from, its name)
-_JSON_TYPES = {
-    str: (str, "string"), int: (int, "integer"), dict: (dict, "object"), tuple: (list, "array"),
+# field type of ExperimentConfig -> (the values it takes, their JSON name);
+# a list (a JSON array) is kept as a tuple
+_FIELD_TYPES = {
+    str: (str, "string"), int: (int, "integer"), dict: (dict, "object"),
+    tuple: ((tuple, list), "array"),
 }
 
 
@@ -45,7 +47,13 @@ class ExperimentConfig:
         # the command table lives with the record builders, which import this module
         from .suites import COMMANDS
 
-        if not isinstance(self.command, str) or self.command not in COMMANDS:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, label = _FIELD_TYPES[f.type]
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ConfigError(f"config field {f.name!r} must be a JSON {label}, got {value!r}")
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
@@ -90,22 +98,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Strict parse: unknown fields, and values not of the field's JSON
-        type (an integer for seed, samples and dim), are rejected."""
+        """Strict parse: unknown fields are rejected, and `__post_init__`
+        rejects values not of the field's JSON type (an integer for seed,
+        samples and dim)."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(doc) - set(types)
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "command" not in doc:
             raise ConfigError('config needs a "command" field')
-        for name, value in doc.items():
-            json_type, label = _JSON_TYPES[types[name]]
-            if not isinstance(value, json_type) or isinstance(value, bool):
-                raise ConfigError(f"config field {name!r} must be a JSON {label}, got {value!r}")
         # fields the document leaves out take the dataclass defaults
-        return cls(**{name: types[name](value) for name, value in doc.items()})
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         return {

@@ -346,7 +346,7 @@ def _translate_records(config, prefix="", *, x, y):
 def _kl_records(config, frame, prefix="", *, x):
     z_max = config.tolerance("z_max")
     items = [
-        bound_record(prefix + "parseval_residual", frame.parseval_residual, trans_mod.PARSEVAL_TOL)
+        bound_record(prefix + "parseval_residual", frame.parseval_residual, frames_mod.PARSEVAL_TOL)
     ]
     xs = [x] if x is not None else list(_probe_vectors(config.seed, 3, frame.dim))
     for i, probe in enumerate(xs):

@@ -15,22 +15,14 @@ the analysis function expands as (T x)(omega) = sum_n <x, phi_n> Z_n with
 i.i.d. N(0,1) coordinates Z_n, the Gaussian Karhunen-Loeve expansion; at
 truncation the white-noise coordinates themselves furnish the Z_n.
 """
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .errors import (
-    DimensionExceedsTruncation,
-    KTooLarge,
-    NonPositiveFunctional,
-    NotParseval,
-    NotTight,
-    Overflow,
-)
-from .frames import Frame, analysis, as_rows, as_vector, build_frame
+from .errors import KTooLarge, NotParseval, NotTight, Overflow
+from .frames import PARSEVAL_TOL, Frame, analysis, as_rows, as_vector, build_frame
 from .whitenoise import (
     MAX_MOMENT_ORDER,
     Reduction,
+    _check_truncation,
     _mean_reduction,
     _power,
     _rows,
@@ -38,7 +30,6 @@ from .whitenoise import (
     pairings,
 )
 
-PARSEVAL_TOL = 1e-10
 EXP_LIMIT = 700.0  # exp overflows past ~709.8
 
 
@@ -47,10 +38,7 @@ def _scalar(values: np.ndarray):
 
 
 def _density(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    if x.shape[-1] > omega.shape[-1]:
-        raise DimensionExceedsTruncation(
-            f"vector dimension {x.shape[-1]} exceeds truncation {omega.shape[-1]}"
-        )
+    _check_truncation(x.shape[-1], omega.shape[-1])
     # <x, omega> with x zero-padded to omega's length, as `pairing` reads it
     return _exp_values(np.vecdot(x, omega[..., : x.shape[-1]]), np.vecdot(x, x))
 
@@ -62,19 +50,7 @@ def rn_density(x, omega):
     against each other row by row; two vectors give a float, stacks an
     array of densities.
     """
-    return _scalar(_density(as_rows(x), np.asarray(omega, dtype=float)))
-
-
-@dataclass(frozen=True)
-class ExpFunctional:
-    """Per-sample values of E(x) over an ensemble; all strictly positive."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.values <= 0.0):
-            raise NonPositiveFunctional("exponential functional must be strictly positive")
+    return _scalar(_density(as_rows(x), as_rows(omega)))
 
 
 def _exp_values(t: np.ndarray, norm_sq) -> np.ndarray:
@@ -89,12 +65,10 @@ def _exp_values(t: np.ndarray, norm_sq) -> np.ndarray:
 
 def exp_functional(x) -> Reduction:
     """Reduction to E(x)(omega_m) = exp(<x, omega_m> - ||x||^2 / 2) for
-    every sample m, an ExpFunctional."""
-    x = as_vector(x).copy()
-    x.setflags(write=False)
+    every sample m, an (M,) array; every value is at least exp(-EXP_LIMIT)."""
+    x = as_vector(x)
     norm_sq = float(x @ x)
-    values = _rows(x, lambda p: _exp_values(p[0], norm_sq))
-    return replace(values, finish=lambda parts, m: ExpFunctional(x, values.finish(parts, m)))
+    return _rows(x, lambda p: _exp_values(p[0], norm_sq))
 
 
 def cocycle_check(x1, x2, omega):
@@ -108,8 +82,7 @@ def cocycle_check(x1, x2, omega):
     argument is a vector or a stack of vectors (..., d), taken row by
     row as in `rn_density`; vectors give two floats, stacks two arrays.
     """
-    x1, x2 = as_rows(x1), as_rows(x2)
-    omega = np.asarray(omega, dtype=float)
+    x1, x2, omega = as_rows(x1), as_rows(x2), as_rows(omega)
     lhs = _density(x1, omega) * _density(x2, omega)
     d = max(x1.shape[-1], x2.shape[-1])
     x1, x2 = _widen(x1, d), _widen(x2, d)
@@ -176,10 +149,10 @@ def parseval_rescale(frame: Frame) -> Frame:
 
 
 def _require_parseval(frame: Frame) -> None:
-    if not frame.is_parseval(PARSEVAL_TOL):
+    if not frame.is_parseval():
         raise NotParseval(
             f"frame bounds [{frame.lower_bound!r}, {frame.upper_bound!r}] "
-            "are not 1 within 1e-10"
+            f"are not 1 within {PARSEVAL_TOL:g}"
         )
 
 

@@ -52,7 +52,6 @@ from .errors import (
 )
 from .frames import Frame, GramMatrix, as_rows, as_vector
 
-DEFAULT_TRUNCATION = 64  # suggested desk-scale D; identities are exact at any D >= dim(x)
 MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
 MEAN_BAND = 5.0       # generator sanity: |coord mean| <= 5/sqrt(M)
 VAR_BAND = 5.0        # and |coord var - 1| <= 5*sqrt(2/M)
@@ -118,6 +117,12 @@ def _check_band(sums: np.ndarray, m: int) -> None:
             raise SanityBandViolated(f"coordinate variance off by {var_err:.3g}")
 
 
+def _check_truncation(dim: int, truncation: int) -> None:
+    """Refuse a vector longer than the points omega it is paired with."""
+    if dim > truncation:
+        raise DimensionExceedsTruncation(f"vector dimension {dim} exceeds truncation {truncation}")
+
+
 @dataclass(frozen=True)
 class Reduction:
     """One check's contribution to a pass over an ensemble.
@@ -175,10 +180,7 @@ class WhiteNoiseEnsemble:
         if not reductions:
             return []
         stacked = _stacked(*(v for r in reductions for v in r.probes))
-        if stacked.shape[1] > self.truncation_dim:
-            raise DimensionExceedsTruncation(
-                f"vector dimension {stacked.shape[1]} exceeds truncation {self.truncation_dim}"
-            )
+        _check_truncation(stacked.shape[1], self.truncation_dim)
         sizes = [len(r.probes) for r in reductions]
         rows = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
         # the last statistic is the column sums behind the sanity band
@@ -209,9 +211,6 @@ class McEstimate:
     sample_count: int
     target: float
     z_score: float
-
-    def within(self, z_max: float = 4.0) -> bool:
-        return abs(self.z_score) <= z_max
 
 
 def _estimate(m: int, mean, m2, target: float) -> McEstimate:
@@ -285,12 +284,9 @@ def _rows(probes, values: Callable = lambda p: p) -> Reduction:
 
 def pairing(x, omega) -> float:
     """Extended pairing <x, omega> with x zero-padded to len(omega)."""
-    omega = np.asarray(omega, dtype=float)
+    omega = as_vector(omega)
     x = as_vector(x)
-    if x.size > omega.size:
-        raise DimensionExceedsTruncation(
-            f"vector dimension {x.size} exceeds truncation {omega.size}"
-        )
+    _check_truncation(x.size, omega.size)
     return float(x @ omega[: x.size])
 
 

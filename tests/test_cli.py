@@ -80,6 +80,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=repr(field)):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", "3"), ("samples", True), ("dim", None), ("inputs", "mb.json"),
+        ("options", [("x", [1.0])]),
+    ])
+    def test_library_field_types(self, field, value):
+        # a library config's fields are checked as a JSON config's are
+        with pytest.raises(ConfigError, match=f"^config field {field!r}"):
+            ExperimentConfig(command="gaussian", **{field: value})
+
+    def test_library_inputs_list_is_a_tuple(self, mb_path):
+        assert ExperimentConfig(command="markov", inputs=[mb_path]).inputs == (mb_path,)
+
     @pytest.mark.parametrize("command, options, flag", [
         ("decay", {"n_max": "abc"}, "--n-max"), ("decay", {"n_max": 1.9}, "--n-max"),
         ("decay", {"n_max": True}, "--n-max"),
@@ -243,6 +255,13 @@ class TestExitCodes:
         kpath.write_text(json.dumps({"k": [[0.5, 0.2], [0.3, 0.5]]}))
         assert main(["dpp", str(kpath)]) == 3
         assert capsys.readouterr().err == "dpp: InvalidKernel: kernel is not symmetric\n"
+
+    @pytest.mark.parametrize("k", [[[math.nan]], [[1.0, 0.0], [0.0, math.inf]]])
+    def test_non_finite_kernel_file_is_three(self, tmp_path, capsys, k):
+        kpath = tmp_path / "k.json"
+        kpath.write_text(json.dumps({"k": k}))
+        assert main(["dpp", str(kpath)]) == 3
+        assert capsys.readouterr().err == "dpp: NonFinite: kernel has NaN or infinite entries\n"
 
     def test_zero_weight_measure_file_is_three(self, tmp_path, capsys):
         path = tmp_path / "mu.json"

@@ -3,7 +3,8 @@ each constructor keeps (read by the suites, never recomputed).
 
 Each example draws a seed, a scale s log-uniform in [1e-6, 1e6] (up to
 1e9 for the W2 symmetry bound) and a random permutation of the frame
-vectors or atoms.
+vectors or atoms. Matrices are judged symmetric relative to their
+largest entry, so a Gramian formed with rounding is accepted at any s.
 """
 import json
 import os
@@ -25,6 +26,7 @@ from framemeasures import (
     save_frame,
     wasserstein2,
 )
+from framemeasures.errors import InvalidGramian
 from framemeasures.report import ExperimentConfig
 from framemeasures.suites import run
 
@@ -158,6 +160,25 @@ def test_w2_symmetry_bound_follows_the_distance(seed, log_s):
         report = run(ExperimentConfig("wasserstein", inputs=tuple(paths)))
     failed = [r.name for r in report.records if not r.passed]
     assert report.overall_pass, failed
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, LOG_SCALES)
+def test_symmetry_is_judged_relative_to_scale(seed, log_s):
+    # (a * w) @ a.T is the Gramian of the frame a * sqrt(w), formed by one
+    # gemm: its asymmetry is rounding at the scale of its entries (about
+    # 1.5e-11 at s = 1e2), which an absolute bound of 1e-12 refused
+    rng = np.random.default_rng(seed)
+    a = 10.0**log_s * _vectors(rng)
+    w = rng.uniform(0.5, 1.5, a.shape[1])
+    g = GramMatrix((a * w) @ a.T)
+    assert -g.min_eigenvalue <= g.psd_bound
+    # an asymmetry 1000 times the bound is refused at every scale
+    if len(a) > 1:
+        skew = g.entries.copy()
+        skew[0, 1] += 1e-9 * max(1.0, np.abs(skew).max())
+        with pytest.raises(InvalidGramian, match="Gramian is not symmetric"):
+            GramMatrix(skew)
 
 
 def test_kernel_from_frame_solves_one_eigenproblem(mb, monkeypatch):
