@@ -27,14 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .errors import (
-    IndexOutOfRange,
-    InvalidEnsembleSize,
-    InvalidKernel,
-    NotDeterminantal,
-    TooLarge,
-)
-from .frames import Frame, _gramian, as_symmetric
+from .errors import IndexOutOfRange, InvalidKernel, NotDeterminantal, TooLarge
+from .frames import Frame, _gramian, as_count, as_indices, as_symmetric
 
 SPECTRUM_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-10
@@ -106,13 +100,10 @@ def kernel_from_frame(frame: Frame) -> DppKernel:
 def inclusion_probability(kernel: DppKernel, indices) -> float:
     """mu(Phi contains S) = det(K_S) for S given by strictly increasing
     indices; the empty set has probability 1."""
-    idx = [int(i) for i in indices]
-    n = kernel.size
-    if any(not 0 <= i < n for i in idx):
-        raise IndexOutOfRange(f"indices must lie in 0..{n - 1}")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise IndexOutOfRange("indices must be strictly increasing")
-    if not idx:
+    idx = as_indices(indices, "index", kernel.size)
+    if idx.ndim != 1 or np.any(idx[1:] <= idx[:-1]):
+        raise IndexOutOfRange(f"indices must be one strictly increasing list, got {indices!r}")
+    if not idx.size:
         return 1.0
     return float(np.linalg.det(kernel.matrix[np.ix_(idx, idx)]))
 
@@ -194,12 +185,13 @@ def empty_probability(kernel: DppKernel) -> float:
 def _product_shape(n: int) -> tuple[int, int]:
     """(rows, draws) of the kernel products of `sample_masks`.
 
-    Row i of a block's kernels is (v * v[i]) @ keep^T; each product takes
-    `rows` rows of v * v[i] and `draws` columns of keep^T, with
-    rows * n * draws <= streams.BLAS_SERIAL_MADDS so that BLAS runs it on
-    the calling thread. Both are at least 2 when n is, so every product
-    is a gemm (numpy sends a one-row or one-column product to gemv, which
-    OpenBLAS threads from 9216 matrix entries on).
+    Row i of a block's kernels, from entry i on, is (v[i:] * v[i]) @ keep^T;
+    each product takes at most `rows` rows of v[i:] * v[i] and `draws`
+    columns of keep^T, with rows * n * draws <= streams.BLAS_SERIAL_MADDS
+    so that BLAS runs it on the calling thread. Both are at least 2 when n
+    is, so every product but a last one-row piece of a row is a gemm
+    (numpy sends a one-row or one-column product to gemv, which OpenBLAS
+    threads from 9216 matrix entries on; a piece has n * draws of them).
     """
     draws = max(2, streams.BLAS_SERIAL_MADDS // (n * n))
     rows = min(n, max(2, streams.BLAS_SERIAL_MADDS // (n * draws)))
@@ -234,8 +226,7 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     changes the product that computes a draw. Each block in flight
     borrows a workspace allocated here, on the calling thread.
     """
-    if m < 1:
-        raise InvalidEnsembleSize("sample count m must be >= 1")
+    m = as_count(m, "sample count m")
     n = kernel.size
     lam = kernel.keep_probabilities
     v = kernel.eigenvectors
@@ -274,8 +265,10 @@ def _sample_block(lam, v, u, workspace, chosen) -> None:
     """Draws of one block into `chosen`, a (b, n) view of the output.
 
     The kernels P = V diag(keep) V^T sit in an (n, n, b) array, draws
-    innermost. Step t computes only pivot column t of the conditioned
-    kernels, left-looking: c_t[t:] = P[t:, t] - sum_{s<t} c_s[t:] c_s[t] / d_s,
+    innermost; only the entries P[i, i:] = P[i:, i] of each row i are
+    formed, since the steps read no other. Step t computes only pivot
+    column t of the conditioned kernels, left-looking:
+    c_t[t:] = P[t:, t] - sum_{s<t} c_s[t:] c_s[t] / d_s,
     one contraction over s, in place of row t of the kernels (P[t, t:],
     equal to P[t:, t]), which no later step reads as a kernel entry. The
     pivot p = c_t[t] decides point t, and d_t, p when it is kept and
@@ -289,11 +282,14 @@ def _sample_block(lam, v, u, workspace, chosen) -> None:
     keep_t[:, b:] = 0.0
     rows, draws = _product_shape(n)
     for i in range(n):
-        np.multiply(v, v[i], out=vv)
-        for j in range(0, n, rows):
+        # entries i.. of row i, the ones the steps read; the last row also
+        # takes entry n - 2, so that its product has two rows
+        j = max(0, min(i, n - 2))
+        np.multiply(v[j:], v[i], out=vv[j:])
+        for r in range(j, n, rows):
             for lo in range(0, b, draws):
                 hi = min(lo + draws, max(b, lo + 2))
-                np.matmul(vv[j : j + rows], keep_t[:, lo:hi], out=full[i, j : j + rows, lo:hi])
+                np.matmul(vv[r : r + rows], keep_t[:, lo:hi], out=full[i, r : r + rows, lo:hi])
     cols = full[:, :, :b]
     # the diagonal: step t leaves d_t in place of its pivot
     denom = full.reshape(n * n, -1)[:: n + 1, :b]

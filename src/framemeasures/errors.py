@@ -26,7 +26,8 @@ class ZeroFrameVector(FrameMeasuresError):
 
 
 class IndexOutOfRange(FrameMeasuresError):
-    """An index lies outside the frame or kernel range."""
+    """An index is not an integer within the frame or kernel range, or a
+    path or subset is malformed."""
 
 
 class TooLarge(FrameMeasuresError):
@@ -38,7 +39,8 @@ class DimensionExceedsTruncation(FrameMeasuresError):
 
 
 class KTooLarge(FrameMeasuresError):
-    """Moment order beyond the Monte-Carlo resolution cap."""
+    """Moment order or power not an integer within 1 and the Monte-Carlo
+    resolution cap."""
 
 
 class SingularGramian(FrameMeasuresError):
@@ -58,7 +60,8 @@ class Overflow(FrameMeasuresError):
 
 
 class InvalidEnsembleSize(FrameMeasuresError, ValueError):
-    """Ensemble dimension, sample/draw/path count or path horizon out of range."""
+    """Ensemble dimension, sample/draw/path count, path horizon or seed out
+    of range, or not an integer."""
 
 
 class InvalidChain(FrameMeasuresError, ValueError):

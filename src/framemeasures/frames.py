@@ -14,11 +14,19 @@ All values are immutable after construction and safe to share. Everything
 is dense; sizes are desk scale.
 """
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGramian, NonFinite, NotAFrame
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidEnsembleSize,
+    InvalidGramian,
+    NonFinite,
+    NotAFrame,
+)
 
 TOL_PSD = 1e-10    # Gramian eigenvalues must clear -TOL_PSD * the largest one
 TOL_INEQ = 1e-10   # relative slack for inequality checks
@@ -48,6 +56,44 @@ def as_rows(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.shape[-1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {arr.shape[-1]}")
     return arr
+
+
+def as_count(value, name: str, least: int = 1, most: int | None = None,
+             error: type = InvalidEnsembleSize) -> int:
+    """Validate and return an integer in least..most (a count, an order or
+    a seed) as a Python int.
+
+    A Python or numpy integer passes. A bool, a float (2.0 included), an
+    array or a value out of range raises `error`, naming the value by
+    `name`.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        number = int(value)
+        if least <= number and (most is None or number <= most):
+            return number
+    span = f">= {least}" if most is None else f"in {least}..{most}"
+    raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def as_indices(values, name: str, size: int) -> np.ndarray:
+    """Validate and return indices into 0..size-1 as an int64 array of any
+    shape, none at all included.
+
+    An entry that is a bool, a float (2.0 included) or out of range
+    raises IndexOutOfRange, naming a fractional or out-of-range entry, if
+    any, by `name`.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        bad = arr[(arr < 0) | (arr >= size)]
+    elif arr.dtype.kind == "f":
+        bad = np.concatenate([arr[arr != np.floor(arr)], arr.ravel()])
+    else:
+        bad = arr
+    if not bad.size:
+        return arr.astype(np.int64)
+    first = bad.ravel()[:1].tolist()[0]
+    raise IndexOutOfRange(f"{name} must be integers in 0..{size - 1}, got {first!r}")
 
 
 def as_symmetric(m, noun: str, error: type) -> np.ndarray:
@@ -279,4 +325,4 @@ def mercedes_benz_frame() -> Frame:
 
 def orthonormal_basis_frame(dim: int) -> Frame:
     """The standard basis of R^dim as a Parseval frame."""
-    return build_frame(np.eye(dim))
+    return build_frame(np.eye(as_count(dim, "dim", error=DimensionMismatch)))

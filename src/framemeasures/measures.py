@@ -19,10 +19,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from .errors import (
-    DimensionMismatch, InvalidEnsembleSize, InvalidWeights, TransportFailed,
-)
-from .frames import _is_tight, _spans, as_rows, as_vector
+from .errors import DimensionMismatch, InvalidWeights, TransportFailed
+from .frames import _is_tight, _spans, as_count, as_rows, as_vector
 
 WEIGHT_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -192,15 +190,19 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     coupling of both atom lists sorted by first coordinate, which is
     already optimal in 1-D and is the diagonal for W2(mu, mu); it is
     returned without a solve when it costs nothing or when the potentials
-    along its staircase leave no negative reduced cost. Costs are
-    divided by their maximum first, so the solver's absolute tolerances
-    are relative to the cost scale, and the result scales with the atoms.
+    along its staircase leave no negative reduced cost. The atoms are
+    divided by 2^e, e the binary exponent of their largest |coordinate|,
+    an exact scaling that keeps the squared distances from overflowing or
+    underflowing, and the distance is multiplied back by it. Costs are
+    divided by their maximum, so the solver's absolute tolerances are
+    relative to the cost scale, and the result scales with the atoms.
     The plan is a vertex with marginals exact to rounding. Returns
     (distance, TransportPlan).
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
+    e = np.frexp(max(np.abs(mu.atoms).max(), np.abs(nu.atoms).max()))[1]
+    diff = np.ldexp(mu.atoms, -e)[:, None, :] - np.ldexp(nu.atoms, -e)[None, :, :]
     cost = (diff * diff).sum(axis=2)
 
     if mu.n_atoms == 1:
@@ -214,7 +216,7 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     col_err = float(np.abs(plan.sum(axis=0) - nu.weights).max())
     if max(row_err, col_err) > MARGINAL_TOL:
         raise TransportFailed(f"transport plan marginals off by {max(row_err, col_err):.3g}")
-    distance = float(np.sqrt(max((plan * cost).sum(), 0.0)))
+    distance = float(np.ldexp(np.sqrt(max((plan * cost).sum(), 0.0)), e))
     return distance, TransportPlan(plan, row_err, col_err)
 
 
@@ -348,8 +350,7 @@ def lower_bound_decay(mu: DiscreteMeasure, n_max: int) -> np.ndarray:
     shadow of the impossibility of frame measures living on the space
     itself in infinite dimensions.
     """
-    if n_max < 1:
-        raise InvalidEnsembleSize("n_max must be >= 1")
+    n_max = as_count(n_max, "n_max")
     out = np.zeros(n_max)
     upto = min(n_max, mu.dim)
     out[:upto] = mu.weights @ (mu.atoms[:, :upto] ** 2)

@@ -13,6 +13,8 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .frames import as_count
+from .streams import SEED_MAX
 
 SCHEMA_VERSION = 1
 
@@ -55,12 +57,8 @@ class ExperimentConfig:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.samples < 1:
-            raise ConfigError("samples must be positive")
-        if self.dim < 1:
-            raise ConfigError("dim must be positive")
+        for name, least, most in (("seed", 0, SEED_MAX), ("samples", 1, None), ("dim", 1, None)):
+            as_count(getattr(self, name), f"config field {name!r}", least, most, ConfigError)
         options = COMMANDS[self.command].options
         known = sorted(opt.name for opt in options)
         unknown = sorted(set(self.options) - set(known))

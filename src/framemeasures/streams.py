@@ -17,11 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
-_MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-
 # The registry of stream ids, one per consumer, so a shared seed never
-# aliases streams. Every id of the library is declared here.
+# aliases streams. Every id of the library is declared here, below 2^32:
+# the id keys bits 32..63 of the generator, the seed bits 64..127.
 STREAM_MARKOV = 1
 STREAM_DPP = 2
 STREAM_WHITENOISE = 3
@@ -33,12 +31,19 @@ if len(set(STREAM_IDS.values())) != len(STREAM_IDS):
     # raised, not asserted, so that `python -O` keeps the check
     raise ImportError(f"stream ids are not unique: {STREAM_IDS}")
 
+# imported after the registry check, so that the check runs even on this
+# file loaded outside its package
+from .frames import as_count  # noqa: E402
+
+# A seed keys the generator's upper 64 bits: 0 <= seed <= SEED_MAX.
+SEED_MAX = (1 << 64) - 1
+
 # Rows per thread task of `normal_matrix`.
 BLOCK_ROWS = 1 << 16
 
 
 def _philox(seed: int, stream: int) -> np.random.Philox:
-    return np.random.Philox(key=((seed & _MASK64) << 64) | ((stream & _MASK32) << 32))
+    return np.random.Philox(key=(as_count(seed, "seed", 0, SEED_MAX) << 64) | (stream << 32))
 
 
 # largest double below 1: the top raw values would otherwise round up to 1.0

@@ -12,7 +12,6 @@ one pass over one ensemble.
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -27,6 +26,7 @@ from . import streams
 from . import translation as trans_mod
 from . import whitenoise as wn
 from .errors import ConfigError
+from .frames import as_count
 from .report import (
     CheckRecord,
     ExperimentConfig,
@@ -150,10 +150,10 @@ def _markov_records(
     config, frame, prefix="", *, start_index, start_vector, horizon, paths, paths_csv
 ):
     chain = markov_mod.build_chain(frame)
-    start_index = start_index or 0  # a null start index means vector 0
-    if start_vector is None and not 0 <= start_index < frame.n_frame:
-        raise ConfigError(f"start index {start_index} outside 0..{frame.n_frame - 1}")
-    x = frame.vectors[start_index] if start_vector is None else start_vector
+    x = start_vector
+    if x is None:  # a null start index means vector 0
+        last = frame.n_frame - 1
+        x = frame.vectors[as_count(start_index or 0, "--start-index", 0, last, ConfigError)]
     idx, probs = markov_mod.sample_path_indices(chain, x, horizon, paths, config.seed)
     recompute = float(np.abs(probs[:200] - markov_mod.path_probability(chain, x, idx[:200])).max())
     records = [
@@ -178,7 +178,7 @@ def _write_paths_csv(path, idx, probs):
     with open(path, "w") as fh:
         fh.write("path,indices,probability\n")
         for i in range(idx.shape[0]):
-            joined = " ".join(str(int(j)) for j in idx[i])
+            joined = " ".join(map(str, idx[i].tolist()))
             fh.write(f"{i},{joined},{format(float(probs[i]), '.17g')}\n")
 
 
@@ -386,20 +386,16 @@ def _options(command, **given):
 # JSON value, and returns the option's value or raises a ConfigError that
 # names the flag.
 
-def _integer(value, flag, least=None):
-    """An integer (>= least), as decimal text or a JSON integer; never a
-    bool or a float, so 1.9 is refused rather than truncated."""
-    number = value
+def _integer(value, flag, least=0):
+    """An integer >= least (`frames.as_count`), as decimal text or a JSON
+    integer; never a bool or a float, so 1.9 is refused rather than
+    truncated."""
     if isinstance(value, str):
         try:
-            number = int(value)
+            value = int(value)
         except ValueError:
             pass
-    if (isinstance(number, bool) or not isinstance(number, numbers.Integral)
-            or least is not None and number < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{flag} needs an integer{bound}, got {value!r}")
-    return int(number)
+    return as_count(value, flag, least, error=ConfigError)
 
 
 def _count(value, flag):

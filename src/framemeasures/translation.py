@@ -18,7 +18,7 @@ truncation the white-noise coordinates themselves furnish the Z_n.
 import numpy as np
 
 from .errors import KTooLarge, NotParseval, NotTight, Overflow
-from .frames import PARSEVAL_TOL, Frame, analysis, as_rows, as_vector, build_frame
+from .frames import PARSEVAL_TOL, Frame, analysis, as_count, as_rows, as_vector, build_frame
 from .whitenoise import (
     MAX_MOMENT_ORDER,
     Reduction,
@@ -123,8 +123,7 @@ def translation_consistency(x, y, power: int = 1) -> Reduction:
     for g(omega) = <y, omega>^power, 1 <= power <= 9. Per-sample
     differences share omega_m, so the standard error reflects the coupled
     estimator."""
-    if not 1 <= power <= MAX_MOMENT_ORDER:
-        raise KTooLarge(f"power must be in 1..{MAX_MOMENT_ORDER}, got {power}")
+    power = as_count(power, "power", most=MAX_MOMENT_ORDER, error=KTooLarge)
     x = as_vector(x)
     y = as_vector(y)
     d = min(x.size, y.size)

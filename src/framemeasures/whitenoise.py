@@ -45,12 +45,11 @@ from scipy.special import factorial2
 from . import streams
 from .errors import (
     DimensionExceedsTruncation,
-    InvalidEnsembleSize,
     KTooLarge,
     SanityBandViolated,
     SingularGramian,
 )
-from .frames import Frame, GramMatrix, as_rows, as_vector
+from .frames import Frame, GramMatrix, as_count, as_rows, as_vector
 
 MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
 MEAN_BAND = 5.0       # generator sanity: |coord mean| <= 5/sqrt(M)
@@ -150,14 +149,13 @@ class WhiteNoiseEnsemble:
     seed: int
 
     def __post_init__(self):
-        if self.truncation_dim < 1 or self.sample_count < 1:
-            raise InvalidEnsembleSize("truncation_dim and sample_count must be positive")
+        for name in ("truncation_dim", "sample_count"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
 
     def restrict(self, sample_count: int) -> "WhiteNoiseEnsemble":
         """The first `sample_count` samples, an ensemble of that size."""
-        if not 1 <= sample_count <= self.sample_count:
-            raise InvalidEnsembleSize("restricted count must be in 1..sample_count")
-        return replace(self, sample_count=sample_count)
+        count = as_count(sample_count, "restricted count", most=self.sample_count)
+        return replace(self, sample_count=count)
 
     def coordinates(self) -> np.ndarray:
         """The (M, D) matrix of all samples, regenerated whole.
@@ -319,8 +317,7 @@ def moment(x, order: int) -> Reduction:
     Orders above 9 are refused: the single-sample variance grows like
     (4k-1)!! and drowns the estimate at desk-scale M.
     """
-    if not 1 <= order <= MAX_MOMENT_ORDER:
-        raise KTooLarge(f"moment order must be in 1..{MAX_MOMENT_ORDER}, got {order}")
+    order = as_count(order, "moment order", most=MAX_MOMENT_ORDER, error=KTooLarge)
     x = as_vector(x)
     if order % 2 == 0:
         target = float(factorial2(order - 1)) * float(x @ x) ** (order // 2)

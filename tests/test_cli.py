@@ -98,6 +98,8 @@ class TestConfig:
         ("dpp", {"bruteforce": "no"}, "--bruteforce"), ("markov", {"paths_csv": 1}, "--paths-csv"),
         ("markov", {"start_index": "1.5"}, "--start-index"), ("gaussian", {"checks": ""}, "--checks"),
         ("gaussian", {"checks": "isometry,nosuch"}, "--checks"), ("translate", {"x": "[[1]]"}, "--x"),
+        ("decay", {"n_max": [3]}, "--n-max"), ("markov", {"paths": []}, "--paths"),
+        ("markov", {"start_index": [1]}, "--start-index"),
     ])
     def test_option_values(self, command, options, flag):
         # a library config's values are parsed as strictly as the CLI's text
@@ -121,6 +123,19 @@ class TestConfig:
             ExperimentConfig(command="gaussian", samples=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(command="gaussian", dim=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_range(self, seed):
+        # seeds key 64 bits of the generator; none wraps round to another
+        with pytest.raises(ConfigError, match=f"^config field 'seed' .* got {seed}$"):
+            ExperimentConfig(command="gaussian", seed=seed)
+        assert ExperimentConfig(command="gaussian", seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+    def test_vector_from_a_file(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[0.5, 0.25]")
+        options = ExperimentConfig(command="translate", options={"x": str(path)}).options
+        assert options["x"] == [0.5, 0.25]
 
     def test_roundtrip(self):
         cfg = ExperimentConfig.from_dict(
@@ -227,6 +242,33 @@ class TestExitCodes:
         path = mb_path if command == "markov" else measure_path
         assert main([command, path, flag, "0"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag} ")
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_is_two(self, seed, capsys):
+        assert main(["verify-all", "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("config error: config field 'seed' ")
+
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    def test_start_index_outside_the_frame_is_two(self, index, mb_path, capsys):
+        assert main(["markov", mb_path, "--start-index", index]) == 2
+        assert capsys.readouterr().err.startswith("config error: --start-index ")
+
+    @pytest.mark.parametrize("pair", ["z_max", "z_max=abc"])
+    def test_malformed_tolerance_is_two(self, pair, capsys):
+        assert main(["gaussian", "--tolerance", pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "tolerance" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 1, "atoms": [[0.0], [1.0]], "weights": [1.0]},
+        {"dim": 1, "atoms": [[0.0], [1.0]]},
+        {"dim": 2, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+    ])
+    def test_malformed_measure_file_is_three(self, doc, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decay", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("decay: DimensionMismatch: ")
 
     @pytest.mark.parametrize("argv", [
         ["translate", "--x", '["a"]'], ["translate", "--x", "[[1, 2]]"],

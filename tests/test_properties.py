@@ -3,7 +3,7 @@ each constructor keeps (read by the suites, never recomputed).
 
 Each example draws a seed, a scale s log-uniform in [1e-6, 1e6] (up to
 1e9 for the W2 symmetry bound) and a random permutation of the frame
-vectors or atoms. Matrices are judged symmetric relative to their
+vectors or atoms; W2 is also checked at 1e-200 to 1e200. Matrices are judged symmetric relative to their
 largest entry, so a Gramian formed with rounding is accepted at any s.
 """
 import json
@@ -113,6 +113,25 @@ def test_w2_scales_by_s_and_keeps_its_marginal_residuals(seed, log_s):
     assert d_s / s == pytest.approx(d, rel=1e-9, abs=1e-12)
     assert plan.row_marginal_residual == np.abs(plan.matrix.sum(axis=1) - mu.weights).max()
     assert plan.col_marginal_residual == np.abs(plan.matrix.sum(axis=0) - nu.weights).max()
+
+
+@pytest.mark.parametrize("s", [2.0**530, 2.0**-660, 1e160, 1e-160, 1e200, 1e-200],
+                         ids=["2^530", "2^-660", "1e160", "1e-160", "1e200", "1e-200"])
+def test_w2_at_extreme_scales(s):
+    # squared distances of atoms near 1e160 overflow a double, and those of
+    # atoms near 1e-200 underflow to 0; at a power of two the scaled pair
+    # gives the same plan and distance, bit for bit
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(12, 2)), rng.normal(size=(9, 2))
+    d, plan = wasserstein2(DiscreteMeasure.uniform(x), DiscreteMeasure.uniform(y))
+    d_s, plan_s = wasserstein2(DiscreteMeasure.uniform(s * x), DiscreteMeasure.uniform(s * y))
+    assert d_s / s == pytest.approx(d, rel=1e-12)
+    if np.frexp(s)[0] == 0.5:
+        assert d_s / s == d
+        np.testing.assert_array_equal(plan_s.matrix, plan.matrix)
+    mu = DiscreteMeasure.uniform([[s], [-s]])
+    assert wasserstein2(mu, DiscreteMeasure.point_mass([0.0]))[0] == pytest.approx(s, rel=1e-15)
+    assert wasserstein2(mu, mu)[0] == 0.0
 
 
 # derandomized: the dpp suite's cardinality record is a 4-sigma z-score,

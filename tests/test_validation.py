@@ -1,9 +1,11 @@
 """One validator per kind of input: flat vectors and coefficient sequences
 (`frames.as_vector`), sample points omega and a measure's atoms
-(`as_vector` or `as_rows`) and square symmetric matrices
-(`frames.as_symmetric`). Every entry point of a kind refuses non-finite
-input with NonFinite and a malformed shape with a typed error, never a
-NaN result or a bare numpy error."""
+(`as_vector` or `as_rows`), square symmetric matrices
+(`frames.as_symmetric`) and integers: counts, orders, seeds and indices
+(`frames.as_count`). Every entry point of a kind refuses non-finite
+input with NonFinite, a malformed shape with a typed error and a
+non-integer or out-of-range integer with a typed error naming it, never
+a NaN result, a truncated value or a bare numpy error."""
 import math
 
 import numpy as np
@@ -11,7 +13,16 @@ import pytest
 
 import framemeasures as fm
 from framemeasures import measures
-from framemeasures.errors import DimensionMismatch, InvalidGramian, InvalidKernel, NonFinite
+from framemeasures.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidEnsembleSize,
+    InvalidGramian,
+    InvalidKernel,
+    KTooLarge,
+    NonFinite,
+)
+from framemeasures.whitenoise import MAX_MOMENT_ORDER
 
 BAD_VALUES = [math.nan, math.inf, -math.inf]
 
@@ -93,3 +104,100 @@ def test_measure_atoms(bad):
         fm.DiscreteMeasure.uniform(np.zeros((0, 2)))
     with pytest.raises(DimensionMismatch):
         fm.DiscreteMeasure.point_mass([[0.0, 1.0]])
+
+
+K = fm.kernel_from_frame(MB)
+CHAIN = fm.build_chain(MB)
+X = [1.0, 0.0]
+
+# values that are not integers, refused by every integer input
+NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), True, "2", None, [2], np.array([2]), np.array(2)]
+COUNTS_OUT = [0, -1]
+ORDERS_OUT = [0, MAX_MOMENT_ORDER + 1]
+SEEDS_OUT = [-1, 1 << 64]
+
+# each takes one integer, valid at 2: (call, error, out-of-range values)
+INTEGER_INPUTS = {
+    "truncation_dim": (lambda n: fm.WhiteNoiseEnsemble(n, 10, 0), InvalidEnsembleSize, COUNTS_OUT),
+    "sample_count": (lambda n: fm.WhiteNoiseEnsemble(2, n, 0), InvalidEnsembleSize, COUNTS_OUT),
+    "ensemble seed": (lambda n: fm.WhiteNoiseEnsemble(2, 10, n).reduce([fm.ito_isometry(X)]),
+                      InvalidEnsembleSize, SEEDS_OUT),
+    "restrict": (lambda n: fm.WhiteNoiseEnsemble(2, 10, 0).restrict(n), InvalidEnsembleSize,
+                 COUNTS_OUT + [11]),
+    "sample_masks m": (lambda n: fm.sample_masks(K, n, 0), InvalidEnsembleSize, COUNTS_OUT),
+    "sample_masks seed": (lambda n: fm.sample_masks(K, 3, n), InvalidEnsembleSize, SEEDS_OUT),
+    "sample_path_indices k": (lambda n: fm.sample_path_indices(CHAIN, X, n, 10, 0),
+                              InvalidEnsembleSize, COUNTS_OUT),
+    "sample_path_indices m": (lambda n: fm.sample_path_indices(CHAIN, X, 2, n, 0),
+                              InvalidEnsembleSize, COUNTS_OUT),
+    "sample_path_indices seed": (lambda n: fm.sample_path_indices(CHAIN, X, 2, 10, n),
+                                 InvalidEnsembleSize, SEEDS_OUT),
+    "lower_bound_decay": (lambda n: fm.lower_bound_decay(MU, n), InvalidEnsembleSize, COUNTS_OUT),
+    "moment": (lambda n: fm.moment(X, n), KTooLarge, ORDERS_OUT),
+    "translation_consistency": (lambda n: fm.translation_consistency(X, X, power=n), KTooLarge,
+                                ORDERS_OUT),
+    "orthonormal_basis_frame": (fm.orthonormal_basis_frame, DimensionMismatch, COUNTS_OUT),
+}
+
+INTEGER_CASES = [
+    (name, bad) for name, (_, _, out) in INTEGER_INPUTS.items() for bad in NOT_INTEGERS + out
+]
+
+
+@pytest.mark.parametrize("name, bad", INTEGER_CASES)
+def test_integers(name, bad):
+    call, error, _ = INTEGER_INPUTS[name]
+    call(2)
+    call(np.int64(2))
+    with pytest.raises(error) as caught:
+        call(bad)
+    assert str(bad) in str(caught.value)
+
+
+# each takes a list of indices of a 3-vector frame, valid at [0, 1]
+INDEX_INPUTS = {
+    "inclusion_probability": lambda idx: fm.inclusion_probability(K, idx),
+    "path_probability": lambda idx: fm.path_probability(CHAIN, X, idx),
+}
+# (indices, the entry the error names)
+BAD_INDICES = [([0.7, 1.2], 0.7), ([0, 1.9], 1.9), ([0.0, 1.0], 0.0), ([True, False], True),
+               ([0, 3], 3), ([-1, 1], -1), (["0", "1"], "0")]
+
+
+@pytest.mark.parametrize("bad, named", BAD_INDICES, ids=str)
+@pytest.mark.parametrize("name", INDEX_INPUTS)
+def test_indices(name, bad, named):
+    call = INDEX_INPUTS[name]
+    assert call(np.array([0, 1], dtype=np.int32)) == call([0, 1])
+    with pytest.raises(IndexOutOfRange, match=f"got {named!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [2, [[0, 1]]], ids=str)
+def test_inclusion_indices_are_one_list(bad):
+    with pytest.raises(IndexOutOfRange, match="one strictly increasing list"):
+        fm.inclusion_probability(K, bad)
+
+
+def test_no_indices_is_the_empty_set():
+    assert fm.inclusion_probability(K, []) == 1.0
+    assert fm.inclusion_probability(K, np.array([], dtype=np.int64)) == 1.0
+
+
+def test_numpy_integers_draw_as_python_integers():
+    seed = np.uint64(7)
+    np.testing.assert_array_equal(fm.sample_masks(K, np.int32(50), seed), fm.sample_masks(K, 50, 7))
+    for a, b in zip(fm.sample_path_indices(CHAIN, X, np.int64(3), np.int64(40), seed),
+                    fm.sample_path_indices(CHAIN, X, 3, 40, 7)):
+        np.testing.assert_array_equal(a, b)
+    ens = fm.WhiteNoiseEnsemble(np.int64(4), np.int16(300), seed)
+    assert (type(ens.truncation_dim), type(ens.sample_count)) == (int, int)
+    assert ens.reduce([fm.moment(X, np.int8(4))]) == fm.WhiteNoiseEnsemble(4, 300, 7).reduce(
+        [fm.moment(X, 4)]
+    )
+
+
+def test_every_64_bit_seed_runs():
+    top = (1 << 64) - 1
+    assert fm.sample_masks(K, 5, top).shape == (5, 3)
+    assert not np.array_equal(fm.sample_masks(K, 200, top), fm.sample_masks(K, 200, 0))
