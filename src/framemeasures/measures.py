@@ -7,28 +7,27 @@ A probability measure mu is a probabilistic frame when
 with A > 0. For a weighted atom measure the middle term is x^T S_mu x with
 S_mu = sum_i w_i y_i y_i^T, so the optimal A, B are again extreme
 eigenvalues. The module also carries the 2-Wasserstein metric between such
-measures (the exact transport LP, solved on a priced shortlist of plan
-entries; it scales with the atoms) and the coordinate decay diagnostic
-showing why no measure supported on an infinite-dimensional space itself
-can have a positive lower bound.
+measures (the exact transport LP, solved on a shortlist of each atom's
+cheapest partners that grows by pricing; it scales with the atoms) and
+the coordinate decay diagnostic showing why no measure supported on an
+infinite-dimensional space itself can have a positive lower bound.
 """
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
 from .errors import DimensionMismatch, InvalidWeights, TransportFailed
 from .frames import _is_tight, _spans, as_count, as_rows, as_vector
 
 WEIGHT_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
-# W2 pricing, on costs divided by their maximum: an entry joins the
-# shortlist when its reduced cost is below -REDUCED_COST_TOL, at most
+# W2 pricing, on costs divided by their maximum: the first shortlist holds
+# each atom's PRICE_PARTNERS cheapest partners, and later rounds add an
+# entry when its reduced cost is below -REDUCED_COST_TOL, at most
 # PRICE_PARTNERS per row and per column in one round
 REDUCED_COST_TOL = 1e-12
-PRICE_PARTNERS = 5
+PRICE_PARTNERS = 15
 # HiGHS on a shortlist LP: its tightest feasibility tolerances (the
 # defaults are 1e-7), primal so that clipping an entry it left slightly
 # negative keeps the marginals within MARGINAL_TOL, dual so that the
@@ -190,7 +189,10 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     coupling of both atom lists sorted by first coordinate, which is
     already optimal in 1-D and is the diagonal for W2(mu, mu); it is
     returned without a solve when it costs nothing or when the potentials
-    along its staircase leave no negative reduced cost. The atoms are
+    along its staircase leave no negative reduced cost. Otherwise the
+    first shortlist is its staircase, which keeps the LP feasible, and
+    each atom's PRICE_PARTNERS cheapest partners, which at 150 atoms
+    leaves one round of pricing at most. The atoms are
     divided by 2^e, e the binary exponent of their largest |coordinate|,
     an exact scaling that keeps the squared distances from overflowing or
     underflowing, and the distance is multiplied back by it. Costs are
@@ -267,6 +269,10 @@ def _staircase_is_optimal(c: np.ndarray, i, j, amounts, down) -> bool:
 
 
 def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    # imported here, so that a command that solves no LP never loads them
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
     n, m = cost.shape
     c = cost / cost.max()  # positive: merged atoms make some pair distinct
     plan = np.zeros((n, m))
@@ -275,9 +281,10 @@ def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
         plan[i, j] = amounts
         return plan
     b_eq = np.concatenate([mu.weights, nu.weights])
-    support = np.zeros((n, m), dtype=bool)
+    # the staircase keeps the first LP feasible, and each atom's cheapest
+    # partners hold most of an optimal plan
+    support = _smallest_per_line(c, PRICE_PARTNERS)
     support[i, j] = True
-    first = True
     while True:
         i, j = np.nonzero(support)
         k = i.size
@@ -296,11 +303,8 @@ def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
         violated = (reduced < -REDUCED_COST_TOL) & ~support
         if not violated.any():
             break
-        # the first violation adds each atom's cheapest partners, later
-        # ones the most violated entries of each row and column
-        score = c if first else np.where(violated, reduced, np.inf)
-        support |= _smallest_per_line(score, PRICE_PARTNERS)
-        first = False
+        # add the most violated entries of each row and column
+        support |= _smallest_per_line(np.where(violated, reduced, np.inf), PRICE_PARTNERS)
     plan[i, j] = np.clip(res.x, 0.0, None)
     return plan
 

@@ -126,7 +126,9 @@ def _wasserstein_records(config, mu, nu, prefix=""):
         bound_record(prefix + "plan_col_marginal_residual", plan.col_marginal_residual, tol),
         # W2 scales with the atoms, so the bound does too once it passes 1
         bound_record(prefix + "symmetry_residual", abs(d - d_rev), 1e-9 * max(1.0, d)),
-        bound_record(prefix + "self_distance", d_self, 1e-9),
+        # the north-west-corner start of W2(mu, mu) is the diagonal, which
+        # costs nothing, so the distance is exactly 0
+        exact_record(prefix + "self_distance", d_self, 0.0, 0.0),
     ]
 
 

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment, linprog
 
 from framemeasures import (
     DiscreteMeasure,
@@ -20,14 +21,13 @@ from framemeasures import (
     second_moment,
     wasserstein2,
 )
-from framemeasures import measures as measures_mod
 from framemeasures.errors import (
     DimensionMismatch,
     InvalidEnsembleSize,
     InvalidWeights,
     TransportFailed,
 )
-from framemeasures.measures import measure_l2_normsq
+from framemeasures.measures import MARGINAL_TOL, measure_l2_normsq
 
 
 def brute_force_w2sq(mu, nu):
@@ -70,6 +70,16 @@ def quantile_w2sq(mu, nu):
     return float(total)
 
 
+@pytest.fixture
+def lp_columns(monkeypatch):
+    """The column count of each LP that `wasserstein2` solves, in order."""
+    columns = []
+    solve = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda c, *a, **k: columns.append(c.size) or solve(c, *a, **k))
+    return columns
+
+
 def random_measure(rng, dim=2, max_atoms=5):
     n = int(rng.integers(1, max_atoms + 1))
     return DiscreteMeasure.normalized(rng.normal(size=(n, dim)), rng.random(n) + 0.1)
@@ -105,7 +115,7 @@ class TestConstruction:
             return SimpleNamespace(success=True, x=np.zeros(c.size),
                                    eqlin=SimpleNamespace(marginals=np.zeros(b_eq.size)))
 
-        monkeypatch.setattr(measures_mod, "linprog", misses_weights)
+        monkeypatch.setattr(scipy.optimize, "linprog", misses_weights)
         with pytest.raises(TransportFailed, match="marginals off by 0.5") as info:
             wasserstein2(mu, nu)
         assert isinstance(info.value, RuntimeError)
@@ -114,7 +124,7 @@ class TestConstruction:
             success = False
             message = "infeasible"
 
-        monkeypatch.setattr(measures_mod, "linprog", lambda *a, **k: Infeasible())
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Infeasible())
         with pytest.raises(TransportFailed, match="transport LP failed: infeasible"):
             wasserstein2(mu, nu)
 
@@ -334,8 +344,8 @@ class TestWasserstein:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("uniform", [True, False])
     def test_self_distance_and_symmetry_at_size(self, dim, uniform):
-        # the wasserstein suite's 1e-9 self_distance and symmetry bounds,
-        # on measures the size of the CLI's
+        # the wasserstein suite's exact self_distance and its 1e-9 symmetry
+        # bound, on measures the size of the CLI's
         rng = np.random.default_rng(500 + 2 * dim + uniform)
 
         def draw():
@@ -347,16 +357,13 @@ class TestWasserstein:
 
         for _ in range(10):
             mu, nu = draw(), draw()
-            assert wasserstein2(mu, mu)[0] <= 1e-9
+            assert wasserstein2(mu, mu)[0] == 0.0
             assert abs(wasserstein2(mu, nu)[0] - wasserstein2(nu, mu)[0]) <= 1e-9
 
-    def test_optimal_start_skips_the_solver(self, monkeypatch):
+    def test_optimal_start_skips_the_solver(self, lp_columns):
         # the north-west-corner start is optimal in 1-D, where its own
         # potentials certify it, and for W2(mu, mu), where it costs nothing;
         # neither solves an LP, while a 3-D pair still does
-        calls = []
-        solve = measures_mod.linprog
-        monkeypatch.setattr(measures_mod, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k))
         rng = np.random.default_rng(600)
 
         def measure(k, dim, uniform):
@@ -374,11 +381,46 @@ class TestWasserstein:
         for dim in (1, 3):
             mu = measure(150, dim, False)
             assert wasserstein2(mu, mu)[0] == 0.0
-        assert calls == []
+        assert lp_columns == []
 
         mu, nu = measure(150, 3, False), measure(100, 3, False)
         wasserstein2(mu, nu)
-        assert len(calls) >= 1
+        assert len(lp_columns) >= 1
+
+    @pytest.mark.parametrize("n, m, uniform", [(150, 150, True), (150, 100, False)])
+    def test_at_most_two_solves(self, lp_columns, n, m, uniform):
+        # the first LP covers each atom's cheapest partners as well as the
+        # n + m - 1 entries of the north-west-corner staircase, so one
+        # round of pricing at most is left; the benchmark's W2 shapes
+        rng = np.random.default_rng(700 + m)
+
+        def measure(k):
+            pts = rng.normal(size=(k, 3))
+            if uniform:
+                return DiscreteMeasure.uniform(pts)
+            return DiscreteMeasure.normalized(pts, rng.uniform(0.5, 1.5, k))
+
+        for _ in range(4):
+            mu, nu = measure(n), measure(m)
+            for a, b in ((mu, nu), (nu, mu)):
+                lp_columns.clear()
+                wasserstein2(a, b)
+                assert 1 <= len(lp_columns) <= 2
+                assert lp_columns[0] > n + m - 1
+
+    def test_hundreds_of_atoms_match_the_assignment(self):
+        # uniform 300 x 300 in R^3: the breakpoints of both cumulative
+        # weights tie, so the start is degenerate, and a permutation is
+        # optimal, which the assignment solver finds independently
+        rng = np.random.default_rng(300)
+        mu = DiscreteMeasure.uniform(rng.normal(size=(300, 3)))
+        nu = DiscreteMeasure.uniform(rng.normal(size=(300, 3)))
+        d, plan = wasserstein2(mu, nu)
+        cost = ((mu.atoms[:, None, :] - nu.atoms[None, :, :]) ** 2).sum(axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        assert d * d == pytest.approx(cost[rows, cols].mean(), rel=1e-12)
+        assert np.abs(plan.matrix.sum(axis=1) - mu.weights).max() <= MARGINAL_TOL
+        assert np.abs(plan.matrix.sum(axis=0) - nu.weights).max() <= MARGINAL_TOL
 
 
 class TestOperators:
