@@ -62,6 +62,7 @@ from .measures import (
     second_moment,
     wasserstein2,
 )
+from .report import McEstimate, mc_estimate
 from .translation import (
     cocycle_check,
     exp_functional,
@@ -74,7 +75,6 @@ from .translation import (
     translation_consistency,
 )
 from .whitenoise import (
-    McEstimate,
     WhiteNoiseEnsemble,
     char_functional,
     empirical_covariance,
@@ -82,7 +82,6 @@ from .whitenoise import (
     gramian_covariance,
     ito_isometry,
     joint_density,
-    mc_estimate,
     moment,
     pairing,
     pairings,

@@ -36,10 +36,19 @@ PARSEVAL_TOL = 1e-10  # |alpha - 1| and |beta - 1| within it count as Parseval
 SYMMETRY_TOL = 1e-12  # asymmetry allowed, times max(1, the largest |entry|)
 
 
+def _floats(x, noun: str, error: type) -> np.ndarray:
+    """x as a float64 array; what numpy cannot convert (a string, a ragged
+    nesting, a mapping) raises `error`, naming x by `noun`."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{noun} must be a rectangular array of numbers ({exc})") from None
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite 1-D float64 vector (`as_rows` of one
     row)."""
-    arr = np.asarray(x, dtype=float)
+    arr = _floats(x, "a vector", DimensionMismatch)
     if arr.ndim != 1:
         raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {arr.shape}")
     return as_rows(arr, dim)
@@ -48,7 +57,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 def as_rows(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite float64 vector, or a stack of vectors
     (..., d), d >= 1."""
-    arr = np.asarray(x, dtype=float)
+    arr = _floats(x, "vectors", DimensionMismatch)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise DimensionMismatch(f"expected vectors of dimension >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -103,7 +112,7 @@ def as_symmetric(m, noun: str, error: type) -> np.ndarray:
     Non-finite entries raise NonFinite; a bad shape or asymmetry raises
     `error`, naming the matrix by `noun`.
     """
-    mat = np.asarray(m, dtype=float)
+    mat = _floats(m, noun, error)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
         raise error(f"{noun} must be a nonempty square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -215,16 +224,11 @@ def build_frame(vectors) -> Frame:
 
     Bounds come from a symmetric eigendecomposition of S = sum phi phi^T.
     """
-    if len(vectors) == 0:
-        raise DimensionMismatch("a frame needs at least one vector")
-    rows = [as_vector(v) for v in vectors]
-    dim = rows[0].size
-    for i, r in enumerate(rows):
-        if r.size != dim:
-            raise DimensionMismatch(
-                f"vector {i} has dimension {r.size}, expected {dim}"
-            )
-    mat = np.vstack(rows)
+    # a copy: the frame's array is made read-only, and the caller's stays as it was
+    mat = as_rows(vectors).copy()
+    if mat.ndim != 2 or mat.shape[0] == 0:
+        raise DimensionMismatch(f"a frame needs one or more vectors of one dimension, "
+                                f"got shape {mat.shape}")
     s = mat.T @ mat  # exactly symmetric, as in `_gramian`
     eigs = np.linalg.eigvalsh(s)
     alpha = float(max(eigs[0], 0.0))
@@ -299,11 +303,10 @@ def frame_from_dict(doc: dict) -> Frame:
     """Rebuild a frame from its JSON document, re-validating invariants."""
     if not isinstance(doc, dict) or "dim" not in doc or "vectors" not in doc:
         raise DimensionMismatch('frame document needs "dim" and "vectors" keys')
+    dim = as_count(doc["dim"], 'frame document "dim"', error=DimensionMismatch)
     frame = build_frame(doc["vectors"])
-    if frame.dim != doc["dim"]:
-        raise DimensionMismatch(
-            f'document says dim {doc["dim"]} but vectors have dimension {frame.dim}'
-        )
+    if frame.dim != dim:
+        raise DimensionMismatch(f"document says dim {dim} but vectors have dimension {frame.dim}")
     return frame
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidWeights, TransportFailed
-from .frames import _is_tight, _spans, as_count, as_rows, as_vector
+from .frames import _floats, _is_tight, _spans, as_count, as_rows, as_vector
 
 WEIGHT_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -69,7 +69,7 @@ class DiscreteMeasure:
         if weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
-            w = np.asarray(weights, dtype=float)
+            w = _floats(weights, "weights", InvalidWeights)
         if w.shape != (pts.shape[0],):
             raise DimensionMismatch("one weight per atom required")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -86,7 +86,7 @@ class DiscreteMeasure:
     @classmethod
     def normalized(cls, atoms, weights) -> "DiscreteMeasure":
         """Construct after dividing the weights by their sum."""
-        w = np.asarray(weights, dtype=float)
+        w = _floats(weights, "weights", InvalidWeights)
         total = w.sum()
         if not np.isfinite(total) or total <= 0.0:
             raise InvalidWeights("weights must have a positive finite sum")
@@ -98,7 +98,7 @@ class DiscreteMeasure:
 
     @classmethod
     def point_mass(cls, atom) -> "DiscreteMeasure":
-        return cls.from_points([np.asarray(atom, dtype=float)], [1.0])
+        return cls.from_points([atom], [1.0])
 
 
 def _merge_duplicates(pts: np.ndarray, w: np.ndarray):
@@ -121,14 +121,16 @@ def measure_to_dict(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_dict(doc: dict) -> DiscreteMeasure:
+    if not isinstance(doc, dict):
+        raise DimensionMismatch(
+            f"measure document must be a JSON object, not {type(doc).__name__}")
     for key in ("dim", "atoms", "weights"):
         if key not in doc:
             raise DimensionMismatch(f'measure document needs "{key}"')
+    dim = as_count(doc["dim"], 'measure document "dim"', error=DimensionMismatch)
     mu = DiscreteMeasure.from_points(doc["atoms"], doc["weights"])
-    if mu.dim != doc["dim"]:
-        raise DimensionMismatch(
-            f'document says dim {doc["dim"]} but atoms have dimension {mu.dim}'
-        )
+    if mu.dim != dim:
+        raise DimensionMismatch(f"document says dim {dim} but atoms have dimension {mu.dim}")
     return mu
 
 

@@ -1,4 +1,10 @@
-"""Run configuration, check records, and report serialization.
+"""Run configuration, check records, Monte-Carlo estimates, and report
+serialization.
+
+A Monte-Carlo check is judged here in full: `mc_estimate` (or a
+white-noise reduction, through `_estimate`) gives the sample mean, its
+standard error and the z-score against the target, and `mc_record`
+passes it iff |z| <= z_max.
 
 Reports serialize to JSON (schema 1) with floats in Python's shortest
 round-trip form, and to CSV with 17 significant digits; both re-parse to
@@ -12,6 +18,8 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .errors import ConfigError
 from .frames import as_count
 from .streams import SEED_MAX
@@ -24,6 +32,10 @@ DEFAULT_TOLERANCES = {
     "tol_ineq": 1e-10,     # slack for frame inequalities, times the upper bound
     "tv_max": 0.02,        # sampler-vs-oracle total variation cap
 }
+
+# A standard error of at most this many ulps of the mean is rounding: the
+# sample is constant, and its mean meets a target within as many ulps.
+ZERO_VARIANCE_ULPS = 4
 
 CSV_COLUMNS = ("name", "value", "target", "std_error", "z_score", "pass")
 
@@ -178,7 +190,57 @@ def bound_record(name: str, value: float, bound: float) -> CheckRecord:
     )
 
 
-def mc_record(name: str, est, z_max: float) -> CheckRecord:
+@dataclass(frozen=True)
+class McEstimate:
+    """Monte-Carlo verification record for one closed-form identity."""
+
+    value: float
+    std_error: float
+    sample_count: int
+    target: float
+    z_score: float
+
+
+def _moments(v: np.ndarray):
+    """(count, mean, M2) of each row of v, taken along the last axis."""
+    n = v.shape[-1]
+    mean = v.sum(axis=-1) / n
+    d = v - mean[..., None]
+    return n, mean, np.einsum("...i,...i->...", d, d)
+
+
+def _merge_moments(a, b):
+    """Moments of the values of a followed by those of b (Chan, Golub &
+    LeVeque 1979)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+
+
+def _estimate(m: int, mean, m2, target: float) -> McEstimate:
+    """The estimate of m values with the given mean and M2 against target;
+    a constant sample (see ZERO_VARIANCE_ULPS) reads z 0 or inf."""
+    value = float(mean)
+    target = float(target)
+    std_error = math.sqrt(float(m2) / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
+    if std_error > ZERO_VARIANCE_ULPS * math.ulp(value):
+        z = (value - target) / std_error
+    else:
+        # an infinite tolerance (an infinite value or target) meets nothing
+        tol = ZERO_VARIANCE_ULPS * math.ulp(max(abs(value), abs(target)))
+        z = 0.0 if abs(value - target) <= tol < math.inf else math.inf
+    return McEstimate(value=value, std_error=std_error, sample_count=m, target=target, z_score=z)
+
+
+def mc_estimate(values: np.ndarray, target: float) -> McEstimate:
+    """Sample mean, standard error, and z-score against a target."""
+    m, mean, m2 = _moments(np.asarray(values, dtype=float).ravel())
+    return _estimate(m, mean, m2, target)
+
+
+def mc_record(name: str, est: McEstimate, z_max: float) -> CheckRecord:
     """Record for a Monte-Carlo estimate: pass iff |z| <= z_max."""
     return CheckRecord(
         name=name,

@@ -34,6 +34,7 @@ from .report import (
     bound_record,
     build_report,
     exact_record,
+    mc_estimate,
     mc_record,
 )
 
@@ -189,7 +190,8 @@ def _write_paths_csv(path, idx, probs):
 def _load_kernel(path):
     with open(path) as fh:
         doc = json.load(fh)
-    if "k" in doc:
+    # anything but a kernel document is read as a frame document, which refuses a non-object
+    if isinstance(doc, dict) and "k" in doc:
         return dpp_mod.kernel_from_matrix(doc["k"])
     return dpp_mod.kernel_from_frame(frames_mod.frame_from_dict(doc))
 
@@ -204,7 +206,7 @@ def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
     card = masks.sum(axis=1).astype(float)
     # the trace of the law sampled (a projection kernel's is its rank exactly)
     trace = float(kernel.keep_probabilities.sum())
-    records.append(mc_record(prefix + "cardinality_vs_trace", wn.mc_estimate(card, trace), z_max))
+    records.append(mc_record(prefix + "cardinality_vs_trace", mc_estimate(card, trace), z_max))
     if bruteforce:
         table = dpp_mod.subset_distribution_bruteforce(kernel)
         emp = dpp_mod.empirical_subset_distribution(masks)

@@ -50,6 +50,7 @@ from .errors import (
     SingularGramian,
 )
 from .frames import Frame, GramMatrix, as_count, as_rows, as_vector
+from .report import _estimate, _merge_moments, _moments
 
 MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
 MEAN_BAND = 5.0       # generator sanity: |coord mean| <= 5/sqrt(M)
@@ -84,24 +85,6 @@ def _pair(probes: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _column_sums(z: np.ndarray) -> np.ndarray:
     """Per-coordinate sums and sums of squares of a tile, for the sanity band."""
     return np.array([np.einsum("ij->j", z), np.einsum("ij,ij->j", z, z)])
-
-
-def _moments(v: np.ndarray):
-    """(count, mean, M2) of each row of v, taken along the last axis."""
-    n = v.shape[-1]
-    mean = v.sum(axis=-1) / n
-    d = v - mean[..., None]
-    return n, mean, np.einsum("...i,...i->...", d, d)
-
-
-def _merge_moments(a, b):
-    """Moments of the values of a followed by those of b (Chan, Golub &
-    LeVeque 1979)."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
-    n = na + nb
-    delta = mean_b - mean_a
-    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
 
 
 def _check_band(sums: np.ndarray, m: int) -> None:
@@ -200,41 +183,12 @@ class WhiteNoiseEnsemble:
         return [r.finish(t, self.sample_count) for r, t in zip(reductions, totals)]
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte-Carlo verification record for one closed-form identity."""
-
-    value: float
-    std_error: float
-    sample_count: int
-    target: float
-    z_score: float
-
-
-def _estimate(m: int, mean, m2, target: float) -> McEstimate:
-    value = float(mean)
-    std_error = math.sqrt(float(m2) / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
-    if std_error > 0.0:
-        z = (value - target) / std_error
-    else:
-        z = 0.0 if value == target else math.inf
-    return McEstimate(
-        value=value, std_error=std_error, sample_count=m, target=float(target), z_score=z
-    )
-
-
-def mc_estimate(values: np.ndarray, target: float) -> McEstimate:
-    """Sample mean, standard error, and z-score against a target."""
-    m, mean, m2 = _moments(np.asarray(values, dtype=float).ravel())
-    return _estimate(m, mean, m2, target)
-
-
 def _mean_reduction(probes, values: Callable, targets) -> Reduction:
     """Reduction estimating the means of per-sample values against targets.
 
     `values(p)` maps a tile's pairings with `probes` (k, rows) to values
-    (c, rows), one row per target. Finishes to one McEstimate per target,
-    a bare McEstimate when there is one target.
+    (c, rows), one row per target. Finishes to one `report.McEstimate` per
+    target, a bare McEstimate when there is one target.
     """
     targets = [float(t) for t in targets]
 

@@ -270,6 +270,15 @@ class TestExitCodes:
         assert main(["decay", str(path)]) == 3
         assert capsys.readouterr().err.startswith("decay: DimensionMismatch: ")
 
+    @pytest.mark.parametrize("command", ["wasserstein", "dpp"])
+    def test_non_object_input_file_is_a_typed_error(self, command, tmp_path, capsys):
+        path = tmp_path / "five.json"
+        path.write_text("5")
+        argv = [command] + [str(path)] * len(COMMANDS[command].inputs)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: DimensionMismatch: ") and "internal error" not in err
+
     @pytest.mark.parametrize("argv", [
         ["translate", "--x", '["a"]'], ["translate", "--x", "[[1, 2]]"],
         ["translate", "--y", "[true]"], ["markov", "{mb}", "--start-vector", '["a", 1]'],

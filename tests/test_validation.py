@@ -19,12 +19,14 @@ from framemeasures.errors import (
     InvalidEnsembleSize,
     InvalidGramian,
     InvalidKernel,
+    InvalidWeights,
     KTooLarge,
     NonFinite,
 )
 from framemeasures.whitenoise import MAX_MOMENT_ORDER
 
 BAD_VALUES = [math.nan, math.inf, -math.inf]
+MEASURE_DOC = {"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}
 
 MB = fm.mercedes_benz_frame()
 MU = fm.DiscreteMeasure.uniform([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -104,6 +106,39 @@ def test_measure_atoms(bad):
         fm.DiscreteMeasure.uniform(np.zeros((0, 2)))
     with pytest.raises(DimensionMismatch):
         fm.DiscreteMeasure.point_mass([[0.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        fm.DiscreteMeasure.point_mass("ab")
+
+
+# malformed input documents, each with the typed error it raises in place
+# of numpy's TypeError or ValueError (or a "dim" taken at face value)
+DOCUMENTS = {
+    "measure document 5": (lambda: fm.measure_from_dict(5), DimensionMismatch),
+    "frame vectors 5": (lambda: fm.frame_from_dict({"dim": 2, "vectors": 5}), DimensionMismatch),
+    "frame vectors 'ab'": (lambda: fm.frame_from_dict({"dim": 2, "vectors": "ab"}),
+                           DimensionMismatch),
+    "weights 'a'": (lambda: fm.measure_from_dict(dict(MEASURE_DOC, weights="a")), InvalidWeights),
+    "normalized weights 'a'": (lambda: fm.DiscreteMeasure.normalized([[0.0]], "a"),
+                               InvalidWeights),
+    "ragged atoms": (lambda: fm.measure_from_dict(dict(MEASURE_DOC, atoms=[[1], [2, 3]])),
+                     DimensionMismatch),
+    "ragged kernel": (lambda: fm.kernel_from_matrix([[1, 0], [0]]), InvalidKernel),
+    "frame dim true": (lambda: fm.frame_from_dict({"dim": True, "vectors": [[1.0]]}),
+                       DimensionMismatch),
+    "frame dim 2.0": (lambda: fm.frame_from_dict(dict(fm.frame_to_dict(MB), dim=2.0)),
+                      DimensionMismatch),
+    "measure dim true": (lambda: fm.measure_from_dict(dict(MEASURE_DOC, dim=True)),
+                         DimensionMismatch),
+    "measure dim 1.0": (lambda: fm.measure_from_dict(dict(MEASURE_DOC, dim=1.0)),
+                        DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_malformed_documents(name):
+    call, error = DOCUMENTS[name]
+    with pytest.raises(error):
+        call()
 
 
 K = fm.kernel_from_frame(MB)

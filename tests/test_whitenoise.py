@@ -293,6 +293,25 @@ class TestMcEstimate:
         est = mc_estimate(np.full(10, 5.0), target=4.0)
         assert est.z_score == math.inf
 
+    def test_constant_sample_one_ulp_off_target(self):
+        est = mc_estimate(np.ones(10), 1.0000000000000002)
+        assert est.std_error == 0.0 and est.z_score == 0.0
+        # ZERO_VARIANCE_ULPS = 4 ulps of the target apart still passes; 5 do not
+        assert mc_estimate(np.ones(10), 1.0 + 4 * 2.0**-52).z_score == 0.0
+        assert mc_estimate(np.ones(10), 1.0 + 5 * 2.0**-52).z_score == math.inf
+        # an infinite mean meets no target, itself included
+        with np.errstate(invalid="ignore"):
+            assert mc_estimate(np.full(3, math.inf), 1.0).z_score == math.inf
+            assert mc_estimate(np.full(3, math.inf), math.inf).z_score == math.inf
+
+    def test_constant_sample_whose_mean_rounds_high(self):
+        # the mean of 1000 copies of 0.1 rounds 1 ulp high, and its M2 is
+        # rounding too: a standard error of 4.4e-19, under 4 ulps of 0.1
+        est = mc_estimate(np.full(1000, 0.1), 0.1)
+        assert est.value == np.nextafter(0.1, 1.0)
+        assert 0.0 < est.std_error <= 4 * math.ulp(est.value)
+        assert est.z_score == 0.0
+
 
 # M = 4 blocks + 17 samples: the last block, and its last tile, are partial
 FUSED_M = 4 * streams.BLOCK_ROWS + 17
