@@ -5,6 +5,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
 """
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -30,8 +31,11 @@ def _parse_tolerances(pairs):
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per entry of the command table."""
+    """One subcommand per entry of the command table, built once per process:
+    parsing leaves the parser as it was (`--tolerance` appends to a fresh
+    list on each parse)."""
     parser = argparse.ArgumentParser(
         prog="framemeasures",
         description="Frame-induced measures with seeded Monte-Carlo verification.",

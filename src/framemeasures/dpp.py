@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import streams
-from .errors import IndexOutOfRange, InvalidKernel, NotDeterminantal, TooLarge
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidKernel, NotDeterminantal, TooLarge
 from .frames import Frame, _gramian, as_count, as_indices, as_symmetric
 
 SPECTRUM_TOL = 1e-10
@@ -38,9 +38,12 @@ BRUTEFORCE_MAX = 20
 # their denominators on its diagonal, and use the spent keep rows (n
 # doubles per draw) as scratch. Two products per block (4.8 MB) give each
 # of the n steps work enough that two threads keep up with one, which they
-# did not with one (809 draws at n = 18); two blocks in flight hold about
-# 10 MB. Only above n = 547, where one product's two draws exceed it, does
-# a block take more.
+# did not with one (809 draws at n = 18). Besides its kernels a block in
+# flight holds 3n doubles per draw, 2n uniforms and n keep rows, which
+# tell at small n: at n = 3 a block of 58,254 draws holds 8.4 MB (4.2 MB
+# of kernels), and 10^6 draws peak at 18.9 MiB on two threads, output
+# included. Only above n = 547, where one product's two draws exceed it,
+# do a block's kernels take more.
 SAMPLER_WORKSPACE = 600_000
 
 
@@ -314,12 +317,25 @@ def _sample_block(lam, v, u, workspace, chosen) -> None:
 
 
 def empirical_subset_distribution(masks: np.ndarray) -> np.ndarray:
-    """Relative subset frequencies of draws, indexed by bitmask."""
-    n = masks.shape[1]
+    """Relative subset frequencies of draws, indexed by bitmask.
+
+    `masks` is a boolean (m, n) array with one row per draw, m >= 1, as
+    `sample_masks` returns; anything else raises DimensionMismatch. The
+    codes are int32 (n <= BRUTEFORCE_MAX), summed one column at a time,
+    so no int64 copy of the masks is made."""
+    if not (isinstance(masks, np.ndarray) and masks.dtype == bool and masks.ndim == 2
+            and masks.shape[0]):
+        got = (f"{masks.dtype} array of shape {masks.shape}" if isinstance(masks, np.ndarray)
+               else type(masks).__name__)
+        raise DimensionMismatch(f"masks must be a boolean (draws, n) array with at least "
+                                f"one draw, got {got}")
+    m, n = masks.shape
     if n > BRUTEFORCE_MAX:
         raise TooLarge(f"subset tabulation capped at n = {BRUTEFORCE_MAX}")
-    codes = masks @ (1 << np.arange(n, dtype=np.int64))
-    return np.bincount(codes, minlength=1 << n) / masks.shape[0]
+    codes = np.zeros(m, dtype=np.int32)
+    for i in range(n):
+        codes += masks[:, i].astype(np.int32) << i
+    return np.bincount(codes, minlength=1 << n) / m
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

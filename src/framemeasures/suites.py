@@ -203,7 +203,7 @@ def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
                      dpp_mod.SPECTRUM_TOL),
     ]
     masks = dpp_mod.sample_masks(kernel, config.samples, config.seed)
-    card = masks.sum(axis=1).astype(float)
+    card = masks.sum(axis=1, dtype=float)
     # the trace of the law sampled (a projection kernel's is its rank exactly)
     trace = float(kernel.keep_probabilities.sum())
     records.append(mc_record(prefix + "cardinality_vs_trace", mc_estimate(card, trace), z_max))

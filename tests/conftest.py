@@ -1,7 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from framemeasures import WhiteNoiseEnsemble, mercedes_benz_frame, orthonormal_basis_frame
+
+# the golden-file tests import tools/payload_diff.py
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 
 @pytest.fixture(scope="session")

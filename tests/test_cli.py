@@ -456,6 +456,22 @@ class TestCommands:
         assert {"frames", "wasserstein", "decay", "markov", "dpp",
                 "gaussian", "translate", "kl"} <= prefixes
 
+    def test_one_parser_gives_independent_configs(self, mb_path, monkeypatch, capsys):
+        # main reuses one parser; a call must not see the options of the one before
+        configs = []
+        real_run = run
+        monkeypatch.setattr("framemeasures.cli.run",
+                            lambda config: configs.append(config) or real_run(config))
+        assert main(["frames", mb_path, "--tolerance", "z_max=5", "--format", "csv"]) == 0
+        assert not capsys.readouterr().out.startswith("{")
+        assert main(["frames", mb_path]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "frames"
+        assert build_parser() is build_parser()
+        assert configs == [
+            ExperimentConfig("frames", inputs=(mb_path,), tolerances={"z_max": 5.0}),
+            ExperimentConfig("frames", inputs=(mb_path,)),
+        ]
+
 
 # The `options` each command writes into its report's `config` when run
 # with no option given: every default, in this key order.

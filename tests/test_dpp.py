@@ -23,6 +23,7 @@ from framemeasures import dpp as dpp_mod
 from framemeasures import streams
 from framemeasures.dpp import DppKernel, _moebius, _subset_minors
 from framemeasures.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidEnsembleSize,
     InvalidKernel,
@@ -436,6 +437,44 @@ class TestSampling:
         big = sample_masks(k, 130_000, seed=11)
         small = sample_masks(k, 70_000, seed=11)
         np.testing.assert_array_equal(big[:70_000], small)
+
+
+class TestEmpiricalTable:
+    @pytest.mark.parametrize("n", [0, 1, 3, 12, 20])
+    def test_equals_the_matrix_product_tabulation(self, n):
+        rng = np.random.default_rng(40 + n)
+        m = 30_000
+        masks = rng.random((m, n)) < rng.random(n)
+        masks[0] = True  # code 2^n - 1, the top bit set
+        want = np.bincount(masks @ (1 << np.arange(n)), minlength=1 << n) / m
+        got = empirical_subset_distribution(masks)
+        assert got[-1] > 0
+        assert got.tobytes() == want.tobytes()
+
+    def test_tabulation_memory_is_bounded(self):
+        # the int64 product of the masks and its codes peaked at 30.5 MiB
+        masks = np.random.default_rng(41).random((1_000_000, 3)) < 0.5
+        tracemalloc.start()
+        try:
+            empirical_subset_distribution(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("masks, named", [
+        (np.ones(4, bool), r"shape \(4,\)"),
+        ([[True, False]], "list"),
+        (np.zeros((0, 3), bool), r"shape \(0, 3\)"),
+        (np.array([[2, 0], [1, 1]]), "int64"),
+    ], ids=["one_dimensional", "list", "no_draws", "integer_entries"])
+    def test_refuses_what_is_not_boolean_draws(self, masks, named):
+        with pytest.raises(DimensionMismatch, match=named):
+            empirical_subset_distribution(masks)
+
+    def test_size_cap(self):
+        with pytest.raises(TooLarge):
+            empirical_subset_distribution(np.zeros((2, 21), bool))
 
 
 class TestPool:

@@ -1,22 +1,11 @@
-"""The committed verify-all payloads under tests/golden/ still come out byte
-for byte; tools/payload_diff.py holds the diff and regenerates the files."""
-import importlib.util
+"""The committed golden files under tests/golden/ still come out byte for
+byte: the verify-all payloads here, the CSV files the CLI writes here, the
+demos' output in test_demos.py. tools/payload_diff.py holds the diffs and
+regenerates the files."""
 import json
-from pathlib import Path
 
+import payload_diff
 import pytest
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "payload_diff.py"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("payload_diff", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-payload_diff = _load_tool()
 
 
 @pytest.mark.parametrize("config", payload_diff.CONFIGS,
@@ -24,8 +13,14 @@ payload_diff = _load_tool()
 def test_payload_is_golden(config):
     moved = payload_diff.check(*config)
     if moved:
-        note = payload_diff.version_note()
-        pytest.fail("payload moved:\n" + "\n".join(moved) + (f"\n{note}" if note else ""))
+        pytest.fail(payload_diff.failure("payload", moved))
+
+
+@pytest.mark.parametrize("name", payload_diff.CSV_RUNS)
+def test_csv_is_golden(name):
+    moved = payload_diff.check_csv(name)
+    if moved:
+        pytest.fail(payload_diff.failure(name, moved))
 
 
 def test_diff_names_each_moved_field():
@@ -51,3 +46,13 @@ def test_version_note_names_both_and_the_command(monkeypatch):
     note = payload_diff.version_note()
     assert str(recorded) in note and "'numpy': '0.0'" in note
     assert payload_diff.WRITE_COMMAND in note
+    assert payload_diff.failure("x.csv", ["-a", "+b"]) == f"x.csv moved:\n-a\n+b\n{note}"
+
+
+def test_text_diff_names_each_moved_line():
+    golden = "draw,indices\n0,1 2\n1,2\n"
+    assert payload_diff.text_diff(golden, golden) == []
+    assert payload_diff.text_diff(golden, golden.replace("1,2\n", "1,0 2\n"))[-2:] == [
+        "-1,2", "+1,0 2"]
+    assert payload_diff.text_diff(golden, golden.replace("\n", "\r\n")) == [
+        "text differs in its line ends only"]

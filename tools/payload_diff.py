@@ -1,21 +1,30 @@
-"""Golden verify-all payloads: diff the running code's payloads against the
-files under tests/golden/, record by record, or regenerate those files.
+"""Golden files: diff what the running code prints and writes against the
+files under tests/golden/, or regenerate those files.
 
     python3 tools/payload_diff.py           # print what moved; exit 1 if anything did
     python3 tools/payload_diff.py --write   # regenerate tests/golden/
 
-Run from the repository root; the package is imported from ./src. Each
-golden file holds `Report.payload_json()` of `verify-all` at one
-(seed, samples, dim) of CONFIGS, plus a newline. The bits depend on numpy,
-scipy (`ndtri`) and the BLAS, so `versions.json` beside the files records
-the versions they were made with. A change that moves a stream, a
-statistic or a bound on purpose regenerates the files, and quotes this
-tool's output as its evidence.
+Run from the repository root; the package is imported from ./src. Three
+kinds of file are pinned, each byte for byte:
+- `Report.payload_json()` of `verify-all` at each (seed, samples, dim) of
+  CONFIGS, plus a newline, diffed record by record;
+- the stdout of each demo under demos/ (golden/demos/<name>.txt);
+- the `--draws-csv` and `--paths-csv` files of CSV_RUNS, whose frame is
+  CSV_FRAME;
+the last two diffed line by line. The bits depend on numpy, scipy
+(`ndtri`) and the BLAS, so `versions.json` beside the files records the
+versions they were made with. A change that moves a stream, a statistic
+or a bound on purpose regenerates the files, and quotes this tool's
+output as its evidence.
 """
 import argparse
+import difflib
+import glob
 import json
 import os
+import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import scipy
@@ -23,6 +32,8 @@ import scipy
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from framemeasures import build_frame, save_frame  # noqa: E402
+from framemeasures.cli import main as cli_main  # noqa: E402
 from framemeasures.report import ExperimentConfig  # noqa: E402
 from framemeasures.suites import run  # noqa: E402
 
@@ -32,6 +43,18 @@ WRITE_COMMAND = "python3 tools/payload_diff.py --write"
 # (seed, samples, dim) of each golden run
 CONFIGS = ((1, 100_000, 32), (7, 100_000, 32), (11, 20_000, 16), (3, 1_000_000, 32))
 FIELDS = ("value", "target", "std_error", "z_score", "pass")
+DEMOS = tuple(sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))))
+# five vectors in R^3 whose kernel has eigenvalues 1, two inside (0, 1)
+# and two 0, so draws take one to three points
+CSV_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0))
+# CLI arguments of each pinned CSV file; {frame} and {csv} stand for the
+# paths of CSV_FRAME's document and of the file
+CSV_RUNS = {
+    "dpp_draws_seed5_2000.csv": ("dpp", "{frame}", "--seed", "5", "--samples", "2000",
+                                 "--draws-csv", "{csv}"),
+    "markov_paths_seed5_2000.csv": ("markov", "{frame}", "--seed", "5", "--paths", "2000",
+                                    "--horizon", "4", "--paths-csv", "{csv}"),
+}
 
 
 def golden_path(seed, samples, dim):
@@ -40,6 +63,31 @@ def golden_path(seed, samples, dim):
 
 def payload(seed, samples, dim) -> str:
     return run(ExperimentConfig("verify-all", seed=seed, samples=samples, dim=dim)).payload_json()
+
+
+def demo_golden_path(demo):
+    return os.path.join(GOLDEN, "demos", os.path.basename(demo).removesuffix(".py") + ".txt")
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """`python args`, in a fresh process with ./src first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def csv_text(name) -> str:
+    """The CSV file that the CLI writes for CSV_RUNS[name]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"frame": os.path.join(tmp, "frame.json"), "csv": os.path.join(tmp, name)}
+        save_frame(build_frame(CSV_FRAME), paths["frame"])
+        argv = [arg.format(**paths) for arg in CSV_RUNS[name]] + ["--out", os.devnull]
+        if cli_main(argv) != 0:
+            raise RuntimeError(f"framemeasures {' '.join(argv)} failed")
+        with open(paths["csv"], newline="") as fh:
+            return fh.read()
 
 
 def running_versions() -> dict:
@@ -77,6 +125,16 @@ def diff(golden: str, current: str) -> list:
     return lines or ["payload text differs, but no field moved"]
 
 
+def text_diff(golden: str, current: str) -> list:
+    """The lines that moved from `golden` to `current`, as a unified diff
+    cut at 40 lines; empty iff the two texts are identical."""
+    if golden == current:
+        return []
+    lines = list(difflib.unified_diff(golden.splitlines(), current.splitlines(),
+                                      "golden", "current", n=0, lineterm=""))
+    return (lines or ["text differs in its line ends only"])[:40]
+
+
 def version_note() -> str:
     """Empty when the running versions match the recorded ones; else a line
     naming both and the command that regenerates the files."""
@@ -87,22 +145,52 @@ def version_note() -> str:
             f"if the change is the platform's, regenerate them with `{WRITE_COMMAND}`")
 
 
+def failure(what: str, lines: list) -> str:
+    """The message of a moved golden file: its diff lines, then the
+    version note when the versions differ."""
+    note = version_note()
+    return f"{what} moved:\n" + "\n".join(lines) + (f"\n{note}" if note else "")
+
+
+def _read(path) -> str:
+    # newline="": read the bytes as they are, with no line-end translation
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
 def check(seed, samples, dim) -> list:
     """Diff lines of one golden file against the running code's payload;
     empty iff the file holds that payload and a newline, byte for byte."""
-    # newline="": read the bytes as they are, with no line-end translation
-    with open(golden_path(seed, samples, dim), newline="") as fh:
-        golden = fh.read()
-    return diff(golden, payload(seed, samples, dim) + "\n")
+    return diff(_read(golden_path(seed, samples, dim)), payload(seed, samples, dim) + "\n")
+
+
+def check_demo(demo, stdout: str) -> list:
+    """Diff lines of a demo's golden file against its `stdout`."""
+    return text_diff(_read(demo_golden_path(demo)), stdout)
+
+
+def check_csv(name) -> list:
+    """Diff lines of a golden CSV file against the one the CLI writes now."""
+    return text_diff(_read(os.path.join(GOLDEN, name)), csv_text(name))
+
+
+def _demo_stdout(demo) -> str:
+    proc = run_python(demo)
+    if proc.returncode:
+        raise RuntimeError(f"{demo} failed:\n{proc.stderr[-2000:]}")
+    return proc.stdout
 
 
 def write():
-    os.makedirs(GOLDEN, exist_ok=True)
-    for config in CONFIGS:
-        with open(golden_path(*config), "w") as fh:
-            fh.write(payload(*config) + "\n")
-    with open(VERSIONS, "w") as fh:
-        fh.write(json.dumps(running_versions(), indent=2) + "\n")
+    os.makedirs(os.path.join(GOLDEN, "demos"), exist_ok=True)
+    files = {golden_path(*config): payload(*config) + "\n" for config in CONFIGS}
+    files.update((demo_golden_path(demo), _demo_stdout(demo)) for demo in DEMOS)
+    files.update((os.path.join(GOLDEN, name), csv_text(name)) for name in CSV_RUNS)
+    files[VERSIONS] = json.dumps(running_versions(), indent=2) + "\n"
+    for path, text in files.items():
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    return len(files)
 
 
 def main(argv=None) -> int:
@@ -110,15 +198,15 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true", help="regenerate the golden files")
     args = parser.parse_args(argv)
     if args.write:
-        write()
-        print(f"wrote {len(CONFIGS)} payloads and versions.json to {os.path.relpath(GOLDEN)}")
+        print(f"wrote {write()} files to {os.path.relpath(GOLDEN)}")
         return 0
+    results = [(f"seed {c[0]}, {c[1]}x{c[2]}", check(*c)) for c in CONFIGS]
+    results += [(os.path.basename(demo), check_demo(demo, _demo_stdout(demo))) for demo in DEMOS]
+    results += [(name, check_csv(name)) for name in CSV_RUNS]
     moved = False
-    for config in CONFIGS:
-        lines = check(*config)
+    for label, lines in results:
         moved = moved or bool(lines)
-        print(f"seed {config[0]}, {config[1]}x{config[2]}: "
-              + (f"{len(lines)} moved" if lines else "nothing moved"))
+        print(f"{label}: " + (f"{len(lines)} moved" if lines else "nothing moved"))
         print("".join(f"  {line}\n" for line in lines), end="")
     note = version_note()
     if moved and note:
