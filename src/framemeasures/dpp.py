@@ -19,9 +19,13 @@ The sampler's blocks of draws run on the `streams.map_ordered` pool,
 whose size FRAMES_THREADS caps. A draw's uniforms depend only on
 (seed, draw index) and its kernel on a product over a fixed group of
 draws. So no bit depends on the thread count, and the sampler's block
-size does not change which product computes a draw.
+size does not change which product computes a draw. Each step of a block
+reads contiguous rows through views built once per lent workspace, and
+every numpy call covers thousands of draws, so the workers wait less for
+each other under the GIL between calls.
 """
 import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,17 +38,29 @@ SPECTRUM_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-10
 BRUTEFORCE_MAX = 20
 # Doubles in the (n, n, block) projection-kernel workspace of one block of
-# `sample_masks`, at most. The steps keep the pivot columns in its rows and
-# their denominators on its diagonal, and use the spent keep rows (n
-# doubles per draw) as scratch. Two products per block (4.8 MB) give each
-# of the n steps work enough that two threads keep up with one, which they
-# did not with one (809 draws at n = 18). Besides its kernels a block in
-# flight holds 3n doubles per draw, 2n uniforms and n keep rows, which
-# tell at small n: at n = 3 a block of 58,254 draws holds 8.4 MB (4.2 MB
-# of kernels), and 10^6 draws peak at 18.9 MiB on two threads, output
-# included. Only above n = 547, where one product's two draws exceed it,
-# do a block's kernels take more.
+# `sample_masks`. The steps keep the pivot columns in its rows and their
+# denominators on its diagonal, and use the spent keep rows (n doubles per
+# draw) as scratch. Two products (4.2 MB) fill it at every n up to 362.
+# Besides its kernels a block in flight holds n keep rows and n step
+# uniforms as doubles and n decisions as bytes per draw, which tell at
+# small n: at n = 3 a block of 58,254 draws holds 7.2 MB, and 10^6 draws
+# peak at 18.6 MiB on two threads, output included.
 SAMPLER_WORKSPACE = 600_000
+# Draws a block takes, at least, where its kernels stay within twice
+# SAMPLER_WORKSPACE. Each step makes about ten numpy calls over the draws
+# of its block, and the workers take their dispatch under the GIL in turn,
+# so the fewer draws a call covers, the more they wait for each other.
+# Blocks at n <= 12 hold this many already (3,640 at n = 12); at n = 16
+# and 18 four products (4,096 and 3,236 draws, 8.4 MB of kernels, of
+# which small pages back the 4.5 MB written) take the place of two.
+BLOCK_DRAWS = 3_500
+# Uniforms drawn at a time while a block's keep rows and step uniforms are
+# filled, so that no block holds all its uniforms at once: 512 KiB, and as
+# much again while they are converted.
+UNIFORM_CHUNK = 1 << 16
+# Draws per `np.bincount` call of `empirical_subset_distribution`, whose
+# intp copy of the int32 codes then stays at 512 KiB.
+TABULATION_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -202,11 +218,14 @@ def _product_shape(n: int) -> tuple[int, int]:
 
 
 def _block_draws(n: int) -> int:
-    """Draws per block of `sample_masks`: a multiple of the product width
-    that keeps the (n, n, block) kernels within SAMPLER_WORKSPACE doubles
-    (or one product's width, when that alone exceeds it)."""
+    """Draws per block of `sample_masks`: whole products, as many as keep
+    the (n, n, block) kernels within SAMPLER_WORKSPACE doubles, or more,
+    within twice that, to reach BLOCK_DRAWS (and one product, when that
+    alone exceeds it)."""
     draws = _product_shape(n)[1]
-    return draws * max(1, SAMPLER_WORKSPACE // (n * n * draws))
+    per_product = n * n * draws
+    more = min(-(-BLOCK_DRAWS // draws), 2 * SAMPLER_WORKSPACE // per_product)
+    return draws * max(1, SAMPLER_WORKSPACE // per_product, more)
 
 
 def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
@@ -227,13 +246,10 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     (aligned to multiples of the product width from draw 0, the last one
     ending at draw m), so neither the thread count nor the block size
     changes the product that computes a draw. Each block in flight
-    borrows a workspace allocated here, on the calling thread.
+    borrows a `_Workspace` allocated here, on the calling thread.
     """
     m = as_count(m, "sample count m")
     n = kernel.size
-    lam = kernel.keep_probabilities
-    v = kernel.eigenvectors
-
     out = np.empty((m, n), dtype=bool)
     block = _block_draws(n)
     # one spare column lets a last product of one draw run as two
@@ -242,20 +258,13 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     workers = min(streams.worker_count(), len(starts))
     spare = queue.SimpleQueue()
     for _ in range(workers):
-        spare.put(
-            (
-                np.empty((n, n, width)),
-                np.empty((n, width)),
-                np.empty((n, n)),
-            )
-        )
+        spare.put(_Workspace(n, width))
 
     def fill(lo: int) -> None:
         hi = min(m, lo + block)
-        u = streams.uniforms_at(seed, lo * 2 * n, (hi - lo) * 2 * n, stream=streams.STREAM_DPP)
         workspace = spare.get()
         try:
-            _sample_block(lam, v, u.reshape(hi - lo, 2 * n), workspace, out[lo:hi])
+            workspace.sample(kernel, seed, lo, out[lo:hi])
         finally:
             spare.put(workspace)
 
@@ -264,10 +273,30 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     return out
 
 
-def _sample_block(lam, v, u, workspace, chosen) -> None:
-    """Draws of one block into `chosen`, a (b, n) view of the output.
+_HINT_LOCK = threading.Lock()
 
-    The kernels P = V diag(keep) V^T sit in an (n, n, b) array, draws
+
+def _small_pages(shape) -> np.ndarray:
+    """np.empty(shape) without numpy's huge-page hint. numpy asks for huge
+    pages on arrays from 4 MiB on, and a 2 MiB page is backed as a whole
+    once any of it is written, so the lower triangles of a block's
+    kernels, which no product writes, would be backed too: at n = 18 all
+    8.4 MB of four products, where small pages back the 4.5 MB written."""
+    hint = np._core.multiarray._set_madvise_hugepage
+    with _HINT_LOCK:
+        was = hint(False)
+        try:
+            return np.empty(shape)
+        finally:
+            hint(was)
+
+
+class _Workspace:
+    """Every array a block of `sample_masks` writes, for blocks of up to
+    `width` draws, and the views of them that each step reads, built once
+    per block size.
+
+    The kernels P = V diag(keep) V^T sit in an (n, n, width) array, draws
     innermost; only the entries P[i, i:] = P[i:, i] of each row i are
     formed, since the steps read no other. Step t computes only pivot
     column t of the conditioned kernels, left-looking:
@@ -275,45 +304,81 @@ def _sample_block(lam, v, u, workspace, chosen) -> None:
     one contraction over s, in place of row t of the kernels (P[t, t:],
     equal to P[t:, t]), which no later step reads as a kernel entry. The
     pivot p = c_t[t] decides point t, and d_t, p when it is kept and
-    p - 1 when not, replaces it on the diagonal. Every array the steps
-    write is in `workspace`.
+    p - 1 when not, replaces it on the diagonal. The keep rows `keep_t`
+    are spent once the kernels are formed: at step t its rows s < t take
+    the c_s[t] / d_s and its rows from t on the contraction, then its row
+    0 is scratch. Step t reads its uniforms from row t of `steps_u` and
+    writes its decisions into row t of `chosen`, both contiguous.
     """
-    n = lam.size
-    b = u.shape[0]
-    full, keep_t, vv = workspace
-    np.less(u[:, :n].T, lam[:, None], out=keep_t[:, :b])
-    keep_t[:, b:] = 0.0
-    rows, draws = _product_shape(n)
-    for i in range(n):
-        # entries i.. of row i, the ones the steps read; the last row also
-        # takes entry n - 2, so that its product has two rows
-        j = max(0, min(i, n - 2))
-        np.multiply(v[j:], v[i], out=vv[j:])
-        for r in range(j, n, rows):
-            for lo in range(0, b, draws):
-                hi = min(lo + draws, max(b, lo + 2))
-                np.matmul(vv[r : r + rows], keep_t[:, lo:hi], out=full[i, r : r + rows, lo:hi])
-    cols = full[:, :, :b]
-    # the diagonal: step t leaves d_t in place of its pivot
-    denom = full.reshape(n * n, -1)[:: n + 1, :b]
-    # keep^T is spent: at step t its rows s < t take c_s[t] / d_s and its
-    # rows from t on the contraction, then its row 0 is scratch
-    rest = keep_t[:, :b]
-    for t in range(n):
-        col = cols[t, t:]
-        if t:
-            np.divide(cols[:t, t], denom[:t], out=rest[:t])
-            np.einsum("sjb,sb->jb", cols[:t, t:], rest[:t], out=rest[t:])
-            np.subtract(col, rest[t:], out=col)
-        p = np.clip(col[0], 0.0, 1.0, out=col[0])
-        inc = np.less(u[:, n + t], p, out=chosen[:, t])
-        if t == n - 1:
-            break
-        # d_t: max(p, 1e-12) where point t is kept, else min(p - 1, -1e-12)
-        kept = np.maximum(p, 1e-12, out=rest[0])
-        np.subtract(p, 1.0, out=p)
-        np.minimum(p, -1e-12, out=p)
-        np.copyto(p, kept, where=inc)
+
+    def __init__(self, n: int, width: int):
+        self.kernels = _small_pages((n, n, width))
+        self.keep_t = np.empty((n, width))
+        self.steps_u = np.empty((n, width))
+        self.chosen = np.empty((n, width), dtype=bool)
+        self.vv = np.empty((n, n))
+        self.size = None
+
+    def _views(self, b: int) -> None:
+        """The operands of each step for blocks of b draws: the column it
+        computes and its pivot; c_s[t] and d_s, the rows that take their
+        ratio, c_s[t:] and the rows of the contraction; its uniforms and
+        its decisions."""
+        n = self.kernels.shape[0]
+        cols = self.kernels[:, :, :b]
+        denom = self.kernels.reshape(n * n, -1)[:: n + 1, :b]
+        rest = self.keep_t[:, :b]
+        self.steps = [(cols[t, t:], denom[t], cols[:t, t], denom[:t], rest[:t], cols[:t, t:],
+                       rest[t:], self.steps_u[t, :b], self.chosen[t, :b]) for t in range(n)]
+        self.scratch = rest[0]
+        self.size = b
+
+    def sample(self, kernel: DppKernel, seed: int, first: int, out) -> None:
+        """Draws first, first + 1, ... into `out`, their (b, n) rows of
+        the output."""
+        lam, v = kernel.keep_probabilities, kernel.eigenvectors
+        n = lam.size
+        b = out.shape[0]
+        if b != self.size:
+            self._views(b)
+        kernels, keep_t = self.kernels, self.keep_t
+        chunk = max(1, UNIFORM_CHUNK // (2 * n))
+        for c0 in range(0, b, chunk):
+            c1 = min(b, c0 + chunk)
+            u = streams.uniforms_at(seed, (first + c0) * 2 * n, (c1 - c0) * 2 * n,
+                                    stream=streams.STREAM_DPP).reshape(c1 - c0, 2 * n).T
+            np.less(u[:n], lam[:, None], out=keep_t[:, c0:c1])
+            np.copyto(self.steps_u[:, c0:c1], u[n:])
+        keep_t[:, b:] = 0.0
+        rows, draws = _product_shape(n)
+        vv = self.vv
+        for i in range(n):
+            # entries i.. of row i, the ones the steps read; the last row also
+            # takes entry n - 2, so that its product has two rows
+            j = max(0, min(i, n - 2))
+            np.multiply(v[j:], v[i], out=vv[j:])
+            for r in range(j, n, rows):
+                for lo in range(0, b, draws):
+                    hi = min(lo + draws, max(b, lo + 2))
+                    np.matmul(vv[r : r + rows], keep_t[:, lo:hi],
+                              out=kernels[i, r : r + rows, lo:hi])
+        kept = self.scratch
+        for t, (col, p, top, den, ratio, band, acc, u, inc) in enumerate(self.steps):
+            if t:
+                np.divide(top, den, out=ratio)
+                np.einsum("sjb,sb->jb", band, ratio, out=acc)
+                np.subtract(col, acc, out=col)
+            np.maximum(p, 0.0, out=p)
+            np.minimum(p, 1.0, out=p)
+            np.less(u, p, out=inc)
+            if t == n - 1:
+                break
+            # d_t: max(p, 1e-12) where point t is kept, else min(p - 1, -1e-12)
+            np.maximum(p, 1e-12, out=kept)
+            np.subtract(p, 1.0, out=p)
+            np.minimum(p, -1e-12, out=p)
+            np.copyto(p, kept, where=inc)
+        np.copyto(out, self.chosen[:, :b].T)
 
 
 def empirical_subset_distribution(masks: np.ndarray) -> np.ndarray:
@@ -322,7 +387,8 @@ def empirical_subset_distribution(masks: np.ndarray) -> np.ndarray:
     `masks` is a boolean (m, n) array with one row per draw, m >= 1, as
     `sample_masks` returns; anything else raises DimensionMismatch. The
     codes are int32 (n <= BRUTEFORCE_MAX), summed one column at a time,
-    so no int64 copy of the masks is made."""
+    and counted TABULATION_CHUNK draws at a time, the integer counts
+    summed, so neither the masks nor all the codes are copied to int64."""
     if not (isinstance(masks, np.ndarray) and masks.dtype == bool and masks.ndim == 2
             and masks.shape[0]):
         got = (f"{masks.dtype} array of shape {masks.shape}" if isinstance(masks, np.ndarray)
@@ -332,10 +398,14 @@ def empirical_subset_distribution(masks: np.ndarray) -> np.ndarray:
     m, n = masks.shape
     if n > BRUTEFORCE_MAX:
         raise TooLarge(f"subset tabulation capped at n = {BRUTEFORCE_MAX}")
-    codes = np.zeros(m, dtype=np.int32)
-    for i in range(n):
-        codes += masks[:, i].astype(np.int32) << i
-    return np.bincount(codes, minlength=1 << n) / m
+    counts = np.zeros(1 << n, dtype=np.intp)
+    for lo in range(0, m, TABULATION_CHUNK):
+        rows = masks[lo : lo + TABULATION_CHUNK]
+        codes = np.zeros(rows.shape[0], dtype=np.int32)
+        for i in range(n):
+            codes += rows[:, i].astype(np.int32) << i
+        counts += np.bincount(codes, minlength=1 << n)
+    return counts / m
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

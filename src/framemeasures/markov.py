@@ -13,6 +13,7 @@ separates `transition_prob` from the index chain in `FrameChain`.
 Path probabilities multiply transition weights exactly as sampled, so a
 sampled path's probability can be recomputed bit-for-bit.
 """
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +25,10 @@ from .frames import Frame, _gramian, analysis, as_count, as_indices, as_vector
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_RTOL = 1e-12
 BOUND_TOL = 1e-12
-# Paths per chunk of `sample_path_indices`: the chunk's uniforms, states
-# and probes (a few hundred KiB at k = 8) stay in L2.
-PATH_CHUNK = 1 << 14
+# Paths per chunk of `sample_path_indices`, one task of the thread pool:
+# the chunk's uniforms, states and probes (a few hundred KiB at k = 8)
+# stay in L2, and two chunks in flight hold what one of 2^14 paths did.
+PATH_CHUNK = 1 << 13
 
 
 def _nonzero_coefficients(frame: Frame, x) -> np.ndarray:
@@ -146,11 +148,13 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
     the paths of a chunk (ties resolve to the lower index), the row of
     each path's current state in one table of the transition CDFs with
     the start CDF stacked under them as row n: every path starts in
-    state n, with probability 1. Paths run PATH_CHUNK at a time, each
-    chunk drawing its own uniforms, so the working arrays stay
-    cache-sized. Time is
+    state n, with probability 1. Paths run PATH_CHUNK at a time on the
+    `streams.map_ordered` pool, each chunk drawing its own uniforms and
+    writing its own rows of the output, so the working arrays stay
+    cache-sized and no bit depends on the thread count. Time is
     O(m*k*log n) and memory the size of the output: 200k paths of 8 steps
-    over 64 states peak at 16 MiB under tracemalloc, 14 MiB of it output.
+    over 64 states peak at 16 MiB under tracemalloc on two threads, 14 MiB
+    of it output.
 
     Returns (indices, probabilities) with shapes (m, k) and (m,); the
     probabilities multiply the same factors in the same order as
@@ -166,16 +170,32 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
 
     idx = np.empty((m, k), dtype=np.int64)
     prob = np.empty(m)
-    for a in range(0, m, PATH_CHUNK):
+    starts = range(0, m, PATH_CHUNK)
+    workers = min(streams.worker_count(), len(starts))
+    # each chunk in flight borrows its step-major uniforms from here, on the
+    # calling thread, where the memory is reused once the workers are done
+    spare = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put(np.empty((k, min(m, PATH_CHUNK))))
+
+    def fill(a: int) -> None:
         b = min(m, a + PATH_CHUNK)
-        u = streams.uniforms_at(seed, a * k, (b - a) * k, stream=streams.STREAM_MARKOV)
-        u = u.reshape(b - a, k).T.copy()
-        state = np.full(b - a, n)
-        chunk_prob = np.ones(b - a)
-        for step in range(k):
-            prev = state
-            state = streams.inverse_cdf_index(table, prev, u[step])
-            idx[a:b, step] = state
-            chunk_prob *= flat_p[prev * n + state]
-        prob[a:b] = chunk_prob
+        lent = spare.get()
+        try:
+            u = lent[:, : b - a]
+            np.copyto(u, streams.uniforms_at(seed, a * k, (b - a) * k,
+                                             stream=streams.STREAM_MARKOV).reshape(b - a, k).T)
+            state = np.full(b - a, n)
+            chunk_prob = prob[a:b]
+            chunk_prob[:] = 1.0
+            for step in range(k):
+                prev = state
+                state = streams.inverse_cdf_index(table, prev, u[step])
+                idx[a:b, step] = state
+                chunk_prob *= flat_p[prev * n + state]
+        finally:
+            spare.put(lent)
+
+    for _ in streams.map_ordered(fill, starts, workers):
+        pass
     return idx, prob

@@ -451,6 +451,28 @@ class TestEmpiricalTable:
         assert got[-1] > 0
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 7, 50, 30_001])
+    def test_counts_in_chunks(self, m, monkeypatch):
+        # chunks of 7 draws, the last one short, summed as integer counts
+        monkeypatch.setattr(dpp_mod, "TABULATION_CHUNK", 7)
+        rng = np.random.default_rng(42)
+        masks = rng.random((m, 5)) < rng.random(5)
+        want = np.bincount(masks @ (1 << np.arange(5)), minlength=32) / m
+        assert empirical_subset_distribution(masks).tobytes() == want.tobytes()
+
+    def test_tabulation_peak_is_one_chunk(self):
+        # 10^6 draws at n = 3: one chunk's int32 codes and their intp copy
+        # (0.75 MiB measured), where `bincount`'s intp copy of all the
+        # codes peaked at 11.4 MiB
+        masks = np.random.default_rng(41).random((1_000_000, 3)) < 0.5
+        tracemalloc.start()
+        try:
+            empirical_subset_distribution(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_tabulation_memory_is_bounded(self):
         # the int64 product of the masks and its codes peaked at 30.5 MiB
         masks = np.random.default_rng(41).random((1_000_000, 3)) < 0.5
@@ -482,11 +504,38 @@ class TestPool:
     the parent's single-thread sampler on the kernels tried here, whatever
     the thread count and the block size."""
 
+    @pytest.mark.parametrize("n, products, draws", [
+        (3, 2, 58_254), (7, 2, 10_698), (12, 2, 3_640), (13, 3, 4_653), (16, 4, 4_096),
+        (18, 4, 3_236), (64, 4, 256), (400, 3, 6), (547, 2, 4), (548, 1, 2),
+    ])
+    def test_block_rule(self, n, products, draws):
+        # whole products: as many as SAMPLER_WORKSPACE doubles of kernels
+        # hold, or more, within twice that, towards BLOCK_DRAWS draws; from
+        # n = 548 on a block is one product of two draws
+        width = dpp_mod._product_shape(n)[1]
+        assert dpp_mod._block_draws(n) == products * width == draws
+        workspace, per_draw = dpp_mod.SAMPLER_WORKSPACE, n * n
+        assert draws * per_draw <= 2 * workspace
+        assert (draws + width) * per_draw > workspace or products == 1
+        assert draws >= dpp_mod.BLOCK_DRAWS or (draws + width) * per_draw > 2 * workspace
+
+    @pytest.mark.parametrize("hinted", [True, False])
+    def test_small_pages_restore_numpy_hint(self, hinted):
+        # the kernels are allocated without numpy's huge-page hint, which is
+        # left as it was
+        hint = np._core.multiarray._set_madvise_hugepage
+        was = hint(hinted)
+        try:
+            assert dpp_mod._small_pages((18, 18, 3237)).shape == (18, 18, 3237)
+            assert hint(hinted) is hinted
+        finally:
+            hint(was)
+
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("n", [*range(1, 19), 32, 64, 100, 400])
     def test_masks_equal_single_thread_reference(self, n, threads, monkeypatch):
-        # blocks are two products wide, except at n = 400, where a block is
-        # one product of two draws that takes 327 of the 400 rows
+        # blocks of `test_block_rule`'s sizes; at n = 400 a block is three
+        # products of two draws, each taking 327 of the 400 rows
         monkeypatch.setenv("FRAMES_THREADS", threads)
         rng = np.random.default_rng(500 + n)
         k = random_kernel(rng, n)
@@ -495,14 +544,28 @@ class TestPool:
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_masks_do_not_depend_on_the_block_size(self, threads, monkeypatch):
-        # products of 7 draws, blocks of 7, 70 and 2331 draws
+        # products of 7 draws, blocks of 7, 70 and 2331 draws, sized by the
+        # workspace alone
         monkeypatch.setenv("FRAMES_THREADS", threads)
         monkeypatch.setattr(streams, "BLAS_SERIAL_MADDS", 7**3)
+        monkeypatch.setattr(dpp_mod, "BLOCK_DRAWS", 0)
         k = projection_kernel(np.random.default_rng(33), 7)
         want = reference_masks(k, 2000, 4)
         for workspace in (49 * 7, 49 * 70 + 1, 49 * 2331):
             monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", workspace)
             np.testing.assert_array_equal(sample_masks(k, 2000, seed=4), want)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("n", [3, 12, 18])
+    def test_tiny_budget_changes_no_mask(self, n, threads, monkeypatch):
+        # a workspace of one double leaves one product per block: more
+        # tasks, and a last block of five draws
+        monkeypatch.setenv("FRAMES_THREADS", threads)
+        k = random_kernel(np.random.default_rng(600 + n), n)
+        m = 3 * dpp_mod._product_shape(n)[1] + 5
+        want = sample_masks(k, m, seed=n)
+        monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 1)
+        np.testing.assert_array_equal(sample_masks(k, m, seed=n), want)
 
     def test_minors_do_not_depend_on_threads(self, monkeypatch):
         k = random_kernel(np.random.default_rng(34), 16)
@@ -527,13 +590,16 @@ class TestPool:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(masks, reference_masks(k, 3000, 8))
 
-    @pytest.mark.parametrize("n, m, mib", [(18, 100_000, 24), (160, 30, 12)])
+    @pytest.mark.parametrize("n, m, mib", [(18, 100_000, 24), (160, 30, 12), (3, 10**6, 20)])
     def test_sampler_memory_is_bounded(self, n, m, mib, monkeypatch):
-        # On two threads. Per block in flight, a kernel workspace of about
-        # 4 MB (1618 draws at n = 18, 20 at n = 160), whose rows and
-        # diagonal the steps reuse, and the block's uniforms; at n = 18 also
-        # the 1.8 MB output. Measured peaks 11.8 and 8.5 MiB; at n = 160 an
-        # (n^2, n) table of the products v_ik v_jk alone would take 31 MiB.
+        # On two threads. Per block in flight, a kernel workspace of 4.2 MB
+        # (58,254 draws at n = 3) to 8.4 MB (3236 at n = 18; the 30 draws at
+        # n = 160 make one block of 6.3 MB), whose rows and diagonal the
+        # steps reuse, the block's keep rows and step uniforms and a chunk
+        # of its uniforms; besides, the output: 1.8 MB at n = 18, 3 MB at
+        # n = 3, verify-all's sampler. Measured peaks 21.5, 6.7 and 18.6
+        # MiB; at n = 160 an (n^2, n) table of the products v_ik v_jk alone
+        # would take 31 MiB.
         monkeypatch.setenv("FRAMES_THREADS", "2")
         k = random_kernel(np.random.default_rng(n + 18), n)
         tracemalloc.start()

@@ -348,11 +348,27 @@ class TestSamplerBits:
         np.testing.assert_array_equal(small_idx, idx)
         np.testing.assert_array_equal(small_prob.view(np.uint64), prob.view(np.uint64))
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_chunks_on_the_pool_change_no_bit(self, threads, monkeypatch):
+        # ten chunks of 7 paths and a last one of 3, run on up to 3 workers,
+        # against the serial loop; each chunk writes its own rows
+        monkeypatch.setenv("FRAMES_THREADS", threads)
+        monkeypatch.setattr(markov, "PATH_CHUNK", 7)
+        rng = np.random.default_rng(26)
+        chain = build_chain(build_frame(rng.normal(size=(17, 6))))
+        x = rng.normal(size=6)
+        idx, prob = sample_path_indices(chain, x, 5, 73, seed=26)
+        ref_idx, ref_prob = gather_reference(chain, x, 5, 73, seed=26)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(prob.view(np.uint64), ref_prob.view(np.uint64))
+        # the suite's path_probability_recompute_residual
+        assert np.abs(path_probability(chain, x, idx) - prob).max() == 0.0
+
     def test_memory_is_output_sized(self):
-        # 200k paths over 64 states: the output takes 14 MiB and one chunk
-        # of paths about 2 MiB, a 16 MiB peak; drawing every uniform up
-        # front peaked at 32 MiB, gathering an (m, n) CDF block per step
-        # at 223 MiB
+        # 200k paths over 64 states: the output takes 14 MiB and each chunk
+        # of paths in flight about 1 MiB, a 16 MiB peak on two threads;
+        # drawing every uniform up front peaked at 32 MiB, gathering an
+        # (m, n) CDF block per step at 223 MiB
         rng = np.random.default_rng(64)
         chain = build_chain(build_frame(rng.normal(size=(64, 16))))
         x = rng.normal(size=16)
