@@ -15,7 +15,7 @@ draws. A Moebius-inversion oracle
 enumerates the full subset distribution for n <= 20 as an independent
 cross-check.
 
-The sampler's blocks of draws run on the `streams.map_ordered` pool,
+The sampler's blocks of draws run on the `streams.map_blocks` pool,
 whose size FRAMES_THREADS caps. A draw's uniforms depend only on
 (seed, draw index) and its kernel on a product over a fixed group of
 draws. So no bit depends on the thread count, and the sampler's block
@@ -24,8 +24,6 @@ reads contiguous rows through views built once per lent workspace, and
 every numpy call covers thousands of draws, so the workers wait less for
 each other under the GIL between calls.
 """
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +49,8 @@ SAMPLER_WORKSPACE = 600_000
 # of its block, and the workers take their dispatch under the GIL in turn,
 # so the fewer draws a call covers, the more they wait for each other.
 # Blocks at n <= 12 hold this many already (3,640 at n = 12); at n = 16
-# and 18 four products (4,096 and 3,236 draws, 8.4 MB of kernels, of
-# which small pages back the 4.5 MB written) take the place of two.
+# and 18 four products (4,096 and 3,236 draws, 8.4 MB of kernels) take
+# the place of two.
 BLOCK_DRAWS = 3_500
 # Uniforms drawn at a time while a block's keep rows and step uniforms are
 # filled, so that no block holds all its uniforms at once: 512 KiB, and as
@@ -254,41 +252,13 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     block = _block_draws(n)
     # one spare column lets a last product of one draw run as two
     width = min(block, m + 1)
-    starts = range(0, m, block)
-    workers = min(streams.worker_count(), len(starts))
-    spare = queue.SimpleQueue()
-    for _ in range(workers):
-        spare.put(_Workspace(n, width))
 
-    def fill(lo: int) -> None:
-        hi = min(m, lo + block)
-        workspace = spare.get()
-        try:
-            workspace.sample(kernel, seed, lo, out[lo:hi])
-        finally:
-            spare.put(workspace)
+    def fill(lo: int, hi: int, workspace: "_Workspace") -> None:
+        workspace.sample(kernel, seed, lo, out[lo:hi])
 
-    for _ in streams.map_ordered(fill, starts, workers):
+    for _ in streams.map_blocks(fill, m, block, scratch=lambda: _Workspace(n, width)):
         pass
     return out
-
-
-_HINT_LOCK = threading.Lock()
-
-
-def _small_pages(shape) -> np.ndarray:
-    """np.empty(shape) without numpy's huge-page hint. numpy asks for huge
-    pages on arrays from 4 MiB on, and a 2 MiB page is backed as a whole
-    once any of it is written, so the lower triangles of a block's
-    kernels, which no product writes, would be backed too: at n = 18 all
-    8.4 MB of four products, where small pages back the 4.5 MB written."""
-    hint = np._core.multiarray._set_madvise_hugepage
-    with _HINT_LOCK:
-        was = hint(False)
-        try:
-            return np.empty(shape)
-        finally:
-            hint(was)
 
 
 class _Workspace:
@@ -312,7 +282,7 @@ class _Workspace:
     """
 
     def __init__(self, n: int, width: int):
-        self.kernels = _small_pages((n, n, width))
+        self.kernels = np.empty((n, n, width))
         self.keep_t = np.empty((n, width))
         self.steps_u = np.empty((n, width))
         self.chosen = np.empty((n, width), dtype=bool)

@@ -13,7 +13,6 @@ separates `transition_prob` from the index chain in `FrameChain`.
 Path probabilities multiply transition weights exactly as sampled, so a
 sampled path's probability can be recomputed bit-for-bit.
 """
-import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +148,7 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
     each path's current state in one table of the transition CDFs with
     the start CDF stacked under them as row n: every path starts in
     state n, with probability 1. Paths run PATH_CHUNK at a time on the
-    `streams.map_ordered` pool, each chunk drawing its own uniforms and
+    `streams.map_blocks` pool, each chunk drawing its own uniforms and
     writing its own rows of the output, so the working arrays stay
     cache-sized and no bit depends on the thread count. Time is
     O(m*k*log n) and memory the size of the output: 200k paths of 8 steps
@@ -170,32 +169,23 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
 
     idx = np.empty((m, k), dtype=np.int64)
     prob = np.empty(m)
-    starts = range(0, m, PATH_CHUNK)
-    workers = min(streams.worker_count(), len(starts))
-    # each chunk in flight borrows its step-major uniforms from here, on the
+
+    def fill(a: int, b: int, lent: np.ndarray) -> None:
+        u = lent[:, : b - a]
+        np.copyto(u, streams.uniforms_at(seed, a * k, (b - a) * k,
+                                         stream=streams.STREAM_MARKOV).reshape(b - a, k).T)
+        state = np.full(b - a, n)
+        chunk_prob = prob[a:b]
+        chunk_prob[:] = 1.0
+        for step in range(k):
+            prev = state
+            state = streams.inverse_cdf_index(table, prev, u[step])
+            idx[a:b, step] = state
+            chunk_prob *= flat_p[prev * n + state]
+
+    # each chunk in flight borrows its step-major uniforms, made on the
     # calling thread, where the memory is reused once the workers are done
-    spare = queue.SimpleQueue()
-    for _ in range(workers):
-        spare.put(np.empty((k, min(m, PATH_CHUNK))))
-
-    def fill(a: int) -> None:
-        b = min(m, a + PATH_CHUNK)
-        lent = spare.get()
-        try:
-            u = lent[:, : b - a]
-            np.copyto(u, streams.uniforms_at(seed, a * k, (b - a) * k,
-                                             stream=streams.STREAM_MARKOV).reshape(b - a, k).T)
-            state = np.full(b - a, n)
-            chunk_prob = prob[a:b]
-            chunk_prob[:] = 1.0
-            for step in range(k):
-                prev = state
-                state = streams.inverse_cdf_index(table, prev, u[step])
-                idx[a:b, step] = state
-                chunk_prob *= flat_p[prev * n + state]
-        finally:
-            spare.put(lent)
-
-    for _ in streams.map_ordered(fill, starts, workers):
+    for _ in streams.map_blocks(fill, m, PATH_CHUNK,
+                                scratch=lambda: np.empty((k, min(m, PATH_CHUNK)))):
         pass
     return idx, prob

@@ -10,8 +10,13 @@ position i*w + j. Each consumer names its stream from the registry below.
 Normal variates use the inverse-CDF transform on open-interval uniforms
 rather than Box-Muller, which consumes variates in pairs and would couple
 adjacent positions.
+
+`map_blocks` is the one entry point to the library's thread pool, whose
+size FRAMES_THREADS caps: it runs blocks of units, each with a lent
+scratch buffer, and yields their results in order.
 """
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -88,7 +93,7 @@ def uniforms_at(seed: int, start: int, count: int, stream: int) -> np.ndarray:
 
 # Multiply-adds up to which OpenBLAS runs a matrix product (gemm) on the
 # calling thread. A larger product starts the library's own threads, which
-# then compete with the workers of `map_ordered` for the cores, so a task
+# then compete with the workers of `map_blocks` for the cores, so a task
 # on the pool keeps each of its products within this bound.
 BLAS_SERIAL_MADDS = 1 << 18
 
@@ -109,21 +114,35 @@ def worker_count() -> int:
     return cap
 
 
-def map_ordered(fn, items, workers: int | None = None):
-    """Yield fn(item) for each of `items`, in order, computed in up to
-    `workers` threads (default `worker_count()`). Consume the results as
-    they come: only the items in flight hold their working memory."""
-    items = list(items)
-    if workers is None:
-        workers = worker_count()
-    if workers < 2 or len(items) < 2:
-        yield from map(fn, items)
+def map_blocks(fn, count: int, block: int, scratch=lambda: None, workers: int | None = None):
+    """Yield fn(lo, hi, lent) for each block [lo, hi) of range(count), in
+    order, the last one short, computed in up to min(workers, blocks)
+    threads (`workers` defaults to `worker_count()`; one runs them inline).
+    Each call in flight borrows `lent`, one of the `scratch()` buffers,
+    which are made here, on the calling thread, one per thread, and never
+    lent to two calls at once. Consume the results as they come: only the
+    blocks in flight hold their working memory."""
+    starts = range(0, count, block)
+    workers = min(worker_count() if workers is None else workers, len(starts))
+    spare = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put(scratch())
+
+    def run(lo: int):
+        lent = spare.get()
+        try:
+            return fn(lo, min(count, lo + block), lent)
+        finally:
+            spare.put(lent)
+
+    if workers < 2:
+        yield from map(run, starts)
         return
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        yield from pool.map(fn, items)
+        yield from pool.map(run, starts)
     finally:
-        # an item that raised, or a consumer that stopped early, cancels the rest
+        # a block that raised, or a consumer that stopped early, cancels the rest
         pool.shutdown(cancel_futures=True)
 
 
@@ -154,11 +173,10 @@ def normal_matrix(
     """
     out = np.empty((rows, cols))
 
-    def fill(lo: int) -> None:
-        hi = min(rows, lo + BLOCK_ROWS)
+    def fill(lo: int, hi: int, _) -> None:
         normal_rows(seed, lo, hi, cols, stream=stream, out=out[lo:hi])
 
-    for _ in map_ordered(fill, range(0, rows, BLOCK_ROWS), workers):
+    for _ in map_blocks(fill, rows, BLOCK_ROWS, workers=workers):
         pass
     return out
 

@@ -20,10 +20,10 @@ sanity band on the way.
 Each scalar estimator is written once, as a `Reduction`: the probe vectors
 it pairs with every sample and a per-tile contribution (count, mean and M2
 of per-sample values, or plain sums). `WhiteNoiseEnsemble.reduce` runs any
-number of reductions in one pass: each tile of TILE_ROWS samples is paired
-with the stacked probes of all of them in one GEMM, and the tile
-statistics are merged in tile order (Chan, Golub & LeVeque 1979). The
-order is fixed, so estimates are bitwise identical for any thread count
+number of reductions in one pass, whose tiles of TILE_ROWS samples are the
+blocks of `streams.map_blocks`: each tile is paired with the stacked
+probes of all of them in one GEMM, and the tile statistics are merged in
+tile order (Chan, Golub & LeVeque 1979). The order is fixed, so estimates are bitwise identical for any thread count
 and for `restrict(m)` versus an ensemble of m samples. Per-sample arrays
 are reductions too (`pairings`, `gaussian_process_from_frame`): their
 tiles' rows are joined in sample order, in memory O(M k) for k probes.
@@ -64,10 +64,6 @@ TILE_ROWS = 1 << 13
 # whole tile made the white-noise pass of verify-all at 1M x 32 take about
 # 1.4 s instead of 0.8 s on 2 vCPUs.
 BLAS_ROWS = 256
-
-
-def _tiles(m: int):
-    return [(lo, min(m, lo + TILE_ROWS)) for lo in range(0, m, TILE_ROWS)]
 
 
 def _pair(probes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -167,15 +163,15 @@ class WhiteNoiseEnsemble:
         # the last statistic is the column sums behind the sanity band
         merges = [r.merge for r in reductions] + [operator.add]
 
-        def tile_stats(tile):
+        def tile_stats(lo: int, hi: int, _) -> list:
             z = streams.normal_rows(
-                self.seed, *tile, self.truncation_dim, stream=streams.STREAM_WHITENOISE
+                self.seed, lo, hi, self.truncation_dim, stream=streams.STREAM_WHITENOISE
             )
             p = _pair(stacked, z)
             return [r.block(p[sl], z) for r, sl in zip(reductions, rows)] + [_column_sums(z)]
 
         totals = None
-        for stats in streams.map_ordered(tile_stats, _tiles(self.sample_count)):
+        for stats in streams.map_blocks(tile_stats, self.sample_count, TILE_ROWS):
             totals = stats if totals is None else [
                 merge(a, b) for merge, a, b in zip(merges, totals, stats)
             ]

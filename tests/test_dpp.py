@@ -519,18 +519,6 @@ class TestPool:
         assert (draws + width) * per_draw > workspace or products == 1
         assert draws >= dpp_mod.BLOCK_DRAWS or (draws + width) * per_draw > 2 * workspace
 
-    @pytest.mark.parametrize("hinted", [True, False])
-    def test_small_pages_restore_numpy_hint(self, hinted):
-        # the kernels are allocated without numpy's huge-page hint, which is
-        # left as it was
-        hint = np._core.multiarray._set_madvise_hugepage
-        was = hint(hinted)
-        try:
-            assert dpp_mod._small_pages((18, 18, 3237)).shape == (18, 18, 3237)
-            assert hint(hinted) is hinted
-        finally:
-            hint(was)
-
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("n", [*range(1, 19), 32, 64, 100, 400])
     def test_masks_equal_single_thread_reference(self, n, threads, monkeypatch):

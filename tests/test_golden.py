@@ -2,6 +2,7 @@
 byte: the verify-all payloads here, the CSV files the CLI writes here, the
 demos' output in test_demos.py. tools/payload_diff.py holds the diffs and
 regenerates the files."""
+import _ctypes
 import json
 
 import payload_diff
@@ -47,6 +48,20 @@ def test_version_note_names_both_and_the_command(monkeypatch):
     assert str(recorded) in note and "'numpy': '0.0'" in note
     assert payload_diff.WRITE_COMMAND in note
     assert payload_diff.failure("x.csv", ["-a", "+b"]) == f"x.csv moved:\n-a\n+b\n{note}"
+    # the same library versions on a CPU that selects another BLAS kernel
+    monkeypatch.setattr(payload_diff, "running_versions",
+                        lambda: dict(recorded, blas_kernel="Haswell"))
+    note = payload_diff.version_note()
+    assert f"'blas_kernel': '{recorded['blas_kernel']}'" in note
+    assert "'blas_kernel': 'Haswell'" in note
+
+
+def test_blas_kernel_is_unknown_without_the_library_or_its_symbol(monkeypatch):
+    # a shared library without the core-name function, then none at all
+    monkeypatch.setattr(payload_diff.glob, "glob", lambda pattern: [_ctypes.__file__])
+    assert payload_diff.blas_kernel() == "unknown"
+    monkeypatch.setattr(payload_diff.glob, "glob", lambda pattern: [])
+    assert payload_diff.blas_kernel() == "unknown"
 
 
 def test_text_diff_names_each_moved_line():

@@ -3,8 +3,10 @@ each constructor keeps (read by the suites, never recomputed).
 
 Each example draws a seed, a scale s log-uniform in [1e-6, 1e6] (up to
 1e9 for the W2 symmetry bound) and a random permutation of the frame
-vectors or atoms; W2 is also checked at 1e-200 to 1e200. Matrices are judged symmetric relative to their
-largest entry, so a Gramian formed with rounding is accepted at any s.
+vectors or atoms; W2 is also checked at 1e-200 to 1e200, and the kl
+invariants under an orthogonal rotation. Matrices are judged symmetric
+relative to their largest entry, so a Gramian formed with rounding is
+accepted at any s.
 """
 import json
 import os
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 from framemeasures import (
     DiscreteMeasure,
     GramMatrix,
+    WhiteNoiseEnsemble,
     build_chain,
     build_frame,
     gram,
     joint_density,
     kernel_from_frame,
+    kl_variance,
     save_frame,
     wasserstein2,
 )
@@ -179,6 +183,41 @@ def test_w2_symmetry_bound_follows_the_distance(seed, log_s):
         report = run(ExperimentConfig("wasserstein", inputs=tuple(paths)))
     failed = [r.name for r in report.records if not r.passed]
     assert report.overall_pass, failed
+
+
+# The kl targets do not depend on the samples, so one 2-sample ensemble
+# serves every example, wide enough for 12 frame vectors. Its sanity band
+# reads only those 2 samples, and at D = 12 refuses about one seed in five;
+# seed 0 passes it. 64 ulp bound the rounding of the Parseval residual
+# (absolute: the frame bounds are near 1) and of each target (relative);
+# over 5000 seeds they moved by at most 10 and 7 ulp.
+KL_ENSEMBLE = WhiteNoiseEnsemble(12, 2, seed=0)
+KL_ROUNDING = 64 * np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_kl_invariants_ignore_order_and_rotation(seed):
+    # the rows of an (n, d) matrix with orthonormal columns are a Parseval
+    # frame; permuted, or rotated by an orthogonal d x d matrix, they are
+    # one still, and sum_n <x, phi_n>^2 stays ||x||^2
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    n = int(rng.integers(d, 13))
+    q, _ = np.linalg.qr(rng.normal(size=(n, d)))
+    rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    xs = rng.normal(size=(3, d))
+
+    def invariants(vectors):
+        f = build_frame(vectors)
+        estimates = KL_ENSEMBLE.reduce([kl_variance(f, x) for x in xs])
+        return f.parseval_residual, np.array([e.target for e in estimates])
+
+    residual, targets = invariants(q)
+    for vectors in (q[rng.permutation(n)], q @ rotation):
+        moved_residual, moved_targets = invariants(vectors)
+        assert abs(moved_residual - residual) <= KL_ROUNDING
+        np.testing.assert_allclose(moved_targets, targets, rtol=KL_ROUNDING, atol=0.0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,8 @@
 import hashlib
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,93 @@ def test_worker_count_env(monkeypatch):
     assert streams.worker_count() == 1
     monkeypatch.setenv("FRAMES_THREADS", "not-a-number")
     assert streams.worker_count() >= 1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_blocks_yields_blocks_in_order(workers):
+    # earlier blocks take longer, so on threads they finish last
+    def span(lo, hi, _):
+        time.sleep(0.002 * (10 - lo))
+        return lo, hi
+
+    got = list(streams.map_blocks(span, 10, 4, workers=workers))
+    assert got == [(0, 4), (4, 8), (8, 10)]
+
+
+def test_map_blocks_lends_no_buffer_to_two_calls(monkeypatch):
+    # more workers than cores and a short switch interval; a buffer lent to
+    # two calls at once would be found busy
+    monkeypatch.setattr(streams, "worker_count", lambda: 4)
+
+    def use(lo, hi, lent):
+        assert not lent[0], f"block {lo} was lent a busy buffer"
+        lent[0] = True
+        sum(range(200))
+        lent[0] = False
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in streams.map_blocks(use, 4000, 1, scratch=lambda: [False]):
+            pass
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers, count, made", [(None, 40, 4), (2, 40, 2), (4, 9, 3),
+                                                  (1, 40, 1), (4, 0, 0)])
+def test_map_blocks_makes_one_scratch_per_thread_on_the_caller(workers, count, made,
+                                                               monkeypatch):
+    # `workers` defaults to `worker_count()`, read at call time
+    monkeypatch.setattr(streams, "worker_count", lambda: 4)
+    makers = []
+    blocks = streams.map_blocks(lambda lo, hi, lent: lent, count, 4, workers=workers,
+                                scratch=lambda: makers.append(threading.get_ident()) or object())
+    assert len(set(map(id, blocks))) == made
+    assert makers == [threading.get_ident()] * made
+
+
+@pytest.mark.parametrize("stop", ["error", "early"])
+def test_map_blocks_cancels_the_blocks_not_started(stop):
+    # after an error in block 0, or a consumer that stops after it, the
+    # blocks in flight finish and no other starts
+    started = []
+
+    def run(lo, hi, _):
+        started.append(lo)
+        if lo == 0 and stop == "error":
+            raise ArithmeticError("block 0")
+        time.sleep(0.05)
+
+    blocks = streams.map_blocks(run, 100, 1, workers=2)
+    if stop == "error":
+        with pytest.raises(ArithmeticError, match="block 0"):
+            list(blocks)
+    else:
+        next(blocks)
+        blocks.close()
+    ran = len(started)
+    time.sleep(0.1)
+    assert len(started) == ran < 10
+
+
+@pytest.mark.parametrize("workers, count", [(1, 40), (4, 3)])
+def test_map_blocks_runs_inline_on_one_worker(workers, count):
+    # one worker, or one block: every block runs on the calling thread
+    threads = streams.map_blocks(lambda lo, hi, _: threading.get_ident(), count, 4,
+                                 workers=workers)
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_only_streams_runs_a_pool():
+    # every block of pooled work goes through `streams.map_blocks`, and no
+    # module flips numpy's process-wide huge-page hint
+    for path in Path(streams.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert "_set_madvise_hugepage" not in source, path.name
+        if path.name != "streams.py":
+            assert "ThreadPoolExecutor" not in source, path.name
+            assert "SimpleQueue" not in source, path.name
 
 
 def _old_open_unit(raw):

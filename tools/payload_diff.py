@@ -12,12 +12,14 @@ kinds of file are pinned, each byte for byte:
 - the `--draws-csv` and `--paths-csv` files of CSV_RUNS, whose frame is
   CSV_FRAME;
 the last two diffed line by line. The bits depend on numpy, scipy
-(`ndtri`) and the BLAS, so `versions.json` beside the files records the
-versions they were made with. A change that moves a stream, a statistic
+(`ndtri`), the BLAS and the BLAS kernel the CPU selects, so
+`versions.json` beside the files records the versions and the kernel
+they were made with. A change that moves a stream, a statistic
 or a bound on purpose regenerates the files, and quotes this tool's
 output as its evidence.
 """
 import argparse
+import ctypes
 import difflib
 import glob
 import json
@@ -90,10 +92,25 @@ def csv_text(name) -> str:
             return fh.read()
 
 
+def blas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS chose for this CPU (say
+    "SkylakeX" or "Haswell"), or "unknown" without that library or its
+    core-name function."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def running_versions() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+            "blas": f"{blas['name']} {blas['version']}", "blas_kernel": blas_kernel()}
 
 
 def recorded_versions() -> dict:

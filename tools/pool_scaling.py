@@ -5,7 +5,7 @@ with the default worker count, interleaved, and print the speed-ups.
     FRAMES_THREADS=2 python3 tools/pool_scaling.py --repeats 9 --json
 
 Run from the repository root; the package is imported from ./src. The
-operations are those that run on the `streams.map_ordered` pool:
+operations are those that run on the `streams.map_blocks` pool:
 `dpp.sample_masks` at 100k draws for n = 12, 16 and 18, Markov
 `sample_path_indices` for 200k paths of 8 steps over 64 states, and one
 `WhiteNoiseEnsemble.reduce` pass at 1M x 32. Each repeat runs every
