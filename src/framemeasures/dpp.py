@@ -41,21 +41,18 @@ BRUTEFORCE_MAX = 20
 # draw) as scratch. Two products (4.2 MB) fill it at every n up to 362.
 # Besides its kernels a block in flight holds n keep rows and n step
 # uniforms as doubles and n decisions as bytes per draw, which tell at
-# small n: at n = 3 a block of 58,254 draws holds 7.2 MB, and 10^6 draws
-# peak at 18.6 MiB on two threads, output included.
+# small n: at n = 3 a block, one product of 29,127 draws, holds 3.6 MB,
+# and 10^6 draws peak at 11.8 MiB on two threads, output included.
 SAMPLER_WORKSPACE = 600_000
 # Draws a block takes, at least, where its kernels stay within twice
 # SAMPLER_WORKSPACE. Each step makes about ten numpy calls over the draws
 # of its block, and the workers take their dispatch under the GIL in turn,
 # so the fewer draws a call covers, the more they wait for each other.
-# Blocks at n <= 12 hold this many already (3,640 at n = 12); at n = 16
-# and 18 four products (4,096 and 3,236 draws, 8.4 MB of kernels) take
-# the place of two.
+# One product holds this many at n <= 8, and is then the whole block; two
+# products do at n <= 12 (3,640 draws at n = 12); at n = 16 and 18 four
+# products (4,096 and 3,236 draws, 8.4 MB of kernels) take the place of
+# two.
 BLOCK_DRAWS = 3_500
-# Uniforms drawn at a time while a block's keep rows and step uniforms are
-# filled, so that no block holds all its uniforms at once: 512 KiB, and as
-# much again while they are converted.
-UNIFORM_CHUNK = 1 << 16
 # Draws per `np.bincount` call of `empirical_subset_distribution`, whose
 # intp copy of the int32 codes then stays at 512 KiB.
 TABULATION_CHUNK = 1 << 16
@@ -216,13 +213,17 @@ def _product_shape(n: int) -> tuple[int, int]:
 
 
 def _block_draws(n: int) -> int:
-    """Draws per block of `sample_masks`: whole products, as many as keep
-    the (n, n, block) kernels within SAMPLER_WORKSPACE doubles, or more,
-    within twice that, to reach BLOCK_DRAWS (and one product, when that
-    alone exceeds it)."""
+    """Draws per block of `sample_masks`: whole products. One, when one
+    product alone holds BLOCK_DRAWS draws (n <= 8), since a larger block
+    would only hold more memory; else as many as keep the (n, n, block)
+    kernels within SAMPLER_WORKSPACE doubles, or more, within twice that,
+    to reach BLOCK_DRAWS (and one product, when that alone exceeds it)."""
     draws = _product_shape(n)[1]
     per_product = n * n * draws
-    more = min(-(-BLOCK_DRAWS // draws), 2 * SAMPLER_WORKSPACE // per_product)
+    need = -(-BLOCK_DRAWS // draws)
+    if need == 1:
+        return draws
+    more = min(need, 2 * SAMPLER_WORKSPACE // per_product)
     return draws * max(1, SAMPLER_WORKSPACE // per_product, more)
 
 
@@ -312,7 +313,8 @@ class _Workspace:
         if b != self.size:
             self._views(b)
         kernels, keep_t = self.kernels, self.keep_t
-        chunk = max(1, UNIFORM_CHUNK // (2 * n))
+        # a block's uniforms are drawn a piece at a time, never all at once
+        chunk = max(1, streams.UNIFORM_CHUNK // (2 * n))
         for c0 in range(0, b, chunk):
             c1 = min(b, c0 + chunk)
             u = streams.uniforms_at(seed, (first + c0) * 2 * n, (c1 - c0) * 2 * n,

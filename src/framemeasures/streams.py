@@ -53,42 +53,48 @@ def _philox(seed: int, stream: int) -> np.random.Philox:
 
 # largest double below 1: the top raw values would otherwise round up to 1.0
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# Raw outputs drawn at a time where they are converted into a buffer that
+# holds the result: by `normal_rows`, and by a DPP block filling its
+# workspace. So no array of the raw outputs of a whole range exists.
+UNIFORM_CHUNK = 1 << 16
 
 
-def _to_open_unit(raw: np.ndarray) -> np.ndarray:
+def _to_open_unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """uint64 -> float64 in the open interval (0, 1), 53-bit resolution.
 
-    Consumes `raw`: the result is a float64 view of its buffer. Value
-    k = raw >> 11 maps to (k + 0.5) * 2^-53 by one exact int64 -> float64
-    cast (k < 2^53), which numpy makes from a copy of the shifted values
-    since source and result share the buffer; the top value k = 2^53 - 1
-    rounds to 1.0 and is clamped below it.
+    Shifts the 1-D `raw` in place and writes the result into `out`, an
+    array of raw's shape, or by default over raw's own buffer, returning a
+    float64 view of it. Value k = raw >> 11 maps to (k + 0.5) * 2^-53 by
+    one exact int64 -> float64 cast (k < 2^53), which numpy makes without
+    a copy either way: in place, over one dimension, its loop reads each
+    value before it writes over it. The top value k = 2^53 - 1 rounds to
+    1.0 and is clamped below it.
     """
     np.right_shift(raw, np.uint64(11), out=raw)
-    out = raw.view(np.float64)
+    out = raw.view(np.float64) if out is None else out
     np.copyto(out, raw.view(np.int64), casting="unsafe")
     out += 0.5
     out *= 2.0**-53
     return np.minimum(out, _BELOW_ONE, out=out)
 
 
-def _raw(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Raw outputs [start, start + count) of the (seed, stream) stream.
+def _generator_at(seed: int, stream: int, start: int) -> np.random.Philox:
+    """The (seed, stream) generator, about to emit raw output `start`.
 
     Philox counter steps emit 4 raw outputs, so the generator is advanced
-    by start // 4 and the remainder discarded; any chunking of a range
-    yields the same values.
+    by start // 4 and the remainder discarded; consecutive draws continue
+    the stream, so any chunking of a range yields the same values.
     """
     bg = _philox(seed, stream)
     bg.advance(start // 4)
-    drop = start % 4
-    return bg.random_raw(count + drop)[drop:]
+    bg.random_raw(start % 4)
+    return bg
 
 
 def uniforms_at(seed: int, start: int, count: int, stream: int) -> np.ndarray:
     """`count` uniforms in (0, 1) at positions [start, start + count) of
     the (seed, stream) stream."""
-    return _to_open_unit(_raw(seed, stream, start, count))
+    return _to_open_unit(_generator_at(seed, stream, start).random_raw(count))
 
 
 # Multiply-adds up to which OpenBLAS runs a matrix product (gemm) on the
@@ -99,12 +105,16 @@ BLAS_SERIAL_MADDS = 1 << 18
 
 
 def worker_count() -> int:
-    """Worker cap from FRAMES_THREADS (defaults to the CPU count).
+    """Worker cap from FRAMES_THREADS (defaults to the CPUs this process
+    may run on).
 
     Results are identical for any value: workers fill or reduce disjoint,
     position-keyed row ranges, and reductions merge them in a fixed order.
     """
-    cap = os.cpu_count() or 1
+    try:
+        cap = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cap = os.cpu_count() or 1
     env = os.environ.get("FRAMES_THREADS")
     if env:
         try:
@@ -152,11 +162,17 @@ def normal_rows(
     """Rows [start, stop) of the (seed, stream) normal matrix with `cols` columns.
 
     Entry (i, j) is the normal at position i*cols + j of the stream.
-    Written into `out`, a (stop - start, cols) array, when given.
+    Written into `out`, a C-contiguous (stop - start, cols) array, when
+    given. The raw outputs are drawn, converted and transformed
+    UNIFORM_CHUNK at a time, so no array of them exists besides `out`.
     """
-    u = _to_open_unit(_raw(seed, stream, start * cols, (stop - start) * cols))
-    u = u.reshape(stop - start, cols)
-    return ndtri(u, out=u if out is None else out)
+    out = np.empty((stop - start, cols)) if out is None else out
+    flat = np.reshape(out, -1, copy=False)
+    bg = _generator_at(seed, stream, start * cols)
+    for lo in range(0, flat.size, UNIFORM_CHUNK):
+        piece = flat[lo : lo + UNIFORM_CHUNK]
+        ndtri(_to_open_unit(bg.random_raw(piece.size), out=piece), out=piece)
+    return out
 
 
 def normal_matrix(

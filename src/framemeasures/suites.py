@@ -31,10 +31,11 @@ from .report import (
     CheckRecord,
     ExperimentConfig,
     Report,
+    _estimate,
+    _moments,
     bound_record,
     build_report,
     exact_record,
-    mc_estimate,
     mc_record,
 )
 
@@ -203,10 +204,17 @@ def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
                      dpp_mod.SPECTRUM_TOL),
     ]
     masks = dpp_mod.sample_masks(kernel, config.samples, config.seed)
-    card = masks.sum(axis=1, dtype=float)
+    # |X| of each draw, added up column by column in the smallest unsigned
+    # type: the sum is exact and the deviations are those of the float
+    # cardinalities, so the moments are theirs, bit for bit
+    card = np.zeros(len(masks), np.min_scalar_type(kernel.size))
+    for column in masks.T:
+        card += column
     # the trace of the law sampled (a projection kernel's is its rank exactly)
     trace = float(kernel.keep_probabilities.sum())
-    records.append(mc_record(prefix + "cardinality_vs_trace", mc_estimate(card, trace), z_max))
+    records.append(mc_record(prefix + "cardinality_vs_trace", _estimate(*_moments(card), trace),
+                             z_max))
+    del card
     if bruteforce:
         table = dpp_mod.subset_distribution_bruteforce(kernel)
         emp = dpp_mod.empirical_subset_distribution(masks)

@@ -13,9 +13,14 @@ A WhiteNoiseEnsemble is the triple (D, M, seed) and nothing more: sample i
 is row i of `streams.normal_matrix(seed, M, D, STREAM_WHITENOISE)`,
 positions [i*D, (i+1)*D) of that stream (`streams.normal_rows`), so the
 first m samples of an ensemble are the ensemble of m samples
-(`restrict(m)`). No sample is stored: every pass regenerates its tiles, in
-memory O(workers * TILE_ROWS * D), and checks the 5-sigma mean/variance
-sanity band on the way.
+(`restrict(m)`). No sample is stored: every pass regenerates its tiles and
+checks the 5-sigma mean/variance sanity band on the way. A tile in flight
+works in two buffers that `streams.map_blocks` lends it, made once per
+worker on the calling thread: its (TILE_ROWS, D) coordinates, which
+`streams.normal_rows` fills a piece of the stream at a time, and its
+(k, TILE_ROWS) pairings with the k probes. So a pass holds
+O(workers * TILE_ROWS * (D + k)) doubles and allocates no tile-sized
+array on the workers.
 
 Each scalar estimator is written once, as a `Reduction`: the probe vectors
 it pairs with every sample and a per-tile contribution (count, mean and M2
@@ -40,7 +45,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import factorial2
+from scipy.special import chdtri, factorial2, ndtr
 
 from . import streams
 from .errors import (
@@ -54,7 +59,7 @@ from .report import _estimate, _merge_moments, _moments
 
 MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
 MEAN_BAND = 5.0       # generator sanity: |coord mean| <= 5/sqrt(M)
-VAR_BAND = 5.0        # and |coord var - 1| <= 5*sqrt(2/M)
+VAR_BAND = 5.0        # and coord var within the chi-square quantiles of 5-sigma tails
 # Samples per task of a pass: a tile of D = 32 coordinates is 2 MB, so a
 # tile and its pairings stay in cache. Tiles fix the merge order, so a
 # new value changes the estimates' last bits.
@@ -66,16 +71,20 @@ TILE_ROWS = 1 << 13
 BLAS_ROWS = 256
 
 
-def _pair(probes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p[j, i] = <probes[j], z[i]> for a tile z, BLAS_ROWS samples per product."""
+def _pair(probes: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p[j, i] = <probes[j], z[i]> for a tile z, BLAS_ROWS samples per
+    product, written into the first z.shape[0] columns of `out` (k, >= rows)
+    and returned as a view of them."""
     k, width = probes.shape
     rows, cols = z.shape
     full = rows - rows % BLAS_ROWS
     chunks = z[:full].reshape(-1, BLAS_ROWS, cols)[:, :, :width]
-    p = (probes @ chunks.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(k, full)
-    if full == rows:
-        return p
-    return np.concatenate([p, probes @ z[full:, :width].T], axis=1)
+    # product c fills columns [c * BLAS_ROWS, (c + 1) * BLAS_ROWS) of out
+    np.matmul(probes, chunks.transpose(0, 2, 1),
+              out=np.reshape(out[:, :full], (k, -1, BLAS_ROWS), copy=False).transpose(1, 0, 2))
+    if full < rows:
+        np.matmul(probes, z[full:, :width].T, out=out[:, full:rows])
+    return out[:, :rows]
 
 
 def _column_sums(z: np.ndarray) -> np.ndarray:
@@ -90,9 +99,16 @@ def _check_band(sums: np.ndarray, m: int) -> None:
     if mean_err > MEAN_BAND / math.sqrt(m):
         raise SanityBandViolated(f"coordinate mean off by {mean_err:.3g}")
     if m > 1:
-        var_err = np.abs((s2 - s1 * mean) / (m - 1) - 1.0).max()
-        if var_err > VAR_BAND * math.sqrt(2.0 / m):
-            raise SanityBandViolated(f"coordinate variance off by {var_err:.3g}")
+        # (m - 1) var is chi-square with m - 1 degrees of freedom: the band
+        # runs between its quantiles at the VAR_BAND-sigma normal tails
+        var = (s2 - s1 * mean) / (m - 1)
+        tail = ndtr(-VAR_BAND)
+        lo, hi = chdtri(m - 1, [1.0 - tail, tail]) / (m - 1)
+        outside = var[(var < lo) | (var > hi)]
+        if outside.size:
+            raise SanityBandViolated(
+                f"coordinate variance {outside[0]:.3g} outside [{lo:.3g}, {hi:.3g}]"
+            )
 
 
 def _check_truncation(dim: int, truncation: int) -> None:
@@ -107,7 +123,8 @@ class Reduction:
 
     `probes` (k, w) are paired with every sample. For each tile,
     `block(p, z)` maps the pairings p (k, rows), p[j, i] = <probes[j],
-    omega_i>, and the tile's coordinates z (rows, D) to statistics;
+    omega_i>, and the tile's coordinates z (rows, D) to statistics, which
+    hold no view of p or z (the pass reuses their buffers for later tiles);
     `merge(a, b)` folds the statistics of the next tile b into a, and
     `finish(total, m)` turns the total over all m samples into the result.
     """
@@ -163,15 +180,23 @@ class WhiteNoiseEnsemble:
         # the last statistic is the column sums behind the sanity band
         merges = [r.merge for r in reductions] + [operator.add]
 
-        def tile_stats(lo: int, hi: int, _) -> list:
+        dim, tile = self.truncation_dim, min(TILE_ROWS, self.sample_count)
+
+        def tile_stats(lo: int, hi: int, lent) -> list:
+            coords, pairs = lent
             z = streams.normal_rows(
-                self.seed, lo, hi, self.truncation_dim, stream=streams.STREAM_WHITENOISE
+                self.seed, lo, hi, dim, stream=streams.STREAM_WHITENOISE, out=coords[: hi - lo]
             )
-            p = _pair(stacked, z)
+            p = _pair(stacked, z, pairs)
             return [r.block(p[sl], z) for r, sl in zip(reductions, rows)] + [_column_sums(z)]
 
+        # each tile in flight borrows its coordinates and pairings, made here
+        def scratch():
+            return np.empty((tile, dim)), np.empty((len(stacked), tile))
+
         totals = None
-        for stats in streams.map_blocks(tile_stats, self.sample_count, TILE_ROWS):
+        for stats in streams.map_blocks(tile_stats, self.sample_count, TILE_ROWS,
+                                         scratch=scratch):
             totals = stats if totals is None else [
                 merge(a, b) for merge, a, b in zip(merges, totals, stats)
             ]

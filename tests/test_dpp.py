@@ -22,6 +22,9 @@ from framemeasures import (
 from framemeasures import dpp as dpp_mod
 from framemeasures import streams
 from framemeasures.dpp import DppKernel, _moebius, _subset_minors
+from framemeasures.frames import mercedes_benz_frame
+from framemeasures.report import ExperimentConfig, mc_estimate, mc_record
+from framemeasures.suites import _dpp_records
 from framemeasures.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -430,8 +433,8 @@ class TestSampling:
         np.testing.assert_array_equal(masks.sum(axis=1), np.full(500, r))
 
     def test_block_boundary_reproducibility(self):
-        # n = 8 puts the internal draw-block size at 8192: m = 130000
-        # spans 16 blocks, and draws must not depend on the chunking
+        # n = 8 puts the internal draw-block size at 4096: m = 130000
+        # spans 32 blocks, and draws must not depend on the chunking
         rng = np.random.default_rng(31)
         k = random_kernel(rng, 8)
         big = sample_masks(k, 130_000, seed=11)
@@ -505,15 +508,18 @@ class TestPool:
     the thread count and the block size."""
 
     @pytest.mark.parametrize("n, products, draws", [
-        (3, 2, 58_254), (7, 2, 10_698), (12, 2, 3_640), (13, 3, 4_653), (16, 4, 4_096),
+        (3, 1, 29_127), (7, 1, 5_349), (8, 1, 4_096), (9, 2, 6_472), (12, 2, 3_640), (13, 3, 4_653), (16, 4, 4_096),
         (18, 4, 3_236), (64, 4, 256), (400, 3, 6), (547, 2, 4), (548, 1, 2),
     ])
     def test_block_rule(self, n, products, draws):
-        # whole products: as many as SAMPLER_WORKSPACE doubles of kernels
-        # hold, or more, within twice that, towards BLOCK_DRAWS draws; from
-        # n = 548 on a block is one product of two draws
+        # whole products: one where one holds BLOCK_DRAWS draws (n <= 8),
+        # else as many as SAMPLER_WORKSPACE doubles of kernels hold, or
+        # more, within twice that, towards BLOCK_DRAWS draws; from n = 548
+        # on a block is one product of two draws
         width = dpp_mod._product_shape(n)[1]
         assert dpp_mod._block_draws(n) == products * width == draws
+        assert (width >= dpp_mod.BLOCK_DRAWS) == (n <= 8)
+        assert products == 1 or width < dpp_mod.BLOCK_DRAWS
         workspace, per_draw = dpp_mod.SAMPLER_WORKSPACE, n * n
         assert draws * per_draw <= 2 * workspace
         assert (draws + width) * per_draw > workspace or products == 1
@@ -580,14 +586,14 @@ class TestPool:
 
     @pytest.mark.parametrize("n, m, mib", [(18, 100_000, 24), (160, 30, 12), (3, 10**6, 20)])
     def test_sampler_memory_is_bounded(self, n, m, mib, monkeypatch):
-        # On two threads. Per block in flight, a kernel workspace of 4.2 MB
-        # (58,254 draws at n = 3) to 8.4 MB (3236 at n = 18; the 30 draws at
-        # n = 160 make one block of 6.3 MB), whose rows and diagonal the
-        # steps reuse, the block's keep rows and step uniforms and a chunk
-        # of its uniforms; besides, the output: 1.8 MB at n = 18, 3 MB at
-        # n = 3, verify-all's sampler. Measured peaks 21.5, 6.7 and 18.6
-        # MiB; at n = 160 an (n^2, n) table of the products v_ik v_jk alone
-        # would take 31 MiB.
+        # On two threads. Per block in flight, a kernel workspace of 2.1 MB
+        # (one product of 29,127 draws at n = 3) to 8.4 MB (3236 at n = 18;
+        # the 30 draws at n = 160 make one block of 6.3 MB), whose rows and
+        # diagonal the steps reuse, the block's keep rows and step uniforms
+        # and a chunk of its uniforms; besides, the output: 1.8 MB at
+        # n = 18, 3 MB at n = 3, verify-all's sampler. Measured peaks 21.5,
+        # 6.7 and 11.8 MiB; at n = 160 an (n^2, n) table of the products
+        # v_ik v_jk alone would take 31 MiB.
         monkeypatch.setenv("FRAMES_THREADS", "2")
         k = random_kernel(np.random.default_rng(n + 18), n)
         tracemalloc.start()
@@ -597,6 +603,34 @@ class TestPool:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2**20
+
+
+class TestSuiteRecords:
+    @pytest.mark.parametrize("n, m", [(3, 10**6), (3, 20_000), (7, 20_000)])
+    def test_cardinality_record_in_bounded_memory(self, n, m, monkeypatch):
+        # verify-all's records at n = 3 hold the masks and one small
+        # unsigned cardinality per draw, not a float copy of them, and the
+        # sampler's blocks are one product each: under 14 MiB on two
+        # threads (18.6 MiB with float cardinalities and blocks of two
+        # products). The record is the float cardinalities' estimate.
+        monkeypatch.setenv("FRAMES_THREADS", "2")
+        k = (kernel_from_frame(mercedes_benz_frame()) if m == 10**6
+             else random_kernel(np.random.default_rng(70 + n), n))
+        cfg = ExperimentConfig(command="dpp", seed=5, samples=m)
+        tracemalloc.start()
+        try:
+            records = _dpp_records(cfg, k, bruteforce=True, draws_csv=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if m == 10**6:
+            assert peak < 14 * 2**20
+        masks = sample_masks(k, m, seed=5)
+        est = mc_estimate(masks.sum(axis=1, dtype=float), float(k.keep_probabilities.sum()))
+        want = mc_record("cardinality_vs_trace", est, cfg.tolerance("z_max"))
+        [got] = [r for r in records if r.name == "cardinality_vs_trace"]
+        assert got == want
+        assert m == 10**6 or est.std_error > 0
 
 
 class TestMeasureSideChecks:

@@ -1,0 +1,31 @@
+"""Smoke test of tools/phase_rss.py at a tiny size: every phase of
+verify-all that ran is read, and the functions it wraps are restored."""
+import json
+
+import phase_rss
+import pytest
+
+from framemeasures import dpp, suites, whitenoise
+
+
+def test_phases_are_read_and_the_wrappers_removed(capsys):
+    wrapped = [suites._markov_records, suites._dpp_records, dpp.sample_masks,
+               whitenoise.WhiteNoiseEnsemble.reduce]
+    result = phase_rss.measure(seed=3, samples=20_000, dim=8, runs=2)
+    assert [suites._markov_records, suites._dpp_records, dpp.sample_masks,
+            whitenoise.WhiteNoiseEnsemble.reduce] == wrapped
+    peaks = result["phase_peak_mb"]
+    assert tuple(peaks) == phase_rss.PHASES
+    assert peaks["other"] is not None
+    assert all(mb is None or 0 < mb for mb in peaks.values())
+    assert result["ru_maxrss_mb"] > 0
+
+    assert phase_rss.main(["--samples", "20000", "--dim", "8", "--runs", "1", "--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == [*phase_rss.PHASES, "ru_maxrss"]
+    assert json.loads(lines[-1])["samples"] == 20_000
+
+
+def test_refuses_bad_arguments():
+    with pytest.raises(SystemExit):
+        phase_rss.main(["--runs", "0"])

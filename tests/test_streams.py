@@ -78,6 +78,24 @@ def test_worker_count_env(monkeypatch):
     assert streams.worker_count() >= 1
 
 
+def test_worker_count_follows_the_cpus_this_process_may_run_on(monkeypatch):
+    # a 2-CPU affinity mask on a 64-CPU host
+    monkeypatch.setattr(streams.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(streams.os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)
+    monkeypatch.delenv("FRAMES_THREADS", raising=False)
+    assert streams.worker_count() == 2
+    monkeypatch.setenv("FRAMES_THREADS", "8")
+    assert streams.worker_count() == 2
+    monkeypatch.setenv("FRAMES_THREADS", "1")
+    assert streams.worker_count() == 1
+    # where the platform has no affinity call, the CPU count
+    monkeypatch.delattr(streams.os, "sched_getaffinity")
+    monkeypatch.setenv("FRAMES_THREADS", "8")
+    assert streams.worker_count() == 8
+    monkeypatch.delenv("FRAMES_THREADS")
+    assert streams.worker_count() == 64
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_map_blocks_yields_blocks_in_order(workers):
     # earlier blocks take longer, so on threads they finish last
@@ -187,6 +205,27 @@ def test_normal_rows_within_a_block():
     z = streams.normal_matrix(9, 2 * B, 5, stream=3)
     for lo, hi in [(B + 333, B + 4000), (B - 1, B + 1), (B - 700, 2 * B)]:
         np.testing.assert_array_equal(streams.normal_rows(9, lo, hi, 5, stream=3), z[lo:hi])
+
+
+@pytest.mark.parametrize("start, stop, cols", [
+    # first positions 7, 21 and 40950: 3, 1 and 2 mod 4
+    (1, 30_000, 7),  # across three conversion pieces
+    (3, 4, 7),  # one row
+    (8190, 8190 + 2 * streams.UNIFORM_CHUNK // 5 + 1, 5),  # two pieces and one value
+])
+def test_normal_rows_into_out_equals_a_fresh_result(start, stop, cols):
+    # the reference converts the range's raw outputs in one piece
+    raw = streams._philox(9, 3)
+    raw.advance(start * cols // 4)
+    raw = raw.random_raw((stop - start) * cols + start * cols % 4)[start * cols % 4 :]
+    want = ndtri(_old_open_unit(raw)).reshape(stop - start, cols)
+    got = streams.normal_rows(9, start, stop, cols, stream=3)
+    np.testing.assert_array_equal(got, want)
+    buf = np.full((stop - start + 3, cols), np.nan)
+    out = streams.normal_rows(9, start, stop, cols, stream=3, out=buf[: stop - start])
+    assert np.shares_memory(out, buf)
+    np.testing.assert_array_equal(buf[: stop - start], want)
+    assert np.isnan(buf[stop - start :]).all()
 
 
 def test_normal_rows_read_flat_positions():

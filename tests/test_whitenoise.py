@@ -34,8 +34,8 @@ from framemeasures.errors import (
     SingularGramian,
 )
 from framemeasures.frames import GramMatrix
-from framemeasures.report import ExperimentConfig
-from framemeasures.suites import _probe_vectors, run
+from framemeasures.report import CheckRecord, ExperimentConfig
+from framemeasures.suites import _probe_vectors, _verify_all_records, run
 from conftest import unit
 
 
@@ -384,6 +384,27 @@ class TestFusedPass:
             tracemalloc.stop()
         assert peak < FUSED_M * FUSED_D * 8 / 2
 
+    def test_pass_allocates_little_beyond_its_lent_buffers(self, monkeypatch):
+        # a 4-tile pass of verify-all's 22 reductions on one worker: the
+        # (TILE_ROWS, D) coordinates and (k, TILE_ROWS) pairings it lends
+        # itself (3.88 MiB), and less than 1 MiB more, so no tile-sized
+        # temporary; 5.77 MiB when each tile allocated its own
+        monkeypatch.setenv("FRAMES_THREADS", "1")
+        m, d = 4 * whitenoise.TILE_ROWS, 32
+        cfg = ExperimentConfig(command="verify-all", seed=5, samples=m, dim=d)
+        reductions = [r for item in _verify_all_records(cfg) if not isinstance(item, CheckRecord)
+                      for r in item[1:]]
+        assert len(reductions) == 22
+        k = sum(len(r.probes) for r in reductions)
+        ens = WhiteNoiseEnsemble(d, m, seed=5)
+        tracemalloc.start()
+        try:
+            ens.reduce(reductions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whitenoise.TILE_ROWS * (d + k) * 8 + 2**20
+
     def test_array_peak_memory_is_result_sized(self, mb, monkeypatch):
         # the (M, n_frame) process, never the (M, D) matrix (128 MB here)
         monkeypatch.setenv("FRAMES_THREADS", "3")
@@ -497,6 +518,26 @@ class TestLibraryErrors:
         with pytest.raises(InvalidEnsembleSize):
             WhiteNoiseEnsemble(3, 10, seed=0).restrict(11)
         assert issubclass(InvalidEnsembleSize, FrameMeasuresError)
+
+    def test_variance_band_holds_at_two_samples(self):
+        # the band is the chi-square law's: at M = 2 its 5-sigma tails give
+        # [1.3e-13, 26.3], and none of these seeds leaves it (the normal
+        # approximation's [-4, 6] failed 67 of them)
+        for seed in range(300):
+            WhiteNoiseEnsemble(12, 2, seed).reduce([ito_isometry([1.0])])
+
+    def test_scaled_source_trips_the_variance_band(self, monkeypatch):
+        original = streams.normal_rows
+
+        def scaled(*args, **kwargs):
+            z = original(*args, **kwargs)
+            z *= 1.1
+            return z
+
+        WhiteNoiseEnsemble(4, 20_000, seed=1).reduce([ito_isometry([1.0])])
+        monkeypatch.setattr(streams, "normal_rows", scaled)
+        with pytest.raises(SanityBandViolated, match="coordinate variance 1.2"):
+            WhiteNoiseEnsemble(4, 20_000, seed=1).reduce([ito_isometry([1.0])])
 
     def test_shifted_source_trips_the_band(self, monkeypatch, capsys):
         original = streams.normal_rows
