@@ -7,9 +7,10 @@ A probability measure mu is a probabilistic frame when
 with A > 0. For a weighted atom measure the middle term is x^T S_mu x with
 S_mu = sum_i w_i y_i y_i^T, so the optimal A, B are again extreme
 eigenvalues. The module also carries the 2-Wasserstein metric between such
-measures (the exact transport LP, solved on a shortlist of each atom's
-cheapest partners that grows by pricing; it scales with the atoms) and
-the coordinate decay diagnostic showing why no measure supported on an
+measures (the exact transport LP: an assignment problem when both have n
+atoms of one weight, else solved on a shortlist of each atom's cheapest
+partners that grows by pricing; it scales with the atoms) and the
+coordinate decay diagnostic showing why no measure supported on an
 infinite-dimensional space itself can have a positive lower bound.
 """
 import json
@@ -184,23 +185,28 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Exact 2-Wasserstein distance and an optimal transport plan.
 
     Solves min_gamma sum_ij gamma_ij ||y_i - z_j||^2 over the transportation
-    polytope (row sums = mu weights, column sums = nu weights) by pricing:
-    HiGHS solves the LP restricted to a shortlist of plan entries, and the
+    polytope (row sums = mu weights, column sums = nu weights). The start
+    is the north-west-corner coupling of both atom lists sorted by first
+    coordinate, which is already optimal in 1-D and is the diagonal for
+    W2(mu, mu); it is returned without a solve when it costs nothing or
+    when the potentials along its staircase leave no negative reduced
+    cost. Otherwise, when both measures have n atoms and all 2n weights
+    are the same double w, the polytope's vertices are the permutation
+    matrices times w (Birkhoff), and `linear_sum_assignment` solves the
+    pair exactly as an assignment problem; its plan puts w on one entry
+    of each row and column. Any other pair is solved by pricing: HiGHS
+    solves the LP restricted to a shortlist of plan entries, and the
     shortlist grows by the entries whose reduced cost under that solve's
-    duals is negative, until none is. The start is the north-west-corner
-    coupling of both atom lists sorted by first coordinate, which is
-    already optimal in 1-D and is the diagonal for W2(mu, mu); it is
-    returned without a solve when it costs nothing or when the potentials
-    along its staircase leave no negative reduced cost. Otherwise the
-    first shortlist is its staircase, which keeps the LP feasible, and
-    each atom's PRICE_PARTNERS cheapest partners, which at 150 atoms
-    leaves one round of pricing at most. The atoms are
-    divided by 2^e, e the binary exponent of their largest |coordinate|,
-    an exact scaling that keeps the squared distances from overflowing or
-    underflowing, and the distance is multiplied back by it. Costs are
-    divided by their maximum, so the solver's absolute tolerances are
-    relative to the cost scale, and the result scales with the atoms.
-    The plan is a vertex with marginals exact to rounding. Returns
+    duals is negative, until none is. The first shortlist is the
+    staircase, which keeps the LP feasible, and each atom's
+    PRICE_PARTNERS cheapest partners, which at 150 atoms leaves one round
+    of pricing at most. The atoms are divided by 2^e, e the binary
+    exponent of their largest |coordinate|, an exact scaling that keeps
+    the squared distances from overflowing or underflowing, and the
+    distance is multiplied back by it. Costs are divided by their
+    maximum, so the solver's absolute tolerances are relative to the cost
+    scale, and the result scales with the atoms. The plan is a vertex
+    with marginals exact to rounding (exact for an assignment). Returns
     (distance, TransportPlan).
     """
     if mu.dim != nu.dim:
@@ -271,10 +277,6 @@ def _staircase_is_optimal(c: np.ndarray, i, j, amounts, down) -> bool:
 
 
 def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    # imported here, so that a command that solves no LP never loads them
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array
-
     n, m = cost.shape
     c = cost / cost.max()  # positive: merged atoms make some pair distinct
     plan = np.zeros((n, m))
@@ -282,6 +284,20 @@ def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     if _staircase_is_optimal(c, i, j, amounts, down):
         plan[i, j] = amounts
         return plan
+    # the solvers are imported where they run, so that a command that
+    # solves nothing never loads them
+    w = mu.weights[0]
+    if n == m and np.all(mu.weights == w) and np.all(nu.weights == w):
+        # one weight on both sides: the polytope's vertices are the
+        # permutation matrices times w (Birkhoff), so the LP is an assignment
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(c)
+        plan[rows, cols] = w
+        return plan
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
     b_eq = np.concatenate([mu.weights, nu.weights])
     # the staircase keeps the first LP feasible, and each atom's cheapest
     # partners hold most of an optimal plan

@@ -6,7 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.optimize import linear_sum_assignment, linprog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from framemeasures import (
     DiscreteMeasure,
@@ -70,6 +73,23 @@ def quantile_w2sq(mu, nu):
     return float(total)
 
 
+def full_lp_w2sq(mu, nu):
+    """Oracle sharing no algorithm with `wasserstein2`: HiGHS on the
+    transport LP over all n*m plan entries and the unscaled costs, with
+    no start, shortlist, pricing or assignment (as perfbench's
+    `_w2_reference` solves weighted pairs)."""
+    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
+    cost = (diff * diff).sum(axis=2)
+    n, m = cost.shape
+    i, j = np.divmod(np.arange(n * m), m)
+    a_eq = csr_array((np.ones(2 * n * m), (np.concatenate([i, n + j]), np.tile(np.arange(n * m), 2))),
+                     shape=(n + m, n * m))
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(cost.ravel() @ np.clip(res.x, 0.0, None))
+
+
 @pytest.fixture
 def lp_columns(monkeypatch):
     """The column count of each LP that `wasserstein2` solves, in order."""
@@ -78,6 +98,16 @@ def lp_columns(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda c, *a, **k: columns.append(c.size) or solve(c, *a, **k))
     return columns
+
+
+@pytest.fixture
+def assignments(monkeypatch):
+    """The shape of each assignment that `wasserstein2` solves, in order."""
+    shapes = []
+    solve = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda c, *a, **k: shapes.append(c.shape) or solve(c, *a, **k))
+    return shapes
 
 
 def random_measure(rng, dim=2, max_atoms=5):
@@ -106,9 +136,10 @@ class TestConstruction:
         assert isinstance(info.value, ValueError)
 
     def test_transport_failures_are_typed(self, monkeypatch):
-        # a pair whose north-west-corner start is not optimal, so the LP runs
-        mu = DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 5.0]])
-        nu = DiscreteMeasure.uniform([[0.0, 5.0], [1.0, 0.0]])
+        # a weighted pair whose north-west-corner start is not optimal, so
+        # the LP runs
+        mu = DiscreteMeasure.from_points([[0.0, 0.0], [1.0, 5.0]], [0.4, 0.6])
+        nu = DiscreteMeasure.from_points([[0.0, 5.0], [1.0, 0.0]], [0.4, 0.6])
 
         def misses_weights(c, A_eq, b_eq, **kwargs):
             # "optimal", with duals that price nothing, but a plan of zeros
@@ -116,7 +147,7 @@ class TestConstruction:
                                    eqlin=SimpleNamespace(marginals=np.zeros(b_eq.size)))
 
         monkeypatch.setattr(scipy.optimize, "linprog", misses_weights)
-        with pytest.raises(TransportFailed, match="marginals off by 0.5") as info:
+        with pytest.raises(TransportFailed, match="marginals off by 0.6") as info:
             wasserstein2(mu, nu)
         assert isinstance(info.value, RuntimeError)
 
@@ -342,21 +373,23 @@ class TestWasserstein:
         assert d_scaled / scale == pytest.approx(d, rel=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("uniform", [True, False, "square"])
     def test_self_distance_and_symmetry_at_size(self, dim, uniform):
         # the wasserstein suite's exact self_distance and its 1e-9 symmetry
-        # bound, on measures the size of the CLI's
-        rng = np.random.default_rng(500 + 2 * dim + uniform)
+        # bound, on measures the size of the CLI's; "square" pairs uniform
+        # measures of one size, which in R^2 W2 solves as an assignment
+        rng = np.random.default_rng(500 + 2 * dim + (uniform is True) + 10 * (uniform == "square"))
 
-        def draw():
-            k = int(rng.integers(40, 151))
+        def draw(k=None):
+            k = int(rng.integers(40, 151)) if k is None else k
             pts = rng.normal(size=(k, dim))
-            if uniform:
-                return DiscreteMeasure.uniform(pts)
-            return DiscreteMeasure.normalized(pts, rng.uniform(0.5, 1.5, k))
+            if uniform is False:
+                return DiscreteMeasure.normalized(pts, rng.uniform(0.5, 1.5, k))
+            return DiscreteMeasure.uniform(pts)
 
         for _ in range(10):
-            mu, nu = draw(), draw()
+            mu = draw()
+            nu = draw(mu.n_atoms if uniform == "square" else None)
             assert wasserstein2(mu, mu)[0] == 0.0
             assert abs(wasserstein2(mu, nu)[0] - wasserstein2(nu, mu)[0]) <= 1e-9
 
@@ -387,11 +420,12 @@ class TestWasserstein:
         wasserstein2(mu, nu)
         assert len(lp_columns) >= 1
 
-    @pytest.mark.parametrize("n, m, uniform", [(150, 150, True), (150, 100, False)])
-    def test_at_most_two_solves(self, lp_columns, n, m, uniform):
+    @pytest.mark.parametrize("n, m, uniform", [(150, 150, True), (150, 150, False), (150, 100, False)])
+    def test_at_most_two_solves(self, lp_columns, assignments, n, m, uniform):
         # the first LP covers each atom's cheapest partners as well as the
         # n + m - 1 entries of the north-west-corner staircase, so one
-        # round of pricing at most is left; the benchmark's W2 shapes
+        # round of pricing at most is left, and a uniform square pair is
+        # one assignment and no LP; the benchmark's W2 shapes
         rng = np.random.default_rng(700 + m)
 
         def measure(k):
@@ -404,23 +438,74 @@ class TestWasserstein:
             mu, nu = measure(n), measure(m)
             for a, b in ((mu, nu), (nu, mu)):
                 lp_columns.clear()
+                assignments.clear()
                 wasserstein2(a, b)
-                assert 1 <= len(lp_columns) <= 2
-                assert lp_columns[0] > n + m - 1
+                if uniform:
+                    assert (lp_columns, assignments) == ([], [(n, m)])
+                else:
+                    assert 1 <= len(lp_columns) <= 2
+                    assert lp_columns[0] > n + m - 1
+                    assert assignments == []
+
+    def test_assignment_needs_equal_counts_and_one_weight(self, lp_columns, assignments):
+        # only n == m with all 2n weights the same double is an assignment;
+        # each near miss in R^3 still solves an LP
+        rng = np.random.default_rng(800)
+
+        def pts(k):
+            return rng.normal(size=(k, 3))
+
+        w = 1.0 / 150
+        wasserstein2(DiscreteMeasure.uniform(pts(150)), DiscreteMeasure.uniform(pts(150)))
+        assert (lp_columns, assignments) == ([], [(150, 150)])
+
+        one_ulp_off = np.full(150, w)
+        one_ulp_off[0] = np.nextafter(w, 1.0)
+        doubled = np.vstack([pts(150), np.zeros((1, 3))])
+        doubled[-1] = doubled[0]
+        near_misses = [
+            (DiscreteMeasure.uniform(pts(150)), DiscreteMeasure.uniform(pts(149))),
+            # one side uniform, the other all one ulp above it
+            (DiscreteMeasure.uniform(pts(150)),
+             DiscreteMeasure.from_points(pts(150), np.full(150, np.nextafter(w, 1.0)))),
+            # one weight one ulp above the other 299
+            (DiscreteMeasure.uniform(pts(150)), DiscreteMeasure.from_points(pts(150), one_ulp_off)),
+            # 151 listed atoms, the last a copy of the first: weight 2/151
+            (DiscreteMeasure.uniform(doubled), DiscreteMeasure.uniform(pts(150))),
+        ]
+        assert near_misses[3][0].n_atoms == 150
+        for mu, nu in near_misses:
+            lp_columns.clear()
+            wasserstein2(mu, nu)
+            assert assignments == [(150, 150)] and len(lp_columns) >= 1
 
     def test_hundreds_of_atoms_match_the_assignment(self):
-        # uniform 300 x 300 in R^3: the breakpoints of both cumulative
-        # weights tie, so the start is degenerate, and a permutation is
-        # optimal, which the assignment solver finds independently
+        # uniform 300 x 300 in R^3: a permutation is optimal, which
+        # `wasserstein2` finds as an assignment, and HiGHS on the full LP
+        # confirms independently
         rng = np.random.default_rng(300)
         mu = DiscreteMeasure.uniform(rng.normal(size=(300, 3)))
         nu = DiscreteMeasure.uniform(rng.normal(size=(300, 3)))
         d, plan = wasserstein2(mu, nu)
-        cost = ((mu.atoms[:, None, :] - nu.atoms[None, :, :]) ** 2).sum(axis=2)
-        rows, cols = linear_sum_assignment(cost)
-        assert d * d == pytest.approx(cost[rows, cols].mean(), rel=1e-12)
+        assert d * d == pytest.approx(full_lp_w2sq(mu, nu), rel=1e-12)
         assert np.abs(plan.matrix.sum(axis=1) - mu.weights).max() <= MARGINAL_TOL
         assert np.abs(plan.matrix.sum(axis=0) - nu.weights).max() <= MARGINAL_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 60))
+    def test_uniform_squares_match_the_full_lp(self, seed, dim, n):
+        # uniform pairs of n atoms drawn without repeats from a small
+        # integer lattice of at least 60 points, so that many costs tie
+        rng = np.random.default_rng(seed)
+        span = {1: 40, 2: 5, 3: 3, 4: 2}[dim]
+        lattice = np.array(list(itertools.product(range(-span, span + 1), repeat=dim)), float)
+        mu, nu = (DiscreteMeasure.uniform(lattice[rng.choice(len(lattice), n, replace=False)])
+                  for _ in range(2))
+        d, plan = wasserstein2(mu, nu)
+        want = np.sqrt(full_lp_w2sq(mu, nu))
+        assert abs(d - want) <= 1e-12 * want
+        assert plan.row_marginal_residual == plan.col_marginal_residual == 0.0
+        assert abs(d - wasserstein2(nu, mu)[0]) <= 1e-9
 
 
 class TestOperators:
