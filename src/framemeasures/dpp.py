@@ -16,10 +16,11 @@ enumerates the full subset distribution for n <= 20 as an independent
 cross-check.
 
 The sampler's blocks of draws run on the `streams.map_blocks` pool,
-whose size FRAMES_THREADS caps. A draw's uniforms depend only on
-(seed, draw index) and its kernel on a product over a fixed group of
-draws. So no bit depends on the thread count, and the sampler's block
-size does not change which product computes a draw. Each step of a block
+whose size FRAMES_THREADS caps. A draw's uniforms, its column of
+`streams.uniform_columns`, depend only on (seed, draw index) and its
+kernel on a product over a fixed group of draws. So no bit depends on
+the thread count, and the sampler's block size does not change which
+product computes a draw. Each step of a block
 reads contiguous rows through views built once per lent workspace, and
 every numpy call covers thousands of draws, so the workers wait less for
 each other under the GIL between calls.
@@ -35,23 +36,16 @@ from .frames import Frame, _gramian, as_count, as_indices, as_symmetric
 SPECTRUM_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-10
 BRUTEFORCE_MAX = 20
-# Doubles in the (n, n, block) projection-kernel workspace of one block of
-# `sample_masks`. The steps keep the pivot columns in its rows and their
-# denominators on its diagonal, and use the spent keep rows (n doubles per
-# draw) as scratch. Two products (4.2 MB) fill it at every n up to 362.
-# Besides its kernels a block in flight holds n keep rows and n step
-# uniforms as doubles and n decisions as bytes per draw, which tell at
-# small n: at n = 3 a block, one product of 29,127 draws, holds 3.6 MB,
-# and 10^6 draws peak at 11.8 MiB on two threads, output included.
-SAMPLER_WORKSPACE = 600_000
-# Draws a block takes, at least, where its kernels stay within twice
-# SAMPLER_WORKSPACE. Each step makes about ten numpy calls over the draws
-# of its block, and the workers take their dispatch under the GIL in turn,
-# so the fewer draws a call covers, the more they wait for each other.
-# One product holds this many at n <= 8, and is then the whole block; two
-# products do at n <= 12 (3,640 draws at n = 12); at n = 16 and 18 four
-# products (4,096 and 3,236 draws, 8.4 MB of kernels) take the place of
-# two.
+# Doubles at most (9.6 MB) in the (n, n, block) kernel workspace of a
+# block of `sample_masks` of more than one product. Per draw a block also
+# holds 2n uniforms as doubles and n decisions as bytes: at n = 3 a block,
+# one product of 29,127 draws, holds 3.6 MB, and 10^6 draws peak at
+# 11.8 MiB on two threads, output included.
+SAMPLER_WORKSPACE = 1_200_000
+# Draws a block takes, in whole products, within SAMPLER_WORKSPACE: each
+# step makes about ten numpy calls over them, whose dispatch the workers
+# take under the GIL in turn. One product holds this many at n <= 8, two
+# at n <= 12, four at n = 16 and 18 (3,236 draws and 8.4 MB at n = 18).
 BLOCK_DRAWS = 3_500
 # Draws per `np.bincount` call of `empirical_subset_distribution`, whose
 # intp copy of the int32 codes then stays at 512 KiB.
@@ -213,18 +207,11 @@ def _product_shape(n: int) -> tuple[int, int]:
 
 
 def _block_draws(n: int) -> int:
-    """Draws per block of `sample_masks`: whole products. One, when one
-    product alone holds BLOCK_DRAWS draws (n <= 8), since a larger block
-    would only hold more memory; else as many as keep the (n, n, block)
-    kernels within SAMPLER_WORKSPACE doubles, or more, within twice that,
-    to reach BLOCK_DRAWS (and one product, when that alone exceeds it)."""
+    """Draws per block of `sample_masks`: whole products toward
+    BLOCK_DRAWS draws, as many as keep the (n, n, block) kernels within
+    SAMPLER_WORKSPACE doubles, and at least one."""
     draws = _product_shape(n)[1]
-    per_product = n * n * draws
-    need = -(-BLOCK_DRAWS // draws)
-    if need == 1:
-        return draws
-    more = min(need, 2 * SAMPLER_WORKSPACE // per_product)
-    return draws * max(1, SAMPLER_WORKSPACE // per_product, more)
+    return draws * max(1, min(-(-BLOCK_DRAWS // draws), SAMPLER_WORKSPACE // (n * n * draws)))
 
 
 def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
@@ -278,14 +265,14 @@ class _Workspace:
     p - 1 when not, replaces it on the diagonal. The keep rows `keep_t`
     are spent once the kernels are formed: at step t its rows s < t take
     the c_s[t] / d_s and its rows from t on the contraction, then its row
-    0 is scratch. Step t reads its uniforms from row t of `steps_u` and
-    writes its decisions into row t of `chosen`, both contiguous.
+    0 is scratch. They are the first n rows of `uniforms`, 2n per draw,
+    compared in place; step t reads row n + t of it and writes its
+    decisions into row t of `chosen`, both contiguous.
     """
 
     def __init__(self, n: int, width: int):
         self.kernels = np.empty((n, n, width))
-        self.keep_t = np.empty((n, width))
-        self.steps_u = np.empty((n, width))
+        self.uniforms = np.empty((2 * n, width))
         self.chosen = np.empty((n, width), dtype=bool)
         self.vv = np.empty((n, n))
         self.size = None
@@ -298,9 +285,9 @@ class _Workspace:
         n = self.kernels.shape[0]
         cols = self.kernels[:, :, :b]
         denom = self.kernels.reshape(n * n, -1)[:: n + 1, :b]
-        rest = self.keep_t[:, :b]
+        rest = self.uniforms[:n, :b]
         self.steps = [(cols[t, t:], denom[t], cols[:t, t], denom[:t], rest[:t], cols[:t, t:],
-                       rest[t:], self.steps_u[t, :b], self.chosen[t, :b]) for t in range(n)]
+                       rest[t:], self.uniforms[n + t, :b], self.chosen[t, :b]) for t in range(n)]
         self.scratch = rest[0]
         self.size = b
 
@@ -312,15 +299,9 @@ class _Workspace:
         b = out.shape[0]
         if b != self.size:
             self._views(b)
-        kernels, keep_t = self.kernels, self.keep_t
-        # a block's uniforms are drawn a piece at a time, never all at once
-        chunk = max(1, streams.UNIFORM_CHUNK // (2 * n))
-        for c0 in range(0, b, chunk):
-            c1 = min(b, c0 + chunk)
-            u = streams.uniforms_at(seed, (first + c0) * 2 * n, (c1 - c0) * 2 * n,
-                                    stream=streams.STREAM_DPP).reshape(c1 - c0, 2 * n).T
-            np.less(u[:n], lam[:, None], out=keep_t[:, c0:c1])
-            np.copyto(self.steps_u[:, c0:c1], u[n:])
+        kernels, keep_t = self.kernels, self.uniforms[:n]
+        streams.uniform_columns(seed, first, first + b, streams.STREAM_DPP, self.uniforms[:, :b])
+        np.less(keep_t[:, :b], lam[:, None], out=keep_t[:, :b])
         keep_t[:, b:] = 0.0
         rows, draws = _product_shape(n)
         vv = self.vv

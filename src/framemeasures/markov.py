@@ -10,8 +10,9 @@ respect to c, and p(x, y) <= ||y||^2 / alpha. Against an arbitrary y the
 weight is a density-like quantity, not a row entry, which is why the API
 separates `transition_prob` from the index chain in `FrameChain`.
 
-Path probabilities multiply transition weights exactly as sampled, so a
-sampled path's probability can be recomputed bit-for-bit.
+Path probabilities multiply transition weights exactly as sampled, and
+a path's uniforms are its column of `streams.uniform_columns`, so a
+sampled path and its probability can be recomputed bit-for-bit.
 """
 from dataclasses import dataclass, field
 
@@ -141,19 +142,19 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
     """m length-k index paths from start x, plus their exact probabilities.
 
     Path i consumes uniforms [i*k, (i+1)*k) of the (seed, STREAM_MARKOV)
-    stream, so each path depends only on (seed, path index) and the
-    output is reproducible for any execution order or chunking. Each step
-    inverts a CDF by one `streams.inverse_cdf_index` bisection over all
-    the paths of a chunk (ties resolve to the lower index), the row of
+    stream, its column of `streams.uniform_columns`, so each path depends
+    only on (seed, path index), for any execution order or chunking. Each
+    step inverts a CDF by one `streams.inverse_cdf_index` bisection over
+    all the paths of a chunk (ties resolve to the lower index), the row of
     each path's current state in one table of the transition CDFs with
     the start CDF stacked under them as row n: every path starts in
     state n, with probability 1. Paths run PATH_CHUNK at a time on the
-    `streams.map_blocks` pool, each chunk drawing its own uniforms and
-    writing its own rows of the output, so the working arrays stay
-    cache-sized and no bit depends on the thread count. Time is
-    O(m*k*log n) and memory the size of the output: 200k paths of 8 steps
-    over 64 states peak at 16 MiB under tracemalloc on two threads, 14 MiB
-    of it output.
+    `streams.map_blocks` pool, each chunk reading its uniforms into a
+    lent buffer and writing its own rows of the output, so the working
+    arrays stay cache-sized and no bit depends on the thread count. Time
+    is O(m*k*log n) and memory the size of the output: 200k paths of 8
+    steps over 64 states peak at 16 MiB under tracemalloc on two threads,
+    14 MiB of it output.
 
     Returns (indices, probabilities) with shapes (m, k) and (m,); the
     probabilities multiply the same factors in the same order as
@@ -171,9 +172,7 @@ def sample_path_indices(chain: FrameChain, x, k: int, m: int, seed: int):
     prob = np.empty(m)
 
     def fill(a: int, b: int, lent: np.ndarray) -> None:
-        u = lent[:, : b - a]
-        np.copyto(u, streams.uniforms_at(seed, a * k, (b - a) * k,
-                                         stream=streams.STREAM_MARKOV).reshape(b - a, k).T)
+        u = streams.uniform_columns(seed, a, b, streams.STREAM_MARKOV, lent[:, : b - a])
         state = np.full(b - a, n)
         chunk_prob = prob[a:b]
         chunk_prob[:] = 1.0

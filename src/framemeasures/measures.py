@@ -278,9 +278,11 @@ def _staircase_is_optimal(c: np.ndarray, i, j, amounts, down) -> bool:
 
 def _priced_plan(cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     n, m = cost.shape
-    c = cost / cost.max()  # positive: merged atoms make some pair distinct
-    plan = np.zeros((n, m))
     i, j, amounts, down = _north_west_corner(mu, nu)
+    # divided by their maximum when the start costs something: the maximum
+    # is 0 when the atoms differ at most in the sign of a zero
+    c = cost / cost.max() if cost[i, j] @ amounts else cost
+    plan = np.zeros((n, m))
     if _staircase_is_optimal(c, i, j, amounts, down):
         plan[i, j] = amounts
         return plan

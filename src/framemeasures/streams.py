@@ -5,7 +5,9 @@ of a stream is raw output p of a Philox-4x64 generator keyed by
 (seed, stream), so results never depend on execution order, chunking, or
 thread count. One addressing rule serves every consumer: variate j of
 unit i, where a unit (a path, a draw, a sample row) has width w, is at
-position i*w + j. Each consumer names its stream from the registry below.
+position i*w + j. Each consumer names its stream from the registry below;
+only the readers here (`uniforms_at`, `normal_rows` and `uniform_columns`,
+which the DPP and Markov samplers use) compute a position.
 
 Normal variates use the inverse-CDF transform on open-interval uniforms
 rather than Box-Muller, which consumes variates in pairs and would couple
@@ -53,9 +55,9 @@ def _philox(seed: int, stream: int) -> np.random.Philox:
 
 # largest double below 1: the top raw values would otherwise round up to 1.0
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-# Raw outputs drawn at a time where they are converted into a buffer that
-# holds the result: by `normal_rows`, and by a DPP block filling its
-# workspace. So no array of the raw outputs of a whole range exists.
+# Raw outputs drawn at a time by `normal_rows` and `uniform_columns`,
+# which convert them into the buffer that holds the result. So no array
+# of the raw outputs of a whole range exists.
 UNIFORM_CHUNK = 1 << 16
 
 
@@ -172,6 +174,21 @@ def normal_rows(
     for lo in range(0, flat.size, UNIFORM_CHUNK):
         piece = flat[lo : lo + UNIFORM_CHUNK]
         ndtri(_to_open_unit(bg.random_raw(piece.size), out=piece), out=piece)
+    return out
+
+
+def uniform_columns(seed: int, start: int, stop: int, stream: int, out: np.ndarray) -> np.ndarray:
+    """Units [start, stop) of width w of the (seed, stream) uniforms, one
+    column per unit, into `out`, a (w, stop - start) array or view: entry
+    (j, i) is position (start + i)*w + j, so a step over the units reads a
+    row. As in `normal_rows`, the raw outputs are drawn UNIFORM_CHUNK (a
+    unit at least) at a time, and each piece is freed before the next."""
+    width = out.shape[0]
+    units = max(1, UNIFORM_CHUNK // width)
+    bg = _generator_at(seed, stream, start * width)
+    for lo in range(0, stop - start, units):
+        piece = out[:, lo : lo + units]
+        np.copyto(piece, _to_open_unit(bg.random_raw(piece.size)).reshape(piece.shape[::-1]).T)
     return out
 
 

@@ -370,6 +370,17 @@ class TestCommands:
         w2 = next(r for r in records if r.name == "w2_distance")
         assert w2.value == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("atoms", [[[0.0], [-0.0]], [[0.0, 1.0], [-0.0, 1.0]]],
+                             ids=["R1", "R2"])
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.3, 0.7]], ids=["uniform", "weighted"])
+    def test_wasserstein_of_atoms_equal_up_to_the_sign_of_zero(self, tmp_path, capsys,
+                                                                atoms, weights):
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({"dim": len(atoms[0]), "atoms": atoms, "weights": weights}))
+        assert main(["wasserstein", str(mu), str(mu), "--format", "csv"]) == 0
+        records = parse_csv_records(capsys.readouterr().out)
+        assert next(r for r in records if r.name == "w2_distance").value == 0.0
+
     def test_decay_records(self, tmp_path, capsys):
         mu = tmp_path / "mu.json"
         mu.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 0.0], [0.0, 1.0]],

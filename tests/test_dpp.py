@@ -512,18 +512,26 @@ class TestPool:
         (18, 4, 3_236), (64, 4, 256), (400, 3, 6), (547, 2, 4), (548, 1, 2),
     ])
     def test_block_rule(self, n, products, draws):
-        # whole products: one where one holds BLOCK_DRAWS draws (n <= 8),
-        # else as many as SAMPLER_WORKSPACE doubles of kernels hold, or
-        # more, within twice that, towards BLOCK_DRAWS draws; from n = 548
-        # on a block is one product of two draws
+        # one product where one holds BLOCK_DRAWS draws (n <= 8); from
+        # n = 548 on a block is one product of two draws
         width = dpp_mod._product_shape(n)[1]
         assert dpp_mod._block_draws(n) == products * width == draws
         assert (width >= dpp_mod.BLOCK_DRAWS) == (n <= 8)
-        assert products == 1 or width < dpp_mod.BLOCK_DRAWS
-        workspace, per_draw = dpp_mod.SAMPLER_WORKSPACE, n * n
-        assert draws * per_draw <= 2 * workspace
-        assert (draws + width) * per_draw > workspace or products == 1
-        assert draws >= dpp_mod.BLOCK_DRAWS or (draws + width) * per_draw > 2 * workspace
+
+    def test_block_rule_properties(self):
+        # whole products, at least one, with kernels within the budget
+        # unless there is one product; the block reaches BLOCK_DRAWS
+        # unless one more product would pass the budget
+        for n in range(1, 601):
+            width = dpp_mod._product_shape(n)[1]
+            draws = dpp_mod._block_draws(n)
+            products, rest = divmod(draws, width)
+            assert rest == 0 and products >= 1, n
+            kernels = n * n * draws
+            assert kernels <= dpp_mod.SAMPLER_WORKSPACE or products == 1, n
+            assert (draws >= dpp_mod.BLOCK_DRAWS
+                    or kernels + n * n * width > dpp_mod.SAMPLER_WORKSPACE), n
+            assert products == 1 or draws - width < dpp_mod.BLOCK_DRAWS, n
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("n", [*range(1, 19), 32, 64, 100, 400])
@@ -538,27 +546,26 @@ class TestPool:
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_masks_do_not_depend_on_the_block_size(self, threads, monkeypatch):
-        # products of 7 draws, blocks of 7, 70 and 2331 draws, sized by the
-        # workspace alone
+        # products of 7 draws, blocks of 7, 70 and 2331 draws
         monkeypatch.setenv("FRAMES_THREADS", threads)
         monkeypatch.setattr(streams, "BLAS_SERIAL_MADDS", 7**3)
-        monkeypatch.setattr(dpp_mod, "BLOCK_DRAWS", 0)
         k = projection_kernel(np.random.default_rng(33), 7)
         want = reference_masks(k, 2000, 4)
-        for workspace in (49 * 7, 49 * 70 + 1, 49 * 2331):
-            monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", workspace)
+        for block in (7, 70, 2331):
+            monkeypatch.setattr(dpp_mod, "BLOCK_DRAWS", block)
+            assert dpp_mod._block_draws(7) == block
             np.testing.assert_array_equal(sample_masks(k, 2000, seed=4), want)
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("n", [3, 12, 18])
     def test_tiny_budget_changes_no_mask(self, n, threads, monkeypatch):
-        # a workspace of one double leaves one product per block: more
+        # a workspace of two doubles leaves one product per block: more
         # tasks, and a last block of five draws
         monkeypatch.setenv("FRAMES_THREADS", threads)
         k = random_kernel(np.random.default_rng(600 + n), n)
         m = 3 * dpp_mod._product_shape(n)[1] + 5
         want = sample_masks(k, m, seed=n)
-        monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 1)
+        monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 2)
         np.testing.assert_array_equal(sample_masks(k, m, seed=n), want)
 
     def test_minors_do_not_depend_on_threads(self, monkeypatch):
@@ -574,7 +581,7 @@ class TestPool:
         # blocks make many tasks
         monkeypatch.setattr(streams, "worker_count", lambda: 4)
         monkeypatch.setattr(streams, "BLAS_SERIAL_MADDS", 36 * 7)
-        monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 36 * 7)
+        monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 2 * 36 * 7)
         k = random_kernel(np.random.default_rng(37), 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

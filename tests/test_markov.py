@@ -15,6 +15,7 @@ from framemeasures import (
     path_probability,
     sample_path_indices,
     start_distribution,
+    streams,
     transition_prob,
 )
 from framemeasures.errors import (
@@ -380,3 +381,22 @@ class TestSamplerBits:
             tracemalloc.stop()
         assert idx.shape == (200_000, 8)
         assert peak <= 48 * 2**20
+
+    def test_long_paths_hold_no_raw_chunk(self, monkeypatch):
+        # horizon 64, four chunks on two threads: besides the output and
+        # the two lent (64, PATH_CHUNK) uniform buffers, 1.0 MiB, a piece
+        # of raw outputs per block in flight; a whole chunk's raw outputs
+        # in each took 8.0 MiB
+        monkeypatch.setattr(streams, "worker_count", lambda: 2)
+        rng = np.random.default_rng(65)
+        chain = build_chain(build_frame(rng.normal(size=(16, 4))))
+        x = rng.normal(size=4)
+        k, m = 64, 4 * markov.PATH_CHUNK
+        tracemalloc.start()
+        try:
+            idx, prob = sample_path_indices(chain, x, k, m, seed=65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lent = 2 * k * markov.PATH_CHUNK * 8
+        assert peak - idx.nbytes - prob.nbytes - lent < 2 * 2**20

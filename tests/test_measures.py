@@ -279,6 +279,19 @@ class TestWasserstein:
         d2, _ = wasserstein2(mu, other)
         assert d2 > 1e-9
 
+    @pytest.mark.parametrize("atoms", [[[0.0], [-0.0]], [[0.0, 1.0], [-0.0, 1.0]]],
+                             ids=["R1", "R2"])
+    @pytest.mark.parametrize("weights", [None, [0.3, 0.7]], ids=["uniform", "weighted"])
+    def test_atoms_equal_up_to_the_sign_of_zero(self, atoms, weights, recwarn):
+        # the bitwise merge keeps both atoms, so every cost is 0: W2 is 0,
+        # not the NaN of costs divided by their maximum
+        mu = DiscreteMeasure.from_points(atoms, weights)
+        assert mu.n_atoms == 2
+        d, plan = wasserstein2(mu, mu)
+        assert d == 0.0
+        assert plan.row_marginal_residual == plan.col_marginal_residual == 0.0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             wasserstein2(DiscreteMeasure.point_mass([0.0]), DiscreteMeasure.point_mass([0.0, 1.0]))

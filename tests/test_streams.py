@@ -183,6 +183,18 @@ def test_only_streams_runs_a_pool():
             assert "SimpleQueue" not in source, path.name
 
 
+def test_only_streams_addresses_a_stream():
+    # every position is computed, and every raw output drawn, in `streams`;
+    # the samplers read their uniforms a block of units at a time
+    for path in Path(streams.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        if path.name != "streams.py":
+            for name in ("random_raw", "_generator_at", "UNIFORM_CHUNK"):
+                assert name not in source, (path.name, name)
+        if path.name in ("dpp.py", "markov.py"):
+            assert "uniforms_at" not in source, path.name
+
+
 def _old_open_unit(raw):
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
@@ -234,6 +246,21 @@ def test_normal_rows_read_flat_positions():
     np.testing.assert_array_equal(
         streams.normal_rows(9, B - 2, B + 3, 5, stream=3), ndtri(u).reshape(5, 5)
     )
+
+
+@pytest.mark.parametrize("start, stop, width", [
+    (5, 6, 7),  # one unit, first position 35: 3 mod 4
+    (3, 30_000, 6),  # across three conversion pieces
+    (1, 3, streams.UNIFORM_CHUNK + 1),  # a unit wider than a piece
+])
+def test_uniform_columns_read_units_as_columns(start, stop, width):
+    # column i is unit start + i: uniforms [(start + i) * width, ...)
+    want = streams.uniforms_at(9, start * width, (stop - start) * width, stream=3)
+    buf = np.full((width, stop - start + 2), np.nan)
+    out = streams.uniform_columns(9, start, stop, 3, buf[:, : stop - start])
+    assert np.shares_memory(out, buf)
+    np.testing.assert_array_equal(buf[:, : stop - start], want.reshape(-1, width).T)
+    assert np.isnan(buf[:, stop - start :]).all()
 
 
 def test_duplicate_stream_id_fails_import_under_optimize(tmp_path):
