@@ -4,7 +4,8 @@ serialization.
 A Monte-Carlo check is judged here in full: `mc_estimate` (or a
 white-noise reduction, through `_estimate`) gives the sample mean, its
 standard error and the z-score against the target, and `mc_record`
-passes it iff |z| <= z_max.
+passes it iff |z| <= z_max. Where the law sampled has a known variance,
+`_estimate_known_variance` takes the standard error from it instead.
 
 Reports serialize to JSON (schema 1) with floats in Python's shortest
 round-trip form, and to CSV with 17 significant digits; both re-parse to
@@ -222,9 +223,23 @@ def _merge_moments(a, b):
 def _estimate(m: int, mean, m2, target: float) -> McEstimate:
     """The estimate of m values with the given mean and M2 against target;
     a constant sample (see ZERO_VARIANCE_ULPS) reads z 0 or inf."""
+    std_error = math.sqrt(float(m2) / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
+    return _judge(m, mean, std_error, target)
+
+
+def _estimate_known_variance(m: int, mean, variance: float, target: float) -> McEstimate:
+    """The estimate of the mean of m independent values, each of the given
+    exact variance, against target. The standard error is exact, so a
+    sample that happens to be constant still reads its true z; a variance
+    of 0 reads z 0 or inf, as a constant sample does in `_estimate`."""
+    return _judge(m, mean, math.sqrt(variance) / math.sqrt(m), target)
+
+
+def _judge(m: int, mean, std_error: float, target: float) -> McEstimate:
+    """The estimate of m values with this mean and standard error against
+    target, under the zero-variance rule."""
     value = float(mean)
     target = float(target)
-    std_error = math.sqrt(float(m2) / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
     if std_error > ZERO_VARIANCE_ULPS * math.ulp(value):
         z = (value - target) / std_error
     else:

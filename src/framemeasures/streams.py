@@ -22,7 +22,6 @@ import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtri
 
 # The registry of stream ids, one per consumer, so a shared seed never
 # aliases streams. Every id of the library is declared here, below 2^32:
@@ -168,6 +167,9 @@ def normal_rows(
     given. The raw outputs are drawn, converted and transformed
     UNIFORM_CHUNK at a time, so no array of them exists besides `out`.
     """
+    # imported where it runs, so that the samplers never load scipy
+    from scipy.special import ndtri
+
     out = np.empty((stop - start, cols)) if out is None else out
     flat = np.reshape(out, -1, copy=False)
     bg = _generator_at(seed, stream, start * cols)

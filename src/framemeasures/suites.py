@@ -31,8 +31,7 @@ from .report import (
     CheckRecord,
     ExperimentConfig,
     Report,
-    _estimate,
-    _moments,
+    _estimate_known_variance,
     bound_record,
     build_report,
     exact_record,
@@ -204,17 +203,15 @@ def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
                      dpp_mod.SPECTRUM_TOL),
     ]
     masks = dpp_mod.sample_masks(kernel, config.samples, config.seed)
-    # |X| of each draw, added up column by column in the smallest unsigned
-    # type: the sum is exact and the deviations are those of the float
-    # cardinalities, so the moments are theirs, bit for bit
-    card = np.zeros(len(masks), np.min_scalar_type(kernel.size))
-    for column in masks.T:
-        card += column
-    # the trace of the law sampled (a projection kernel's is its rank exactly)
-    trace = float(kernel.keep_probabilities.sum())
-    records.append(mc_record(prefix + "cardinality_vs_trace", _estimate(*_moments(card), trace),
-                             z_max))
-    del card
+    # |X| is a sum of independent Bernoulli(lambda_i) over the law sampled
+    # (Hough, Krishnapur, Peres & Virag 2006): mean the trace (a projection
+    # kernel's is its rank exactly), variance sum lambda_i (1 - lambda_i).
+    # The mean of the draws is their exact integer count of points over m.
+    lam = kernel.keep_probabilities
+    m = len(masks)
+    est = _estimate_known_variance(m, int(np.count_nonzero(masks)) / m,
+                                   float((lam * (1.0 - lam)).sum()), float(lam.sum()))
+    records.append(mc_record(prefix + "cardinality_vs_trace", est, z_max))
     if bruteforce:
         table = dpp_mod.subset_distribution_bruteforce(kernel)
         emp = dpp_mod.empirical_subset_distribution(masks)

@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtri, factorial2, ndtr
 
 from . import streams
 from .errors import (
@@ -101,6 +100,8 @@ def _check_band(sums: np.ndarray, m: int) -> None:
     if m > 1:
         # (m - 1) var is chi-square with m - 1 degrees of freedom: the band
         # runs between its quantiles at the VAR_BAND-sigma normal tails
+        from scipy.special import chdtri, ndtr
+
         var = (s2 - s1 * mean) / (m - 1)
         tail = ndtr(-VAR_BAND)
         lo, hi = chdtri(m - 1, [1.0 - tail, tail]) / (m - 1)
@@ -295,6 +296,8 @@ def moment(x, order: int) -> Reduction:
     order = as_count(order, "moment order", most=MAX_MOMENT_ORDER, error=KTooLarge)
     x = as_vector(x)
     if order % 2 == 0:
+        from scipy.special import factorial2
+
         target = float(factorial2(order - 1)) * float(x @ x) ** (order // 2)
     else:
         target = 0.0

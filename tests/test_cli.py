@@ -1,8 +1,11 @@
 import json
 import logging
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -613,3 +616,20 @@ def test_every_option_parses_alike_from_text_and_json():
         argv = shlex.split(line, comments=True)
         assert argv[0] == "framemeasures"
         assert _cli_config(argv[1:]).command == argv[1]
+
+
+def test_samplers_and_decay_never_load_scipy(mb_path, measure_path):
+    # scipy.special alone takes about 0.3 s to import, more than these
+    # commands take to run; only ndtri, the sanity band, the Gaussian
+    # moments and the W2 solvers load it, where they run
+    runs = [["dpp", mb_path, "--bruteforce"], ["markov", mb_path], ["decay", measure_path]]
+    code = ("import sys\n"
+            "from framemeasures.cli import main\n"
+            f"print([main(argv + ['--out', {os.devnull!r}]) for argv in {runs!r}])\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    src = str(Path(fm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0]", "[]"]

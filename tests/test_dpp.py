@@ -23,7 +23,12 @@ from framemeasures import dpp as dpp_mod
 from framemeasures import streams
 from framemeasures.dpp import DppKernel, _moebius, _subset_minors
 from framemeasures.frames import mercedes_benz_frame
-from framemeasures.report import ExperimentConfig, mc_estimate, mc_record
+from framemeasures.report import (
+    ExperimentConfig,
+    _estimate_known_variance,
+    mc_estimate,
+    mc_record,
+)
 from framemeasures.suites import _dpp_records
 from framemeasures.errors import (
     DimensionMismatch,
@@ -615,11 +620,12 @@ class TestPool:
 class TestSuiteRecords:
     @pytest.mark.parametrize("n, m", [(3, 10**6), (3, 20_000), (7, 20_000)])
     def test_cardinality_record_in_bounded_memory(self, n, m, monkeypatch):
-        # verify-all's records at n = 3 hold the masks and one small
-        # unsigned cardinality per draw, not a float copy of them, and the
-        # sampler's blocks are one product each: under 14 MiB on two
-        # threads (18.6 MiB with float cardinalities and blocks of two
-        # products). The record is the float cardinalities' estimate.
+        # verify-all's records at n = 3 hold the masks and no copy of the
+        # cardinalities, and the sampler's blocks are one product each:
+        # under 14 MiB on two threads (18.6 MiB with float cardinalities
+        # and blocks of two products). The record is the cardinalities'
+        # mean against the trace, with the exact standard error of the
+        # law sampled: sqrt(sum lambda (1 - lambda) / m).
         monkeypatch.setenv("FRAMES_THREADS", "2")
         k = (kernel_from_frame(mercedes_benz_frame()) if m == 10**6
              else random_kernel(np.random.default_rng(70 + n), n))
@@ -633,11 +639,31 @@ class TestSuiteRecords:
         if m == 10**6:
             assert peak < 14 * 2**20
         masks = sample_masks(k, m, seed=5)
-        est = mc_estimate(masks.sum(axis=1, dtype=float), float(k.keep_probabilities.sum()))
+        lam = k.keep_probabilities
+        est = _estimate_known_variance(m, mc_estimate(masks.sum(axis=1), 0.0).value,
+                                       float((lam * (1.0 - lam)).sum()), float(lam.sum()))
         want = mc_record("cardinality_vs_trace", est, cfg.tolerance("z_max"))
         [got] = [r for r in records if r.name == "cardinality_vs_trace"]
         assert got == want
-        assert m == 10**6 or est.std_error > 0
+        # a projection kernel's |X| is constant: the zero-variance rule
+        assert (est.std_error == 0.0) == (m == 10**6)
+
+    def test_cardinality_record_passes_an_eigenvalue_just_below_one(self):
+        # the Mercedes-Benz frame typed to three decimals keeps its middle
+        # eigenvector with probability 0.99994133, so a third of the runs
+        # of 20,000 draws never drop it and their |X| is constant; a
+        # standard error estimated from the sample then read 0, and 13 of
+        # these 40 seeds failed a correct sampler
+        k = kernel_from_frame(build_frame([[1, 0], [-0.5, 0.866], [-0.5, -0.866]]))
+        assert 0.0 < k.keep_probabilities[1] < 1.0 - 5e-5
+        constant = 0
+        for seed in range(40):
+            cfg = ExperimentConfig(command="dpp", seed=seed, samples=20_000)
+            [got] = [r for r in _dpp_records(cfg, k, bruteforce=False, draws_csv=None)
+                     if r.name == "cardinality_vs_trace"]
+            assert got.passed and abs(got.z_score) <= 4.0, (seed, got)
+            constant += got.value == 2.0
+        assert constant >= 5
 
 
 class TestMeasureSideChecks:

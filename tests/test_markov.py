@@ -306,7 +306,9 @@ class TestSamplerBits:
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(prob.view(np.uint64), ref_prob.view(np.uint64))
 
-    @pytest.mark.parametrize("n", [3, 5, 17, 64])
+    # at n = 300 the gather's flat position prev * n + state passes 2^16,
+    # so arithmetic done in the uint16 of the stored indices would wrap
+    @pytest.mark.parametrize("n", [3, 5, 17, 64, 300])
     def test_random_chains(self, n):
         rng = np.random.default_rng(100 + n)
         dim = min(n, 8)
@@ -335,7 +337,9 @@ class TestSamplerBits:
     def test_paths_are_pinned(self, x, k, m, seed, digest):
         chain = build_chain(build_frame(INTEGER_FRAME))
         idx, prob = sample_path_indices(chain, np.array(x, dtype=float), k, m, seed)
-        assert hashlib.sha256(idx.tobytes() + prob.tobytes()).hexdigest() == digest
+        # widened, so the digest pins the index values, not their dtype
+        wide = idx.astype(np.int64)
+        assert hashlib.sha256(wide.tobytes() + prob.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_chunk_size_changes_no_bit(self, n, monkeypatch):
@@ -365,11 +369,28 @@ class TestSamplerBits:
         # the suite's path_probability_recompute_residual
         assert np.abs(path_probability(chain, x, idx) - prob).max() == 0.0
 
+    @pytest.mark.parametrize("n, dtype", [(3, np.uint8), (64, np.uint8), (256, np.uint8),
+                                          (257, np.uint16), (300, np.uint16)])
+    def test_indices_are_narrow(self, n, dtype):
+        rng = np.random.default_rng(n)
+        chain = build_chain(build_frame(rng.normal(size=(n, 2))))
+        idx, _ = sample_path_indices(chain, rng.normal(size=2), 3, 50, seed=n)
+        assert idx.dtype == dtype
+
+    def test_output_bytes(self):
+        # 200k paths of 8 steps over 64 states: one byte per index and a
+        # double per path, 3.2 MB (14.4 MB with int64 indices)
+        rng = np.random.default_rng(64)
+        chain = build_chain(build_frame(rng.normal(size=(64, 16))))
+        idx, prob = sample_path_indices(chain, rng.normal(size=16), 8, 200_000, seed=64)
+        assert idx.nbytes + prob.nbytes == 3_200_000
+
     def test_memory_is_output_sized(self):
-        # 200k paths over 64 states: the output takes 14 MiB and each chunk
-        # of paths in flight about 1 MiB, a 16 MiB peak on two threads;
-        # drawing every uniform up front peaked at 32 MiB, gathering an
-        # (m, n) CDF block per step at 223 MiB
+        # 200k paths over 64 states: the output takes 3.1 MiB and each
+        # chunk of paths in flight about 1 MiB, a 5.2 MiB peak on two
+        # threads (16 MiB with int64 indices); drawing every uniform up
+        # front peaked at 32 MiB, gathering an (m, n) CDF block per step
+        # at 223 MiB
         rng = np.random.default_rng(64)
         chain = build_chain(build_frame(rng.normal(size=(64, 16))))
         x = rng.normal(size=16)

@@ -25,6 +25,7 @@ from framemeasures import (
 )
 from framemeasures import streams, translation, whitenoise
 from framemeasures.cli import main
+from framemeasures.report import _estimate_known_variance
 from framemeasures.errors import (
     DimensionExceedsTruncation,
     FrameMeasuresError,
@@ -311,6 +312,17 @@ class TestMcEstimate:
         assert est.value == np.nextafter(0.1, 1.0)
         assert 0.0 < est.std_error <= 4 * math.ulp(est.value)
         assert est.z_score == 0.0
+
+    def test_known_variance(self):
+        # the standard error comes from the variance given, even for a
+        # sample that happened to be constant; a variance of 0 falls back
+        # on the zero-variance rule
+        est = _estimate_known_variance(100, 2.0, 0.04, 1.99)
+        assert est.value == 2.0 and est.sample_count == 100 and est.target == 1.99
+        assert est.std_error == 0.02
+        assert est.z_score == pytest.approx(0.5, rel=1e-12)
+        assert _estimate_known_variance(10, 2.0, 0.0, 2.0).z_score == 0.0
+        assert _estimate_known_variance(10, 2.0, 0.0, 1.99994).z_score == math.inf
 
 
 # M = 4 blocks + 17 samples: the last block, and its last tile, are partial

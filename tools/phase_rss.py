@@ -1,20 +1,31 @@
-"""Resident peak of each phase of verify-all, read inside the process.
+"""Resident peak of each phase of verify-all, or of each operation of a
+perfbench workload, read inside the process.
 
     python3 tools/phase_rss.py --seed 1 --samples 1000000 --dim 32 --runs 3
     FRAMES_THREADS=2 python3 tools/phase_rss.py --runs 3 --json
+    python3 tools/phase_rss.py --workload exact_oracles --seed 701 --runs 1
 
 Run from the repository root on Linux; the package is imported from
-./src. After one warm-up run, `verify-all` runs --runs times in this
-process, each after `malloc_trim(0)` (as perfbench does between
-operations), while a thread reads the resident set from /proc/self/statm
-every 0.5 ms. Each reading is booked to the phase running when it was
-taken, the innermost one where phases nest:
+./src. While a thread reads the resident set from /proc/self/statm every
+0.5 ms, each reading is booked to the phase running when it was taken,
+the innermost one where phases nest.
+
+With the default --workload verify-all, after one warm-up run
+`verify-all` runs --runs times in this process, each after
+`malloc_trim(0)` (as perfbench does between operations). Its phases:
 - markov: `suites._markov_records`, the Markov path sampler;
 - dpp_sampling: `dpp.sample_masks`;
 - dpp_moments: the rest of `suites._dpp_records` (the cardinality
   estimate, the tabulation of the draws and the enumeration oracle);
 - pass: `WhiteNoiseEnsemble.reduce`, the one white-noise pass;
 - other: everything else.
+
+With --workload exact_oracles or cli_mix, the operations are perfbench's
+own, built by perfbench/workloads.py from --seed (imported, not
+changed). After one warm-up pass, --runs passes run, each operation (its
+call and its check, as perfbench runs them) followed by `malloc_trim(0)`;
+each operation is a phase, and "other" is the time between them.
+
 It prints each phase's highest reading over the runs and the process's
 ru_maxrss, both in MB of 2^20 bytes as perfbench's `peak_rss_mb`, so the
 phase that sets the peak can be read off; --json adds them as one JSON
@@ -26,11 +37,14 @@ instead of every 5 ms, which slows the runs but not their memory.
 import argparse
 import ctypes
 import functools
+import importlib
 import json
 import os
 import resource
 import sys
+import tempfile
 import threading
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -39,6 +53,7 @@ from framemeasures import dpp, suites, whitenoise  # noqa: E402
 from framemeasures.report import ExperimentConfig  # noqa: E402
 
 PHASES = ("markov", "dpp_sampling", "dpp_moments", "pass", "other")
+WORKLOADS = ("verify-all", "exact_oracles", "cli_mix")
 INTERVAL_S = 0.0005
 PAGE = os.sysconf("SC_PAGE_SIZE")
 
@@ -49,11 +64,12 @@ def _resident_mb() -> float:
 
 
 class PhaseSampler:
-    """Books resident-set readings to the innermost running phase."""
+    """Books resident-set readings to the innermost running phase of
+    `phases`, whose last one runs when no other does."""
 
-    def __init__(self):
-        self.stack = ["other"]
-        self.peaks = dict.fromkeys(PHASES)
+    def __init__(self, phases=PHASES):
+        self.stack = [phases[-1]]
+        self.peaks = dict.fromkeys(phases)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._sample, daemon=True)
 
@@ -112,12 +128,50 @@ def measure(seed: int, samples: int, dim: int, runs: int) -> dict:
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
+    return _result(sampler)
+
+
+def _perfbench():
+    """perfbench's `spans` and `workloads` modules, imported from its directory."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        return importlib.import_module("spans"), importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+
+
+def measure_workload(workload: str, seed: int, runs: int) -> dict:
+    """Peak of each operation of a perfbench workload over `runs` passes."""
+    spans, workloads = _perfbench()
+    mods = types.SimpleNamespace(
+        **{name: importlib.import_module(f"framemeasures.{name}") for name in spans.LAYERS})
+    with tempfile.TemporaryDirectory() as workdir:
+        ops = workloads.build_ops(workload, workloads.make_inputs(workload, seed, workdir), mods)
+        sampler = PhaseSampler((*(op.name for op in ops), "other"))
+        for op in ops:  # warm-up
+            _checked(op)
+            _trim()
+        with sampler:
+            for _ in range(runs):
+                for op in ops:
+                    sampler.phase(op.name, _checked)(op)
+                    _trim()
+    return _result(sampler)
+
+
+def _checked(op):
+    """An operation's call and its check, as a perfbench pass runs them."""
+    return op.check(op.call())
+
+
+def _result(sampler: PhaseSampler) -> dict:
     return {"phase_peak_mb": {p: v and round(v, 1) for p, v in sampler.peaks.items()},
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=WORKLOADS, default="verify-all")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--samples", type=int, default=1_000_000)
     parser.add_argument("--dim", type=int, default=32)
@@ -128,12 +182,18 @@ def main(argv=None) -> int:
         parser.error("--runs must be at least 1")
     if not os.path.exists("/proc/self/statm"):
         parser.error("this system has no /proc/self/statm to read")
-    result = measure(args.seed, args.samples, args.dim, args.runs)
+    if args.workload == "verify-all":
+        result = measure(args.seed, args.samples, args.dim, args.runs)
+        sizes = {"samples": args.samples, "dim": args.dim}
+    else:
+        result = measure_workload(args.workload, args.seed, args.runs)
+        sizes = {}
+    width = max(map(len, [*result["phase_peak_mb"], "ru_maxrss"]))
     for phase, mb in result["phase_peak_mb"].items():
-        print(f"{phase:>13}  " + ("no reading" if mb is None else f"{mb:7.1f} MB"))
-    print(f"{'ru_maxrss':>13}  {result['ru_maxrss_mb']:7.1f} MB")
+        print(f"{phase:>{width}}  " + ("no reading" if mb is None else f"{mb:7.1f} MB"))
+    print(f"{'ru_maxrss':>{width}}  {result['ru_maxrss_mb']:7.1f} MB")
     if args.json:
-        print(json.dumps(dict(result, seed=args.seed, samples=args.samples, dim=args.dim,
+        print(json.dumps(dict(result, workload=args.workload, seed=args.seed, **sizes,
                               runs=args.runs, threads=os.environ.get("FRAMES_THREADS"))))
     return 0
 
