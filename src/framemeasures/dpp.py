@@ -11,19 +11,18 @@ kept independently with probability lambda_i, and the resulting projection
 kernel is sampled point by point: the probability of each point given
 the choices before it is a pivot of a left-looking LDL^T factorization
 (Poulson 2019), computed one column per point and vectorized across
-draws. A Moebius-inversion oracle
-enumerates the full subset distribution for n <= 20 as an independent
-cross-check.
+draws. A Moebius-inversion oracle enumerates the full subset
+distribution for n <= 20 as an independent cross-check.
 
 The sampler's blocks of draws run on the `streams.map_blocks` pool,
 whose size FRAMES_THREADS caps. A draw's uniforms, its column of
 `streams.uniform_columns`, depend only on (seed, draw index) and its
 kernel on a product over a fixed group of draws. So no bit depends on
 the thread count, and the sampler's block size does not change which
-product computes a draw. Each step of a block
-reads contiguous rows through views built once per lent workspace, and
-every numpy call covers thousands of draws, so the workers wait less for
-each other under the GIL between calls.
+product computes a draw. A block is one function, `_sample_block`, over
+buffers the pool lends it; its steps slice rows contiguous in the draws,
+and each numpy call covers thousands of draws, so the workers seldom
+wait for each other under the GIL.
 """
 from dataclasses import dataclass, field
 
@@ -232,7 +231,8 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     (aligned to multiples of the product width from draw 0, the last one
     ending at draw m), so neither the thread count nor the block size
     changes the product that computes a draw. Each block in flight
-    borrows a `_Workspace` allocated here, on the calling thread.
+    borrows the buffers of `_sample_block`, allocated here, on the
+    calling thread.
     """
     m = as_count(m, "sample count m")
     n = kernel.size
@@ -241,97 +241,75 @@ def sample_masks(kernel: DppKernel, m: int, seed: int) -> np.ndarray:
     # one spare column lets a last product of one draw run as two
     width = min(block, m + 1)
 
-    def fill(lo: int, hi: int, workspace: "_Workspace") -> None:
-        workspace.sample(kernel, seed, lo, out[lo:hi])
+    def scratch():
+        return np.empty((n, n, width)), np.empty((2 * n, width)), np.empty((n, width), dtype=bool)
 
-    for _ in streams.map_blocks(fill, m, block, scratch=lambda: _Workspace(n, width)):
+    def fill(lo: int, hi: int, lent) -> None:
+        _sample_block(kernel, seed, lo, out[lo:hi], *lent)
+
+    for _ in streams.map_blocks(fill, m, block, scratch=scratch):
         pass
     return out
 
 
-class _Workspace:
-    """Every array a block of `sample_masks` writes, for blocks of up to
-    `width` draws, and the views of them that each step reads, built once
-    per block size.
+def _sample_block(kernel: DppKernel, seed: int, first: int, out, kernels, uniforms,
+                  chosen) -> None:
+    """Draws first, first + 1, ... into `out`, their (b, n) rows of the
+    output, in buffers lent for blocks of up to w draws: `kernels`
+    (n, n, w), `uniforms` (2n, w) and `chosen` (n, w), draws innermost.
+    It reads nothing in them that it has not written.
 
-    The kernels P = V diag(keep) V^T sit in an (n, n, width) array, draws
-    innermost; only the entries P[i, i:] = P[i:, i] of each row i are
-    formed, since the steps read no other. Step t computes only pivot
-    column t of the conditioned kernels, left-looking:
-    c_t[t:] = P[t:, t] - sum_{s<t} c_s[t:] c_s[t] / d_s,
-    one contraction over s, in place of row t of the kernels (P[t, t:],
-    equal to P[t:, t]), which no later step reads as a kernel entry. The
-    pivot p = c_t[t] decides point t, and d_t, p when it is kept and
-    p - 1 when not, replaces it on the diagonal. The keep rows `keep_t`
-    are spent once the kernels are formed: at step t its rows s < t take
-    the c_s[t] / d_s and its rows from t on the contraction, then its row
-    0 is scratch. They are the first n rows of `uniforms`, 2n per draw,
-    compared in place; step t reads row n + t of it and writes its
-    decisions into row t of `chosen`, both contiguous.
+    The kernels P = V diag(keep) V^T are formed only at the entries
+    P[i, i:] = P[i:, i] of each row i, the ones the steps read. Step t
+    computes pivot column t of the conditioned kernels, left-looking:
+    c_t[t:] = P[t:, t] - sum_{s<t} c_s[t:] c_s[t] / d_s, one contraction
+    over s, in place of P[t:, t], which no later step reads as a kernel
+    entry. The pivot p = c_t[t] decides point t, and d_t, p when it is
+    kept and p - 1 when not, replaces it on the diagonal `denom`. The keep
+    rows, the first n rows of `uniforms` compared in place, are spent once
+    the kernels are formed: at step t rows s < t take the c_s[t] / d_s
+    and rows from t on the contraction, then row 0 is scratch. Step t
+    reads row n + t of `uniforms` and writes row t of `chosen`, both
+    contiguous.
     """
-
-    def __init__(self, n: int, width: int):
-        self.kernels = np.empty((n, n, width))
-        self.uniforms = np.empty((2 * n, width))
-        self.chosen = np.empty((n, width), dtype=bool)
-        self.vv = np.empty((n, n))
-        self.size = None
-
-    def _views(self, b: int) -> None:
-        """The operands of each step for blocks of b draws: the column it
-        computes and its pivot; c_s[t] and d_s, the rows that take their
-        ratio, c_s[t:] and the rows of the contraction; its uniforms and
-        its decisions."""
-        n = self.kernels.shape[0]
-        cols = self.kernels[:, :, :b]
-        denom = self.kernels.reshape(n * n, -1)[:: n + 1, :b]
-        rest = self.uniforms[:n, :b]
-        self.steps = [(cols[t, t:], denom[t], cols[:t, t], denom[:t], rest[:t], cols[:t, t:],
-                       rest[t:], self.uniforms[n + t, :b], self.chosen[t, :b]) for t in range(n)]
-        self.scratch = rest[0]
-        self.size = b
-
-    def sample(self, kernel: DppKernel, seed: int, first: int, out) -> None:
-        """Draws first, first + 1, ... into `out`, their (b, n) rows of
-        the output."""
-        lam, v = kernel.keep_probabilities, kernel.eigenvectors
-        n = lam.size
-        b = out.shape[0]
-        if b != self.size:
-            self._views(b)
-        kernels, keep_t = self.kernels, self.uniforms[:n]
-        streams.uniform_columns(seed, first, first + b, streams.STREAM_DPP, self.uniforms[:, :b])
-        np.less(keep_t[:, :b], lam[:, None], out=keep_t[:, :b])
-        keep_t[:, b:] = 0.0
-        rows, draws = _product_shape(n)
-        vv = self.vv
-        for i in range(n):
-            # entries i.. of row i, the ones the steps read; the last row also
-            # takes entry n - 2, so that its product has two rows
-            j = max(0, min(i, n - 2))
-            np.multiply(v[j:], v[i], out=vv[j:])
-            for r in range(j, n, rows):
-                for lo in range(0, b, draws):
-                    hi = min(lo + draws, max(b, lo + 2))
-                    np.matmul(vv[r : r + rows], keep_t[:, lo:hi],
-                              out=kernels[i, r : r + rows, lo:hi])
-        kept = self.scratch
-        for t, (col, p, top, den, ratio, band, acc, u, inc) in enumerate(self.steps):
-            if t:
-                np.divide(top, den, out=ratio)
-                np.einsum("sjb,sb->jb", band, ratio, out=acc)
-                np.subtract(col, acc, out=col)
-            np.maximum(p, 0.0, out=p)
-            np.minimum(p, 1.0, out=p)
-            np.less(u, p, out=inc)
-            if t == n - 1:
-                break
-            # d_t: max(p, 1e-12) where point t is kept, else min(p - 1, -1e-12)
-            np.maximum(p, 1e-12, out=kept)
-            np.subtract(p, 1.0, out=p)
-            np.minimum(p, -1e-12, out=p)
-            np.copyto(p, kept, where=inc)
-        np.copyto(out, self.chosen[:, :b].T)
+    lam, v = kernel.keep_probabilities, kernel.eigenvectors
+    n, b = lam.size, out.shape[0]
+    streams.uniform_columns(seed, first, first + b, streams.STREAM_DPP, uniforms[:, :b])
+    keep = uniforms[:n, :b]
+    np.less(keep, lam[:, None], out=keep)
+    uniforms[:n, b:] = 0.0
+    rows, draws = _product_shape(n)
+    vv = np.empty((n, n))
+    for i in range(n):
+        # entries i.. of row i, the ones the steps read; the last row also
+        # takes entry n - 2, so that its product has two rows
+        j = max(0, min(i, n - 2))
+        np.multiply(v[j:], v[i], out=vv[j:])
+        for r in range(j, n, rows):
+            for lo in range(0, b, draws):
+                hi = min(lo + draws, max(b, lo + 2))
+                np.matmul(vv[r : r + rows], uniforms[:n, lo:hi],
+                          out=kernels[i, r : r + rows, lo:hi])
+    cols, denom = kernels[:, :, :b], kernels.reshape(n * n, -1)[:: n + 1, :b]
+    kept = keep[0]
+    for t in range(n):
+        col, p, inc = cols[t, t:], denom[t], chosen[t, :b]
+        if t:
+            ratio, acc = keep[:t], keep[t:]
+            np.divide(cols[:t, t], denom[:t], out=ratio)
+            np.einsum("sjb,sb->jb", cols[:t, t:], ratio, out=acc)
+            np.subtract(col, acc, out=col)
+        np.maximum(p, 0.0, out=p)
+        np.minimum(p, 1.0, out=p)
+        np.less(uniforms[n + t, :b], p, out=inc)
+        if t == n - 1:
+            break
+        # d_t: max(p, 1e-12) where point t is kept, else min(p - 1, -1e-12)
+        np.maximum(p, 1e-12, out=kept)
+        np.subtract(p, 1.0, out=p)
+        np.minimum(p, -1e-12, out=p)
+        np.copyto(p, kept, where=inc)
+    np.copyto(out, chosen[:, :b].T)
 
 
 def empirical_subset_distribution(masks: np.ndarray) -> np.ndarray:

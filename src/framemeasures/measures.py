@@ -103,18 +103,15 @@ class DiscreteMeasure:
 
 
 def _merge_duplicates(pts: np.ndarray, w: np.ndarray):
-    seen: dict[bytes, int] = {}
-    order: list[int] = []
-    merged = []
-    for i in range(pts.shape[0]):
-        key = pts[i].tobytes()
-        if key in seen:
-            merged[seen[key]] += w[i]
-        else:
-            seen[key] = len(order)
-            order.append(i)
-            merged.append(w[i])
-    return np.ascontiguousarray(pts[order]), np.asarray(merged)
+    """The distinct rows of `pts`, bit for bit (0.0 and -0.0 differ), in
+    order of first occurrence, each weighing its copies' weights summed in order."""
+    rows = np.ascontiguousarray(pts)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return pts[first[order]], np.bincount(rank[inverse], weights=w)
 
 
 def measure_to_dict(mu: DiscreteMeasure) -> dict:

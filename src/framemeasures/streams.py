@@ -6,8 +6,8 @@ of a stream is raw output p of a Philox-4x64 generator keyed by
 thread count. One addressing rule serves every consumer: variate j of
 unit i, where a unit (a path, a draw, a sample row) has width w, is at
 position i*w + j. Each consumer names its stream from the registry below;
-only the readers here (`uniforms_at`, `normal_rows` and `uniform_columns`,
-which the DPP and Markov samplers use) compute a position.
+only the readers here, `normal_rows` and `uniform_columns` (which the DPP
+and Markov samplers use), compute a position, both through one loop.
 
 Normal variates use the inverse-CDF transform on open-interval uniforms
 rather than Box-Muller, which consumes variates in pairs and would couple
@@ -54,25 +54,24 @@ def _philox(seed: int, stream: int) -> np.random.Philox:
 
 # largest double below 1: the top raw values would otherwise round up to 1.0
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-# Raw outputs drawn at a time by `normal_rows` and `uniform_columns`,
-# which convert them into the buffer that holds the result. So no array
-# of the raw outputs of a whole range exists.
+# Raw outputs drawn at a time (a unit at least) by `_read_units`, which
+# converts them into the buffer that holds the result. So no array of the
+# raw outputs of a whole range exists.
 UNIFORM_CHUNK = 1 << 16
 
 
-def _to_open_unit(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _to_open_unit(raw: np.ndarray) -> np.ndarray:
     """uint64 -> float64 in the open interval (0, 1), 53-bit resolution.
 
-    Shifts the 1-D `raw` in place and writes the result into `out`, an
-    array of raw's shape, or by default over raw's own buffer, returning a
-    float64 view of it. Value k = raw >> 11 maps to (k + 0.5) * 2^-53 by
-    one exact int64 -> float64 cast (k < 2^53), which numpy makes without
-    a copy either way: in place, over one dimension, its loop reads each
-    value before it writes over it. The top value k = 2^53 - 1 rounds to
-    1.0 and is clamped below it.
+    Shifts the 1-D `raw` in place and writes the result over its own
+    buffer, returning a float64 view of it. Value k = raw >> 11 maps to
+    (k + 0.5) * 2^-53 by one exact int64 -> float64 cast (k < 2^53), which
+    numpy makes in place without a copy: over one dimension, its loop
+    reads each value before it writes over it. The top value k = 2^53 - 1
+    rounds to 1.0 and is clamped below it.
     """
     np.right_shift(raw, np.uint64(11), out=raw)
-    out = raw.view(np.float64) if out is None else out
+    out = raw.view(np.float64)
     np.copyto(out, raw.view(np.int64), casting="unsafe")
     out += 0.5
     out *= 2.0**-53
@@ -92,10 +91,19 @@ def _generator_at(seed: int, stream: int, start: int) -> np.random.Philox:
     return bg
 
 
-def uniforms_at(seed: int, start: int, count: int, stream: int) -> np.ndarray:
-    """`count` uniforms in (0, 1) at positions [start, start + count) of
-    the (seed, stream) stream."""
-    return _to_open_unit(_generator_at(seed, stream, start).random_raw(count))
+def _read_units(seed: int, stream: int, start: int, view: np.ndarray, write=np.copyto) -> None:
+    """Units start, start + 1, ... of the (seed, stream) uniforms into
+    `view`, a (units, w) array or view: entry (i, j) is position
+    (start + i)*w + j. The raw outputs are drawn and converted whole units
+    at a time, UNIFORM_CHUNK of them or one unit, and `write(piece, u)`
+    puts each piece's uniforms u into its rows of the view."""
+    units, width = view.shape
+    step = max(1, UNIFORM_CHUNK // width)
+    bg = _generator_at(seed, stream, start * width)
+    for lo in range(0, units, step):
+        piece = view[lo : lo + step]
+        # unnamed, the raw piece is freed before the next one is drawn
+        write(piece, _to_open_unit(bg.random_raw(piece.size)).reshape(piece.shape))
 
 
 # Multiply-adds up to which OpenBLAS runs a matrix product (gemm) on the
@@ -157,25 +165,19 @@ def map_blocks(fn, count: int, block: int, scratch=lambda: None, workers: int | 
         pool.shutdown(cancel_futures=True)
 
 
-def normal_rows(
-    seed: int, start: int, stop: int, cols: int, stream: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def normal_rows(seed: int, start: int, stop: int, cols: int, stream: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Rows [start, stop) of the (seed, stream) normal matrix with `cols` columns.
 
-    Entry (i, j) is the normal at position i*cols + j of the stream.
-    Written into `out`, a C-contiguous (stop - start, cols) array, when
-    given. The raw outputs are drawn, converted and transformed
-    UNIFORM_CHUNK at a time, so no array of them exists besides `out`.
+    Entry (i, j) is the normal at position i*cols + j of the stream, the
+    `ndtri` of its uniform, written into `out`, a (stop - start, cols)
+    array or view, when given.
     """
     # imported where it runs, so that the samplers never load scipy
     from scipy.special import ndtri
 
     out = np.empty((stop - start, cols)) if out is None else out
-    flat = np.reshape(out, -1, copy=False)
-    bg = _generator_at(seed, stream, start * cols)
-    for lo in range(0, flat.size, UNIFORM_CHUNK):
-        piece = flat[lo : lo + UNIFORM_CHUNK]
-        ndtri(_to_open_unit(bg.random_raw(piece.size), out=piece), out=piece)
+    _read_units(seed, stream, start, out, lambda piece, u: ndtri(u, out=piece))
     return out
 
 
@@ -183,14 +185,8 @@ def uniform_columns(seed: int, start: int, stop: int, stream: int, out: np.ndarr
     """Units [start, stop) of width w of the (seed, stream) uniforms, one
     column per unit, into `out`, a (w, stop - start) array or view: entry
     (j, i) is position (start + i)*w + j, so a step over the units reads a
-    row. As in `normal_rows`, the raw outputs are drawn UNIFORM_CHUNK (a
-    unit at least) at a time, and each piece is freed before the next."""
-    width = out.shape[0]
-    units = max(1, UNIFORM_CHUNK // width)
-    bg = _generator_at(seed, stream, start * width)
-    for lo in range(0, stop - start, units):
-        piece = out[:, lo : lo + units]
-        np.copyto(piece, _to_open_unit(bg.random_raw(piece.size)).reshape(piece.shape[::-1]).T)
+    row."""
+    _read_units(seed, stream, start, out.T)
     return out
 
 

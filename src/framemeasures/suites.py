@@ -99,7 +99,8 @@ def _frames_records(config, frame, prefix=""):
         bound_record(prefix + "analysis_norm_rel_residual", norm_identity, rel),
         bound_record(prefix + "gram_min_eigenvalue_neg", -g.min_eigenvalue, g.psd_bound),
     ]
-    c = streams.uniforms_at(config.seed, 0, frame.n_frame, stream=streams.STREAM_RIESZ) - 0.5
+    c = streams.uniform_columns(config.seed, 0, 1, streams.STREAM_RIESZ,
+                                np.empty((frame.n_frame, 1)))[:, 0] - 0.5
     riesz = frames_mod.verify_riesz_upper(frame, c)
     records.append(
         bound_record(prefix + "riesz_upper_excess", riesz.lhs - riesz.bound, ineq)

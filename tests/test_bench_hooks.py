@@ -81,7 +81,6 @@ def test_traced_workload_calls_count_their_work(spans):
     calls = {
         "streams.normal_matrix": (lambda: streams.normal_matrix(
             1, 4, 3, stream=streams.STREAM_WHITENOISE, workers=1), 12),
-        "streams.uniforms_at": (lambda: streams.uniforms_at(1, 0, 5, stream=streams.STREAM_DPP), 5),
         "dpp.sample_masks": (lambda: dpp.sample_masks(kernel=kernel, m=6, seed=1), (6, 3)),
         "markov.sample_path_indices": (lambda: markov.sample_path_indices(
             chain, [1.0, 0.0], k=2, m=7, seed=1), 14),

@@ -552,7 +552,8 @@ def test_riesz_coefficients_are_not_the_probe_uniforms(mb_path, mb, monkeypatch)
     run(ExperimentConfig(command="frames", inputs=(mb_path,), seed=7))
     (c,) = seen
     # the probe vectors are ndtri of these uniforms
-    probe_uniforms = streams.uniforms_at(7, 0, mb.n_frame, stream=streams.STREAM_PROBES)
+    probe_uniforms = streams.uniform_columns(7, 0, 1, streams.STREAM_PROBES,
+                                             np.empty((mb.n_frame, 1)))[:, 0]
     assert not np.isclose(c + 0.5, probe_uniforms).any()
 
 

@@ -140,7 +140,9 @@ def reference_masks(kernel, m, seed):
     block = max(1, 1_000_000 // (n * n))
     for lo in range(0, m, block):
         hi = min(m, lo + block)
-        u = streams.uniforms_at(seed, lo * 2 * n, (hi - lo) * 2 * n, stream=streams.STREAM_DPP)
+        # positions [lo*2n, hi*2n), read as units of width 1
+        u = streams.uniform_columns(seed, lo * 2 * n, hi * 2 * n, streams.STREAM_DPP,
+                                    np.empty((1, (hi - lo) * 2 * n)))
         u = u.reshape(hi - lo, 2 * n)
         keep = (u[:, :n] < lam[None, :]).astype(float)
         proj = np.einsum("ik,mk,jk->mij", v, keep, v, optimize=True)
@@ -572,6 +574,22 @@ class TestPool:
         want = sample_masks(k, m, seed=n)
         monkeypatch.setattr(dpp_mod, "SAMPLER_WORKSPACE", 2)
         np.testing.assert_array_equal(sample_masks(k, m, seed=n), want)
+
+    @pytest.mark.parametrize("n, blocks, extra", [(1, 0, 1), (5, 0, 1), (5, 1, 3), (12, 2, 5)])
+    def test_block_reads_only_what_it_writes(self, n, blocks, extra):
+        # each block of `sample_masks` on buffers of its width filled with
+        # NaN (and decisions all True) before it runs: the last block is
+        # short, and at m = 1 its last product reads the spare column
+        k = random_kernel(np.random.default_rng(700 + n), n)
+        block = dpp_mod._block_draws(n)
+        m = blocks * block + extra
+        width = min(block, m + 1)
+        got = np.empty((m, n), dtype=bool)
+        for lo in range(0, m, block):
+            lent = (np.full((n, n, width), np.nan), np.full((2 * n, width), np.nan),
+                    np.ones((n, width), dtype=bool))
+            dpp_mod._sample_block(k, n, lo, got[lo : lo + block], *lent)
+        np.testing.assert_array_equal(got, sample_masks(k, m, seed=n))
 
     def test_minors_do_not_depend_on_threads(self, monkeypatch):
         k = random_kernel(np.random.default_rng(34), 16)

@@ -26,7 +26,7 @@ from framemeasures.errors import (
     ZeroFrameVector,
     ZeroVector,
 )
-from framemeasures.streams import STREAM_MARKOV, uniforms_at
+from framemeasures.streams import STREAM_MARKOV, uniform_columns
 from conftest import random_spanning_frame
 
 
@@ -287,7 +287,8 @@ def gather_reference(chain, x, k, m, seed):
     start = start_distribution(chain, x)
     p = chain.transition_matrix
     n = chain.n_states
-    u = uniforms_at(seed, 0, m * k, stream=STREAM_MARKOV).reshape(m, k)
+    # positions [0, mk), read as units of width 1
+    u = uniform_columns(seed, 0, m * k, STREAM_MARKOV, np.empty((1, m * k))).reshape(m, k)
     cum_rows = np.cumsum(p, axis=1)
     idx = np.empty((m, k), dtype=np.int64)
     idx[:, 0] = np.minimum((np.cumsum(start) < u[:, 0, None]).sum(axis=1), n - 1)

@@ -30,7 +30,7 @@ from framemeasures.errors import (
     InvalidWeights,
     TransportFailed,
 )
-from framemeasures.measures import MARGINAL_TOL, measure_l2_normsq
+from framemeasures.measures import MARGINAL_TOL, _merge_duplicates, measure_l2_normsq
 
 
 def brute_force_w2sq(mu, nu):
@@ -110,6 +110,25 @@ def assignments(monkeypatch):
     return shapes
 
 
+def merge_reference(pts, w):
+    """The per-atom loop `_merge_duplicates` replaced: rows equal byte for
+    byte merge into their first occurrence, their weights summed in order."""
+    seen, order, merged = {}, [], []
+    for i in range(pts.shape[0]):
+        key = pts[i].tobytes()
+        if key in seen:
+            merged[seen[key]] += w[i]
+        else:
+            seen[key] = len(order)
+            order.append(i)
+            merged.append(w[i])
+    return np.ascontiguousarray(pts[order]), np.asarray(merged)
+
+
+# few coordinates, so that rows repeat; 0.0 and -0.0 stay apart
+COORDS = st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5, 5e-324])
+
+
 def random_measure(rng, dim=2, max_atoms=5):
     n = int(rng.integers(1, max_atoms + 1))
     return DiscreteMeasure.normalized(rng.normal(size=(n, dim)), rng.random(n) + 0.1)
@@ -174,6 +193,18 @@ class TestConstruction:
         assert mu.n_atoms == 2
         np.testing.assert_array_equal(mu.atoms, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(mu.weights, [0.5, 0.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(st.lists(COORDS, min_size=d, max_size=d), st.floats(0.01, 1.0)),
+        min_size=1, max_size=40)))
+    def test_merge_matches_the_loop_bit_for_bit(self, atoms):
+        pts = np.array([row for row, _ in atoms])
+        w = np.array([weight for _, weight in atoms])
+        got, want = _merge_duplicates(pts, w), merge_reference(pts, w)
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+        assert got[0].flags.c_contiguous
 
     def test_json_roundtrip(self):
         mu = DiscreteMeasure.normalized([[1.0, 2.0], [0.0, -1.0]], [1.0, 3.0])

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,22 +15,28 @@ from framemeasures import streams
 B = streams.BLOCK_ROWS
 
 
+def _flat(seed, start, count, stream):
+    # positions [start, start + count) of the uniforms: count units of width 1
+    return streams.uniform_columns(seed, start, start + count, stream, np.empty((1, count)))[0]
+
+
 def test_uniforms_open_interval():
-    u = streams.uniforms_at(5, 0, 100_000, stream=0)
+    u = streams.uniform_columns(5, 0, 25_000, 0, np.empty((4, 25_000)))
     assert u.min() > 0.0 and u.max() < 1.0
 
 
-def test_uniforms_at_chunk_consistency():
-    full = streams.uniforms_at(5, 0, 1000, stream=2)
+def test_uniform_columns_chunk_consistency():
+    # any range of units reads the same columns as one read of them all
+    full = streams.uniform_columns(5, 0, 1000, 2, np.empty((3, 1000)))
     for start, count in [(0, 10), (3, 7), (17, 500), (999, 1)]:
-        chunk = streams.uniforms_at(5, start, count, stream=2)
-        np.testing.assert_array_equal(chunk, full[start : start + count])
+        chunk = streams.uniform_columns(5, start, start + count, 2, np.empty((3, count)))
+        np.testing.assert_array_equal(chunk, full[:, start : start + count])
 
 
 def test_streams_distinct():
-    a = streams.uniforms_at(5, 0, 100, stream=1)
-    b = streams.uniforms_at(5, 0, 100, stream=2)
-    c = streams.uniforms_at(6, 0, 100, stream=1)
+    a = _flat(5, 0, 100, stream=1)
+    b = _flat(5, 0, 100, stream=2)
+    c = _flat(6, 0, 100, stream=1)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -199,6 +206,13 @@ def _old_open_unit(raw):
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+def _reference(seed, start, count, stream):
+    # positions [start, start + count), converted in one piece
+    raw = streams._philox(seed, stream)
+    raw.advance(start // 4)
+    return _old_open_unit(raw.random_raw(count + start % 4)[start % 4 :])
+
+
 def test_open_unit_extremes_are_open_and_finite():
     raw = np.array([0, 2**64 - 1], dtype=np.uint64)
     u = streams._to_open_unit(raw.copy())
@@ -226,11 +240,7 @@ def test_normal_rows_within_a_block():
     (8190, 8190 + 2 * streams.UNIFORM_CHUNK // 5 + 1, 5),  # two pieces and one value
 ])
 def test_normal_rows_into_out_equals_a_fresh_result(start, stop, cols):
-    # the reference converts the range's raw outputs in one piece
-    raw = streams._philox(9, 3)
-    raw.advance(start * cols // 4)
-    raw = raw.random_raw((stop - start) * cols + start * cols % 4)[start * cols % 4 :]
-    want = ndtri(_old_open_unit(raw)).reshape(stop - start, cols)
+    want = ndtri(_reference(9, start * cols, (stop - start) * cols, 3)).reshape(stop - start, cols)
     got = streams.normal_rows(9, start, stop, cols, stream=3)
     np.testing.assert_array_equal(got, want)
     buf = np.full((stop - start + 3, cols), np.nan)
@@ -242,7 +252,7 @@ def test_normal_rows_into_out_equals_a_fresh_result(start, stop, cols):
 
 def test_normal_rows_read_flat_positions():
     # entry (i, j) of a width-5 matrix is the normal at position 5*i + j
-    u = streams.uniforms_at(9, (B - 2) * 5, 25, stream=3)
+    u = _flat(9, (B - 2) * 5, 25, stream=3)
     np.testing.assert_array_equal(
         streams.normal_rows(9, B - 2, B + 3, 5, stream=3), ndtri(u).reshape(5, 5)
     )
@@ -255,12 +265,29 @@ def test_normal_rows_read_flat_positions():
 ])
 def test_uniform_columns_read_units_as_columns(start, stop, width):
     # column i is unit start + i: uniforms [(start + i) * width, ...)
-    want = streams.uniforms_at(9, start * width, (stop - start) * width, stream=3)
+    want = _reference(9, start * width, (stop - start) * width, 3)
     buf = np.full((width, stop - start + 2), np.nan)
     out = streams.uniform_columns(9, start, stop, 3, buf[:, : stop - start])
     assert np.shares_memory(out, buf)
     np.testing.assert_array_equal(buf[:, : stop - start], want.reshape(-1, width).T)
     assert np.isnan(buf[:, stop - start :]).all()
+
+
+def test_readers_hold_one_piece_of_raw_outputs():
+    # into a given buffer, each reader holds one piece of UNIFORM_CHUNK raw
+    # outputs at a time: no second piece, and no ufunc buffer for the
+    # strided writes of `uniform_columns`
+    columns, rows = np.empty((6, 29_127)), np.empty((8192, 32))
+    for read in (lambda: streams.uniform_columns(1, 3, 29_130, 2, columns),
+                 lambda: streams.normal_rows(1, 5, 8197, 32, 3, out=rows)):
+        read()  # imports ndtri
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < streams.UNIFORM_CHUNK * 8 + 2**14
 
 
 def test_duplicate_stream_id_fails_import_under_optimize(tmp_path):
@@ -330,8 +357,8 @@ def test_stream_digests(name):
     s = streams.STREAM_IDS[name]
     r = 1 << 16
     uniforms = _sha256(
-        streams.uniforms_at(7, 0, 1000, stream=s),
-        streams.uniforms_at(7, 5 * 2**20 + 3, 1000, stream=s),
+        _flat(7, 0, 1000, stream=s),
+        _flat(7, 5 * 2**20 + 3, 1000, stream=s),
     )
     below = _sha256(streams.normal_rows(7, 1000, 1256, 8, stream=s))
     beyond = _sha256(
