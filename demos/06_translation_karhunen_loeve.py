@@ -9,6 +9,7 @@ coordinates, preserving the energy ||x||^2.
 import numpy as np
 
 import framemeasures as fm
+from framemeasures import streams
 
 ens = fm.WhiteNoiseEnsemble(16, 400_000, 77)
 rng = np.random.default_rng(11)
@@ -30,8 +31,9 @@ rn_mean, second, *shifts, kl, vals = ens.reduce([
     fm.kl_expand(pf, x2d),
 ])
 
-# density at a single outcome, and its ensemble mean (must be 1)
-w = ens.restrict(1).coordinates()[0]
+# density at a single outcome, sample 0 of the ensemble read from its
+# stream, and its ensemble mean (must be 1)
+w = streams.normal_rows(ens.seed, 0, 1, ens.truncation_dim, streams.STREAM_WHITENOISE)[0]
 print(f"rn_density(x, omega_0) = {fm.rn_density(x, w):.6f}")
 print(f"ensemble mean of the density: {rn_mean.value:.6f} "
       f"(target 1, z {rn_mean.z_score:+.2f})")

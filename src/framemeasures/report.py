@@ -319,22 +319,22 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def report_csv_text(report: Report) -> str:
-    """Fixed-column CSV of the check records."""
+def csv_text(header, rows) -> str:
+    """CSV of `rows` under `header`, lines ended by "\n", each float in
+    17 significant digits (`_fmt`) and every other field as `csv` writes it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in report.records:
-        writer.writerow(
-            [r.name, _fmt(r.value), _fmt(r.target), _fmt(r.std_error), _fmt(r.z_score),
-             "true" if r.passed else "false"]
-        )
+    writer.writerow(header)
+    writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
 
 
-def emit_csv(report: Report, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_csv_text(report))
+def report_csv_text(report: Report) -> str:
+    """Fixed-column CSV of the check records."""
+    return csv_text(CSV_COLUMNS, (
+        [r.name, r.value, r.target, r.std_error, r.z_score, "true" if r.passed else "false"]
+        for r in report.records
+    ))
 
 
 def parse_csv_records(text: str):

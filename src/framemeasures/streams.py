@@ -39,16 +39,18 @@ if len(set(STREAM_IDS.values())) != len(STREAM_IDS):
 
 # imported after the registry check, so that the check runs even on this
 # file loaded outside its package
+from .errors import DimensionMismatch  # noqa: E402
 from .frames import as_count  # noqa: E402
 
 # A seed keys the generator's upper 64 bits: 0 <= seed <= SEED_MAX.
 SEED_MAX = (1 << 64) - 1
 
-# Rows per thread task of `normal_matrix`.
+# Rows per task of `normal_matrix`; both serve only the stream tests and perfbench's probe.
 BLOCK_ROWS = 1 << 16
 
 
 def _philox(seed: int, stream: int) -> np.random.Philox:
+    stream = as_count(stream, "stream", 0, (1 << 32) - 1)
     return np.random.Philox(key=(as_count(seed, "seed", 0, SEED_MAX) << 64) | (stream << 32))
 
 
@@ -91,12 +93,18 @@ def _generator_at(seed: int, stream: int, start: int) -> np.random.Philox:
     return bg
 
 
-def _read_units(seed: int, stream: int, start: int, view: np.ndarray, write=np.copyto) -> None:
-    """Units start, start + 1, ... of the (seed, stream) uniforms into
-    `view`, a (units, w) array or view: entry (i, j) is position
+def _unit_count(start: int, stop: int) -> int:
+    return as_count(stop, "stop", as_count(start, "start", 0)) - start
+
+
+def _read_units(seed: int, stream: int, start: int, stop: int, view, write=np.copyto) -> None:
+    """Units [start, stop) of the (seed, stream) uniforms into `view`, a
+    (stop - start, w) array or view: entry (i, j) is position
     (start + i)*w + j. The raw outputs are drawn and converted whole units
     at a time, UNIFORM_CHUNK of them or one unit, and `write(piece, u)`
     puts each piece's uniforms u into its rows of the view."""
+    if view.ndim != 2 or len(view) != _unit_count(start, stop):
+        raise DimensionMismatch(f"out does not hold exactly the units [{start}, {stop})")
     units, width = view.shape
     step = max(1, UNIFORM_CHUNK // width)
     bg = _generator_at(seed, stream, start * width)
@@ -176,8 +184,10 @@ def normal_rows(seed: int, start: int, stop: int, cols: int, stream: int,
     # imported where it runs, so that the samplers never load scipy
     from scipy.special import ndtri
 
-    out = np.empty((stop - start, cols)) if out is None else out
-    _read_units(seed, stream, start, out, lambda piece, u: ndtri(u, out=piece))
+    out = np.empty((_unit_count(start, stop), cols)) if out is None else out
+    if out.shape[1:] != (cols,):
+        raise DimensionMismatch(f"out of shape {out.shape} does not hold rows of {cols} columns")
+    _read_units(seed, stream, start, stop, out, lambda piece, u: ndtri(u, out=piece))
     return out
 
 
@@ -186,7 +196,7 @@ def uniform_columns(seed: int, start: int, stop: int, stream: int, out: np.ndarr
     column per unit, into `out`, a (w, stop - start) array or view: entry
     (j, i) is position (start + i)*w + j, so a step over the units reads a
     row."""
-    _read_units(seed, stream, start, out.T)
+    _read_units(seed, stream, start, stop, out.T)
     return out
 
 
@@ -201,6 +211,7 @@ def normal_matrix(
 
     Entry (i, j) is a pure function of (seed, stream, i, j); see
     `normal_rows`. Tasks may run in any number of threads in any order.
+    Only the stream tests and perfbench's probe of the pool call it.
     """
     out = np.empty((rows, cols))
 

@@ -34,6 +34,7 @@ from .report import (
     _estimate_known_variance,
     bound_record,
     build_report,
+    csv_text,
     exact_record,
     mc_record,
 )
@@ -170,20 +171,15 @@ def _markov_records(
         _info(prefix + "mean_path_probability", float(probs.mean())),
     ]
     if paths_csv:
-        _write_paths_csv(paths_csv, idx, probs)
+        rows = ((i, " ".join(map(str, path)), p)
+                for i, (path, p) in enumerate(zip(idx.tolist(), probs)))
+        with open(paths_csv, "w") as fh:
+            fh.write(csv_text(("path", "indices", "probability"), rows))
     extras = {
         "transition_matrix": chain.transition_matrix.tolist(),
         "normalizers": chain.normalizers.tolist(),
     }
     return records, extras
-
-
-def _write_paths_csv(path, idx, probs):
-    with open(path, "w") as fh:
-        fh.write("path,indices,probability\n")
-        for i in range(idx.shape[0]):
-            joined = " ".join(map(str, idx[i].tolist()))
-            fh.write(f"{i},{joined},{format(float(probs[i]), '.17g')}\n")
 
 
 # -------------------------------------------------------------------- dpp
@@ -224,11 +220,9 @@ def _dpp_records(config, kernel, prefix="", *, bruteforce, draws_csv):
                          dpp_mod.total_variation(emp, table), config.tolerance("tv_max")),
         ]
     if draws_csv:
+        rows = ((i, " ".join(map(str, np.flatnonzero(mask)))) for i, mask in enumerate(masks))
         with open(draws_csv, "w") as fh:
-            fh.write("draw,indices\n")
-            for i in range(masks.shape[0]):
-                joined = " ".join(str(j) for j in np.nonzero(masks[i])[0])
-                fh.write(f"{i},{joined}\n")
+            fh.write(csv_text(("draw", "indices"), rows))
     return records
 
 

@@ -27,6 +27,7 @@ from .whitenoise import (
     _power,
     _rows,
     _stacked,
+    ito_isometry,
     pairings,
 )
 
@@ -173,10 +174,9 @@ def kl_variance(frame: Frame, x) -> Reduction:
     """Empirical E[(T x)^2] against sum_n <x, phi_n>^2.
 
     The Karhunen-Loeve values are the pairings with the coefficient
-    vector (<x, phi_n>)_n. For a Parseval frame the target equals
-    ||x||^2; stating it as the coefficient energy keeps the check valid
-    for near-Parseval frames.
+    vector (<x, phi_n>)_n, so this is its `ito_isometry`. For a Parseval
+    frame the target equals ||x||^2; stating it as the coefficient energy
+    keeps the check valid for near-Parseval frames.
     """
     _require_parseval(frame)
-    coeffs = analysis(frame, x)
-    return _mean_reduction(coeffs, lambda p: p * p, [coeffs @ coeffs])
+    return ito_isometry(analysis(frame, x))

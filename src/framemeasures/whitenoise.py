@@ -10,17 +10,16 @@ truncation D >= dim(x), so Monte-Carlo verification at desk scale is
 unbiased.
 
 A WhiteNoiseEnsemble is the triple (D, M, seed) and nothing more: sample i
-is row i of `streams.normal_matrix(seed, M, D, STREAM_WHITENOISE)`,
-positions [i*D, (i+1)*D) of that stream (`streams.normal_rows`), so the
-first m samples of an ensemble are the ensemble of m samples
-(`restrict(m)`). No sample is stored: every pass regenerates its tiles and
-checks the 5-sigma mean/variance sanity band on the way. A tile in flight
-works in two buffers that `streams.map_blocks` lends it, made once per
-worker on the calling thread: its (TILE_ROWS, D) coordinates, which
-`streams.normal_rows` fills a piece of the stream at a time, and its
-(k, TILE_ROWS) pairings with the k probes. So a pass holds
-O(workers * TILE_ROWS * (D + k)) doubles and allocates no tile-sized
-array on the workers.
+is row i of `streams.normal_rows(seed, 0, M, D, STREAM_WHITENOISE)`,
+positions [i*D, (i+1)*D) of that stream, so the first m samples of an
+ensemble are the ensemble of m samples (`restrict(m)`). No sample is
+stored and no library path holds the (M, D) matrix: every pass
+regenerates its tiles. A tile in flight works in two buffers that
+`streams.map_blocks` lends it, made once per worker on the calling thread:
+its (TILE_ROWS, D) coordinates, which `streams.normal_rows` fills a piece
+of the stream at a time, and its (k, TILE_ROWS) pairings with the k
+probes. So a pass holds O(workers * TILE_ROWS * (D + k)) doubles and
+allocates no tile-sized array on the workers.
 
 Each scalar estimator is written once, as a `Reduction`: the probe vectors
 it pairs with every sample and a per-tile contribution (count, mean and M2
@@ -34,9 +33,8 @@ are reductions too (`pairings`, `gaussian_process_from_frame`): their
 tiles' rows are joined in sample order, in memory O(M k) for k probes.
 Every array and every estimate is computed by passing its reduction to
 `reduce`, alone or with others:
-`ens.reduce([ito_isometry(x), moment(x, 4), pairings(x)])`. Only
-`coordinates()`, the reference the stream tests compare against, holds
-the whole (M, D) matrix.
+`ens.reduce([ito_isometry(x), moment(x, 4), pairings(x)])`. Every pass
+runs the 5-sigma mean/variance sanity band first.
 """
 import itertools
 import math
@@ -86,8 +84,8 @@ def _pair(probes: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out[:, :rows]
 
 
-def _column_sums(z: np.ndarray) -> np.ndarray:
-    """Per-coordinate sums and sums of squares of a tile, for the sanity band."""
+def _column_sums(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-coordinate sums and sums of squares of a tile z, for the sanity band."""
     return np.array([np.einsum("ij->j", z), np.einsum("ij,ij->j", z, z)])
 
 
@@ -136,6 +134,11 @@ class Reduction:
     merge: Callable = operator.add
 
 
+# the 5-sigma band on every coordinate's mean and variance, which pairs with
+# no probe; `reduce` runs it first
+_SANITY_BAND = Reduction(np.empty((0, 0)), _column_sums, _check_band)
+
+
 @dataclass(frozen=True)
 class WhiteNoiseEnsemble:
     """M seeded i.i.d. standard-normal coordinate vectors in R^D, held as
@@ -146,40 +149,25 @@ class WhiteNoiseEnsemble:
     seed: int
 
     def __post_init__(self):
-        for name in ("truncation_dim", "sample_count"):
-            object.__setattr__(self, name, as_count(getattr(self, name), name))
+        for name, least, most in (("truncation_dim", 1, None), ("sample_count", 1, None),
+                                  ("seed", 0, streams.SEED_MAX)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least, most))
 
     def restrict(self, sample_count: int) -> "WhiteNoiseEnsemble":
         """The first `sample_count` samples, an ensemble of that size."""
         count = as_count(sample_count, "restricted count", most=self.sample_count)
         return replace(self, sample_count=count)
 
-    def coordinates(self) -> np.ndarray:
-        """The (M, D) matrix of all samples, regenerated whole.
-
-        Coordinates come from a counter-based stream, inverse-CDF
-        transformed; see `streams.normal_matrix`. The 5-sigma sanity band,
-        taken from the column sums of the whole matrix, guards against
-        generator defects.
-        """
-        z = streams.normal_matrix(
-            self.seed, self.sample_count, self.truncation_dim, streams.STREAM_WHITENOISE
-        )
-        _check_band(_column_sums(z), self.sample_count)
-        return z
-
     def reduce(self, reductions) -> list:
         """The results of `reductions`, all computed in one pass over the
         samples, in tile order; see the module docstring."""
-        reductions = list(reductions)
-        if not reductions:
+        reductions = [_SANITY_BAND, *reductions]
+        if len(reductions) == 1:
             return []
         stacked = _stacked(*(v for r in reductions for v in r.probes))
         _check_truncation(stacked.shape[1], self.truncation_dim)
         sizes = [len(r.probes) for r in reductions]
         rows = [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
-        # the last statistic is the column sums behind the sanity band
-        merges = [r.merge for r in reductions] + [operator.add]
 
         dim, tile = self.truncation_dim, min(TILE_ROWS, self.sample_count)
 
@@ -189,7 +177,7 @@ class WhiteNoiseEnsemble:
                 self.seed, lo, hi, dim, stream=streams.STREAM_WHITENOISE, out=coords[: hi - lo]
             )
             p = _pair(stacked, z, pairs)
-            return [r.block(p[sl], z) for r, sl in zip(reductions, rows)] + [_column_sums(z)]
+            return [r.block(p[sl], z) for r, sl in zip(reductions, rows)]
 
         # each tile in flight borrows its coordinates and pairings, made here
         def scratch():
@@ -199,10 +187,10 @@ class WhiteNoiseEnsemble:
         for stats in streams.map_blocks(tile_stats, self.sample_count, TILE_ROWS,
                                          scratch=scratch):
             totals = stats if totals is None else [
-                merge(a, b) for merge, a, b in zip(merges, totals, stats)
+                r.merge(a, b) for r, a, b in zip(reductions, totals, stats)
             ]
-        _check_band(totals.pop(), self.sample_count)
-        return [r.finish(t, self.sample_count) for r, t in zip(reductions, totals)]
+        # the band is finished first: a generator defect raises before any result
+        return [r.finish(t, self.sample_count) for r, t in zip(reductions, totals)][1:]
 
 
 def _mean_reduction(probes, values: Callable, targets) -> Reduction:
@@ -271,9 +259,9 @@ def pairings(x) -> Reduction:
 
 
 def ito_isometry(x) -> Reduction:
-    """Mean of <x, omega>^2 against ||x||^2 (isometry into L^2)."""
-    x = as_vector(x)
-    return _mean_reduction(x, lambda p: p * p, [x @ x])
+    """Mean of <x, omega>^2 against ||x||^2 (isometry into L^2): the
+    second `moment`."""
+    return moment(x, 2)
 
 
 def char_functional(x) -> Reduction:

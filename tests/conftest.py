@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framemeasures import WhiteNoiseEnsemble, mercedes_benz_frame, orthonormal_basis_frame
+from framemeasures import WhiteNoiseEnsemble, mercedes_benz_frame, orthonormal_basis_frame, streams
 
 # the golden-file tests import tools/payload_diff.py
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -35,3 +35,10 @@ def random_spanning_frame(rng, dim=None, n=None):
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def stream_rows(ens):
+    """The (M, D) samples of an ensemble, read straight from its stream:
+    the reference its passes are compared against."""
+    return streams.normal_rows(ens.seed, 0, ens.sample_count, ens.truncation_dim,
+                               streams.STREAM_WHITENOISE)

@@ -20,7 +20,7 @@ from framemeasures.report import (
     CheckRecord,
     ExperimentConfig,
     Report,
-    emit_csv,
+    csv_text,
     parse_csv_records,
     report_csv_text,
 )
@@ -158,11 +158,15 @@ class TestCsv:
             overall_pass=all(r.passed for r in records), duration_s=0.0,
         )
 
-    def test_empty_records_header_only(self, tmp_path):
-        rep = self._report([])
-        path = tmp_path / "r.csv"
-        emit_csv(rep, path)
-        assert path.read_text() == "name,value,target,std_error,z_score,pass\n"
+    def test_empty_records_header_only(self):
+        assert report_csv_text(self._report([])) == "name,value,target,std_error,z_score,pass\n"
+
+    def test_csv_text_writes_floats_in_17_digits(self):
+        rows = [(0, "1 2", 0.1), (1, "", np.float64(1 / 3)), (2, "a,b", -0.0)]
+        assert csv_text(("i", "indices", "p"), rows) == (
+            "i,indices,p\n0,1 2,0.10000000000000001\n1,,0.33333333333333331\n"
+            '2,"a,b",-0\n'
+        )
 
     def test_single_record_two_lines(self):
         rec = CheckRecord("a", 1.0, 1.0, 0.1, 0.0, True)

@@ -11,6 +11,7 @@ import pytest
 from scipy.special import ndtri
 
 from framemeasures import streams
+from framemeasures.errors import DimensionMismatch, InvalidEnsembleSize
 
 B = streams.BLOCK_ROWS
 
@@ -288,6 +289,43 @@ def test_readers_hold_one_piece_of_raw_outputs():
         finally:
             tracemalloc.stop()
         assert peak < streams.UNIFORM_CHUNK * 8 + 2**14
+
+
+def test_stream_ids_past_32_bits_are_refused():
+    # an id of 2^32 or more would carry into the seed's bits of the key:
+    # stream 2^32 of seed 5 would read stream 0, and stream 2^32 + 3 of
+    # seed 4 stream 3 of seed 5
+    for seed, stream in ((5, 2**32), (4, 2**32 + 3)):
+        with pytest.raises(InvalidEnsembleSize, match="stream"):
+            streams.normal_rows(seed, 0, 3, 2, stream=stream)
+    last = streams.normal_rows(5, 0, 3, 2, stream=2**32 - 1)
+    assert not np.array_equal(last, streams.normal_rows(5, 0, 3, 2, stream=0))
+
+
+def test_negative_stream_id_is_refused():
+    for read in (lambda: streams.normal_rows(5, 0, 3, 2, stream=-1),
+                 lambda: streams.uniform_columns(5, 0, 3, -1, np.empty((2, 3)))):
+        with pytest.raises(InvalidEnsembleSize, match="stream"):
+            read()
+
+
+def test_readers_refuse_a_range_that_out_does_not_hold():
+    # the readers read stop - start units, and out must hold exactly those
+    with pytest.raises(DimensionMismatch):
+        streams.uniform_columns(1, 0, 1, 2, np.empty((2, 4)))
+    with pytest.raises(DimensionMismatch):
+        streams.normal_rows(1, 0, 3, 2, stream=2, out=np.empty((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        streams.normal_rows(1, 0, 3, 2, stream=2, out=np.empty((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        streams.uniform_columns(1, 0, 3, 2, np.empty(3))
+    for start, stop in ((5, 3), (-1, 2)):
+        with pytest.raises(InvalidEnsembleSize):
+            streams.normal_rows(1, start, stop, 2, stream=2)
+        with pytest.raises(InvalidEnsembleSize):
+            streams.uniform_columns(1, start, stop, 2, np.empty((2, 0)))
+    # an empty range reads nothing
+    assert streams.normal_rows(1, 3, 3, 2, stream=2).shape == (0, 2)
 
 
 def test_duplicate_stream_id_fails_import_under_optimize(tmp_path):

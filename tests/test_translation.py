@@ -28,7 +28,7 @@ from framemeasures.errors import (
     NotTight,
     Overflow,
 )
-from conftest import unit
+from conftest import stream_rows, unit
 
 
 class TestRnDensity:
@@ -172,7 +172,7 @@ class TestKarhunenLoeve:
     def test_onb_coordinates(self, ens_small):
         onb = orthonormal_basis_frame(2)
         vals, est = ens_small.reduce([kl_expand(onb, [1.0, 0.0]), kl_variance(onb, [1.0, 0.0])])
-        np.testing.assert_array_equal(vals, ens_small.coordinates()[:, 0])
+        np.testing.assert_array_equal(vals, stream_rows(ens_small)[:, 0])
         assert est.target == pytest.approx(1.0)
         assert abs(est.z_score) <= 4
 

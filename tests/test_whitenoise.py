@@ -17,6 +17,7 @@ from framemeasures import (
     joint_density,
     mc_estimate,
     moment,
+    orthonormal_basis_frame,
     pairing,
     pairings,
     projection,
@@ -37,7 +38,26 @@ from framemeasures.errors import (
 from framemeasures.frames import GramMatrix
 from framemeasures.report import CheckRecord, ExperimentConfig
 from framemeasures.suites import _probe_vectors, _verify_all_records, run
-from conftest import unit
+from conftest import stream_rows, unit
+
+
+def samples(ens):
+    """The (M, D) samples as a pass sees them: their pairings with the
+    standard basis, which are the coordinates exactly."""
+    [z] = ens.reduce([gaussian_process_from_frame(orthonormal_basis_frame(ens.truncation_dim))])
+    return z
+
+
+def shifted_source(monkeypatch):
+    """Make every white-noise tile read 0.1 above its stream."""
+    original = streams.normal_rows
+
+    def shifted(*args, **kwargs):
+        z = original(*args, **kwargs)
+        z += 0.1
+        return z
+
+    monkeypatch.setattr(streams, "normal_rows", shifted)
 
 
 class TestEnsemble:
@@ -47,27 +67,36 @@ class TestEnsemble:
         assert names == ["truncation_dim", "sample_count", "seed"]
         a = WhiteNoiseEnsemble(4, 1000, seed=1)
         assert a == WhiteNoiseEnsemble(4, 1000, seed=1)
-        np.testing.assert_array_equal(a.coordinates(), a.coordinates())
+        np.testing.assert_array_equal(samples(a), stream_rows(a))
+        np.testing.assert_array_equal(samples(a), samples(a))
 
     def test_prefix_property(self):
-        big = WhiteNoiseEnsemble(4, 70_000, seed=2)  # spans two blocks
+        big = WhiteNoiseEnsemble(4, 70_000, seed=2)  # spans several tiles
         assert big.restrict(35_000) == WhiteNoiseEnsemble(4, 35_000, seed=2)
-        head = big.restrict(35_000).coordinates()
-        np.testing.assert_array_equal(head, big.coordinates()[:35_000])
+        head = samples(big.restrict(35_000))
+        np.testing.assert_array_equal(head, stream_rows(big)[:35_000])
+        np.testing.assert_array_equal(head, samples(big)[:35_000])
 
     def test_worker_count_invariance(self, monkeypatch):
-        # M = 70,000 spans two blocks and ends in a partial tile
+        # M = 70,000 spans several tiles and ends in a partial one
         ens = WhiteNoiseEnsemble(3, 70_000, seed=3)
-        stream = streams.normal_matrix(3, 70_000, 3, streams.STREAM_WHITENOISE)
+        stream = stream_rows(ens)
         for threads in ("1", "3"):
             monkeypatch.setenv("FRAMES_THREADS", threads)
-            np.testing.assert_array_equal(ens.coordinates(), stream)
+            np.testing.assert_array_equal(samples(ens), stream)
 
     def test_sanity_band(self, ens_small):
+        # the stream meets the band that every pass checks
         m = ens_small.sample_count
-        z = ens_small.coordinates()
+        z = stream_rows(ens_small)
         assert np.abs(z.mean(axis=0)).max() <= 5 / math.sqrt(m)
         assert np.abs(z.var(axis=0, ddof=1) - 1).max() <= 5 * math.sqrt(2 / m)
+
+    def test_seed_is_checked_on_construction(self):
+        for seed in (1.5, -1, 2**64, True):
+            with pytest.raises(InvalidEnsembleSize, match="seed"):
+                WhiteNoiseEnsemble(2, 10, seed)
+        assert WhiteNoiseEnsemble(2, 10, np.uint64(2**64 - 1)).seed == 2**64 - 1
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -155,10 +184,10 @@ class TestMoments:
 
 class TestGaussianProcess:
     def test_streamed_arrays_match_coordinates(self, mb, ens_small):
-        # the reference: products with the whole (M, D) matrix
+        # the reference: products with the whole (M, D) matrix of the stream
         x = np.array([0.3, -1.2, 0.0, 2.5])
         proc, t = ens_small.reduce([gaussian_process_from_frame(mb), pairings(x)])
-        z = ens_small.coordinates()
+        z = stream_rows(ens_small)
         assert proc.shape == (ens_small.sample_count, 3) and t.shape == (ens_small.sample_count,)
         np.testing.assert_allclose(proc, z[:, :2] @ mb.vectors.T, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(t, z[:, :4] @ x, rtol=1e-12, atol=1e-14)
@@ -552,18 +581,22 @@ class TestLibraryErrors:
             WhiteNoiseEnsemble(4, 20_000, seed=1).reduce([ito_isometry([1.0])])
 
     def test_shifted_source_trips_the_band(self, monkeypatch, capsys):
-        original = streams.normal_rows
-
-        def shifted(*args, **kwargs):
-            z = original(*args, **kwargs)
-            z += 0.1
-            return z
-
-        monkeypatch.setattr(streams, "normal_rows", shifted)
+        shifted_source(monkeypatch)
         with pytest.raises(SanityBandViolated) as info:
-            WhiteNoiseEnsemble(4, 20_000, seed=1).coordinates()
-        assert isinstance(info.value, RuntimeError)
-        with pytest.raises(SanityBandViolated):
             WhiteNoiseEnsemble(4, 20_000, seed=1).reduce([ito_isometry([1.0])])
+        assert isinstance(info.value, RuntimeError)
         assert main(["gaussian", "--samples", "20000", "--dim", "4"]) == 3
         assert "SanityBandViolated" in capsys.readouterr().err
+
+    def test_band_is_finished_before_any_result(self, monkeypatch):
+        # a later reduction whose finish raises does not hide a bad source
+        def refuse(total, m):
+            raise DimensionExceedsTruncation("finished before the band")
+
+        late = whitenoise.Reduction(np.ones((1, 2)), block=lambda p, z: p.sum(), finish=refuse)
+        ens = WhiteNoiseEnsemble(4, 20_000, seed=1)
+        with pytest.raises(DimensionExceedsTruncation, match="before the band"):
+            ens.reduce([ito_isometry([1.0]), late])
+        shifted_source(monkeypatch)
+        with pytest.raises(SanityBandViolated):
+            ens.reduce([ito_isometry([1.0]), late])
