@@ -22,14 +22,14 @@ y /= np.linalg.norm(y)
 
 mb = fm.mercedes_benz_frame()
 ORDERS = (2, 4, 6, 3)
-# every check and array below, in one pass over the regenerated samples
-iso, (re, im), *moments, (_, err), proj, proc = ens.reduce([
+# every check below, in one pass over the regenerated samples
+iso, (re, im), *moments, (_, err), proj, cov = ens.reduce([
     fm.ito_isometry(x),
     fm.char_functional(x),
     *(fm.moment(x, order) for order in ORDERS),
     fm.reconstruction(x),
     fm.projection(y, y),
-    fm.gaussian_process_from_frame(mb),
+    fm.gramian_covariance(mb),
 ])
 
 
@@ -50,7 +50,6 @@ for order, est in zip(ORDERS, moments):
     show(f"moment order {order}", est)
 
 # the Gaussian process indexed by a frame has the Gramian as covariance
-cov = fm.empirical_covariance(proc)
 print("\nempirical process covariance vs Gramian:")
 print(np.round(cov, 4))
 print(np.round(fm.gram(mb).entries, 4))

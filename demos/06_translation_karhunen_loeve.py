@@ -21,19 +21,19 @@ y /= np.linalg.norm(y)
 pf = fm.parseval_rescale(fm.mercedes_benz_frame())
 x2d = np.array([0.6, -0.8])
 
-# every ensemble mean and array below, in one pass over the regenerated samples
+# every ensemble mean below, in one pass over the regenerated samples
 POWERS = (1, 2)
-rn_mean, second, *shifts, kl, vals = ens.reduce([
+rn_mean, second, *shifts, kl = ens.reduce([
     fm.rn_mean(x),
     fm.translated_moment(x, y),
     *(fm.translation_consistency(x, y, power) for power in POWERS),
     fm.kl_variance(pf, x2d),
-    fm.kl_expand(pf, x2d),
 ])
 
-# density at a single outcome, sample 0 of the ensemble read from its
-# stream, and its ensemble mean (must be 1)
-w = streams.normal_rows(ens.seed, 0, 1, ens.truncation_dim, streams.STREAM_WHITENOISE)[0]
+# the first five samples of the ensemble, read from its stream; the
+# density at sample 0, and its ensemble mean (must be 1)
+head = streams.normal_rows(ens.seed, 0, 5, ens.truncation_dim, streams.STREAM_WHITENOISE)
+w = head[0]
 print(f"rn_density(x, omega_0) = {fm.rn_density(x, w):.6f}")
 print(f"ensemble mean of the density: {rn_mean.value:.6f} "
       f"(target 1, z {rn_mean.z_score:+.2f})")
@@ -57,4 +57,6 @@ for power, est in zip(POWERS, shifts):
 print(f"\nParseval rescale: bounds [{pf.lower_bound:.12f}, {pf.upper_bound:.12f}]")
 print(f"KL expansion of {x2d}: empirical E[(Tx)^2] = {kl.value:.5f} "
       f"vs coefficient energy {kl.target:.5f} (z {kl.z_score:+.2f})")
-print("per-sample values are plain Gaussians:", np.round(vals[:5], 4))
+# the KL values (T x)(omega) = sum_n <x, phi_n> omega_n of the first five samples
+coeffs = fm.analysis(pf, x2d)
+print("per-sample values are plain Gaussians:", np.round(head[:, : coeffs.size] @ coeffs, 4))

@@ -65,8 +65,6 @@ from .measures import (
 from .report import McEstimate, mc_estimate
 from .translation import (
     cocycle_check,
-    exp_functional,
-    kl_expand,
     kl_variance,
     parseval_rescale,
     rn_density,
@@ -77,14 +75,11 @@ from .translation import (
 from .whitenoise import (
     WhiteNoiseEnsemble,
     char_functional,
-    empirical_covariance,
-    gaussian_process_from_frame,
     gramian_covariance,
     ito_isometry,
     joint_density,
     moment,
     pairing,
-    pairings,
     projection,
     reconstruction,
 )

@@ -169,7 +169,7 @@ def _moebius(minors: np.ndarray) -> np.ndarray:
         raise NotDeterminantal("Moebius inversion produced a significantly negative mass")
     table = np.clip(table, 0.0, None)
     if abs(table.sum() - 1.0) > 1e-9:
-        raise NotDeterminantal(f"subset table sums to {table.sum()!r}")
+        raise NotDeterminantal(f"subset table sums to {float(table.sum())!r}")
     return table
 
 

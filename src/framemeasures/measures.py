@@ -77,7 +77,7 @@ class DiscreteMeasure:
             raise InvalidWeights("weights must be finite and strictly positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidWeights(
-                f"weights sum to {w.sum()!r}, not 1; use DiscreteMeasure.normalized"
+                f"weights sum to {float(w.sum())!r}, not 1; use DiscreteMeasure.normalized"
             )
         pts, w = _merge_duplicates(pts, w)
         pts.setflags(write=False)

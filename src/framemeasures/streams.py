@@ -106,7 +106,7 @@ def _read_units(seed: int, stream: int, start: int, stop: int, view, write=np.co
     if view.ndim != 2 or len(view) != _unit_count(start, stop):
         raise DimensionMismatch(f"out does not hold exactly the units [{start}, {stop})")
     units, width = view.shape
-    step = max(1, UNIFORM_CHUNK // width)
+    step = max(1, UNIFORM_CHUNK // max(width, 1))
     bg = _generator_at(seed, stream, start * width)
     for lo in range(0, units, step):
         piece = view[lo : lo + step]

@@ -17,7 +17,7 @@ truncation the white-noise coordinates themselves furnish the Z_n.
 """
 import numpy as np
 
-from .errors import KTooLarge, NotParseval, NotTight, Overflow
+from .errors import DimensionMismatch, KTooLarge, NotParseval, NotTight, Overflow
 from .frames import PARSEVAL_TOL, Frame, analysis, as_count, as_rows, as_vector, build_frame
 from .whitenoise import (
     MAX_MOMENT_ORDER,
@@ -25,10 +25,8 @@ from .whitenoise import (
     _check_truncation,
     _mean_reduction,
     _power,
-    _rows,
     _stacked,
     ito_isometry,
-    pairings,
 )
 
 EXP_LIMIT = 700.0  # exp overflows past ~709.8
@@ -44,6 +42,17 @@ def _density(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return _exp_values(np.vecdot(x, omega[..., : x.shape[-1]]), np.vecdot(x, x))
 
 
+def _broadcast_rows(*stacks) -> list:
+    """The stacks as rows, refused unless their leading shapes broadcast."""
+    stacks = [as_rows(s) for s in stacks]
+    leading = [s.shape[:-1] for s in stacks]
+    try:
+        np.broadcast_shapes(*leading)
+    except ValueError:
+        raise DimensionMismatch(f"stacks of leading shapes {leading} do not broadcast") from None
+    return stacks
+
+
 def rn_density(x, omega):
     """Radon-Nikodym density of the x-translated measure at omega.
 
@@ -51,7 +60,7 @@ def rn_density(x, omega):
     against each other row by row; two vectors give a float, stacks an
     array of densities.
     """
-    return _scalar(_density(as_rows(x), as_rows(omega)))
+    return _scalar(_density(*_broadcast_rows(x, omega)))
 
 
 def _exp_values(t: np.ndarray, norm_sq) -> np.ndarray:
@@ -62,14 +71,6 @@ def _exp_values(t: np.ndarray, norm_sq) -> np.ndarray:
     if peak > EXP_LIMIT:
         raise Overflow(f"density exponent {peak:.3g} outside double range")
     return np.exp(exponents)
-
-
-def exp_functional(x) -> Reduction:
-    """Reduction to E(x)(omega_m) = exp(<x, omega_m> - ||x||^2 / 2) for
-    every sample m, an (M,) array; every value is at least exp(-EXP_LIMIT)."""
-    x = as_vector(x)
-    norm_sq = float(x @ x)
-    return _rows(x, lambda p: _exp_values(p[0], norm_sq))
 
 
 def cocycle_check(x1, x2, omega):
@@ -83,7 +84,7 @@ def cocycle_check(x1, x2, omega):
     argument is a vector or a stack of vectors (..., d), taken row by
     row as in `rn_density`; vectors give two floats, stacks two arrays.
     """
-    x1, x2, omega = as_rows(x1), as_rows(x2), as_rows(omega)
+    x1, x2, omega = _broadcast_rows(x1, x2, omega)
     lhs = _density(x1, omega) * _density(x2, omega)
     d = max(x1.shape[-1], x2.shape[-1])
     x1, x2 = _widen(x1, d), _widen(x2, d)
@@ -154,20 +155,6 @@ def _require_parseval(frame: Frame) -> None:
             f"frame bounds [{frame.lower_bound!r}, {frame.upper_bound!r}] "
             f"are not 1 within {PARSEVAL_TOL:g}"
         )
-
-
-def kl_expand(frame: Frame, x) -> Reduction:
-    """Reduction to the per-sample Karhunen-Loeve values (T x)(omega_m)
-    for a Parseval frame, an (M,) array:
-
-        sum_n <x, phi_n> omega_{m, n}
-
-    with the white-noise coordinates standing in for the i.i.d. N(0,1)
-    system Z_n: the pairings with the coefficient vector. Requires
-    n_frame <= D.
-    """
-    _require_parseval(frame)
-    return pairings(analysis(frame, x))
 
 
 def kl_variance(frame: Frame, x) -> Reduction:

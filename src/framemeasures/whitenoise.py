@@ -27,14 +27,14 @@ of per-sample values, or plain sums). `WhiteNoiseEnsemble.reduce` runs any
 number of reductions in one pass, whose tiles of TILE_ROWS samples are the
 blocks of `streams.map_blocks`: each tile is paired with the stacked
 probes of all of them in one GEMM, and the tile statistics are merged in
-tile order (Chan, Golub & LeVeque 1979). The order is fixed, so estimates are bitwise identical for any thread count
-and for `restrict(m)` versus an ensemble of m samples. Per-sample arrays
-are reductions too (`pairings`, `gaussian_process_from_frame`): their
-tiles' rows are joined in sample order, in memory O(M k) for k probes.
-Every array and every estimate is computed by passing its reduction to
-`reduce`, alone or with others:
-`ens.reduce([ito_isometry(x), moment(x, 4), pairings(x)])`. Every pass
-runs the 5-sigma mean/variance sanity band first.
+tile order (Chan, Golub & LeVeque 1979). The order is fixed, so estimates
+are bitwise identical for any thread count and for `restrict(m)` versus
+an ensemble of m samples. White noise lives on a space larger than the
+Hilbert space and is observed only through its pairings, so every result
+has a size independent of M. Every estimate is computed by passing its
+reduction to `reduce`, alone or with others:
+`ens.reduce([ito_isometry(x), moment(x, 4), gramian_covariance(frame)])`.
+Every pass runs the 5-sigma mean/variance sanity band first.
 """
 import itertools
 import math
@@ -232,30 +232,12 @@ def _stacked(*vectors) -> np.ndarray:
     return out
 
 
-def _rows(probes, values: Callable = lambda p: p) -> Reduction:
-    """Reduction to a per-sample array: `values(p)` of each tile's
-    pairings p (k, rows) with `probes`, joined in sample order along the
-    last axis and transposed, so that row i belongs to sample i."""
-    return Reduction(
-        np.atleast_2d(probes),
-        # a copy: a view would keep the tile's pairings with every probe of the pass alive
-        block=lambda p, z: [values(p).copy()],
-        finish=lambda parts, m: np.concatenate(parts, axis=-1).T,
-    )
-
-
 def pairing(x, omega) -> float:
     """Extended pairing <x, omega> with x zero-padded to len(omega)."""
     omega = as_vector(omega)
     x = as_vector(x)
     _check_truncation(x.size, omega.size)
     return float(x @ omega[: x.size])
-
-
-def pairings(x) -> Reduction:
-    """Reduction to <x, omega_m> for every sample m, an (M,) array; the
-    function T x in L^2."""
-    return _rows(as_vector(x), lambda p: p[0])
 
 
 def ito_isometry(x) -> Reduction:
@@ -292,26 +274,10 @@ def moment(x, order: int) -> Reduction:
     return _mean_reduction(x, lambda p: _power(p, order), [target])
 
 
-def gaussian_process_from_frame(frame: Frame) -> Reduction:
-    """Reduction to the (M, n_frame) matrix with entry (m, k) =
-    <phi_k, omega_m>.
-
-    The columns form a centered Gaussian process whose covariance matrix
-    is the Gramian of the frame.
-    """
-    return _rows(frame.vectors)
-
-
-def empirical_covariance(process: np.ndarray) -> np.ndarray:
-    """Uncentered second-moment matrix of process columns (targets G)."""
-    m = process.shape[0]
-    return process.T @ process / m
-
-
 def gramian_covariance(frame: Frame) -> Reduction:
     """Reduction to the empirical covariance of the frame's Gaussian
-    process: `empirical_covariance` of `gaussian_process_from_frame(frame)`'s
-    result without the (M, n_frame) matrix."""
+    process, the (n_frame, n_frame) mean of <phi_i, omega><phi_j, omega>,
+    against E <phi_i, omega><phi_j, omega> = G_ij, the Gramian."""
     return Reduction(
         frame.vectors, block=lambda p, z: np.einsum("ik,jk->ij", p, p), finish=lambda s, m: s / m
     )

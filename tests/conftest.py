@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from framemeasures import WhiteNoiseEnsemble, mercedes_benz_frame, orthonormal_basis_frame, streams
+from framemeasures.whitenoise import Reduction
 
 # the golden-file tests import tools/payload_diff.py
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -42,3 +43,16 @@ def stream_rows(ens):
     the reference its passes are compared against."""
     return streams.normal_rows(ens.seed, 0, ens.sample_count, ens.truncation_dim,
                                streams.STREAM_WHITENOISE)
+
+
+def per_sample(probes, values=lambda p, z: p.T):
+    """A test-only reduction to a per-sample array, which the library never
+    builds: `values(p, z)` of each tile's pairings p (k, rows) with
+    `probes` and coordinates z (rows, D), one row per sample, copied (the
+    pass reuses both buffers) and joined in sample order. By default the
+    (M, k) pairings."""
+    return Reduction(
+        np.atleast_2d(probes),
+        block=lambda p, z: [values(p, z).copy()],
+        finish=lambda parts, m: np.concatenate(parts),
+    )

@@ -154,6 +154,10 @@ class TestConstruction:
             make()
         assert isinstance(info.value, ValueError)
 
+    def test_weight_sum_prints_as_a_plain_float(self):
+        with pytest.raises(InvalidWeights, match=r"weights sum to 1\.1, not 1"):
+            DiscreteMeasure.from_points([[1.0], [0.0]], [0.5, 0.6])
+
     def test_transport_failures_are_typed(self, monkeypatch):
         # a weighted pair whose north-west-corner start is not optimal, so
         # the LP runs

@@ -328,6 +328,20 @@ def test_readers_refuse_a_range_that_out_does_not_hold():
     assert streams.normal_rows(1, 3, 3, 2, stream=2).shape == (0, 2)
 
 
+def test_normal_rows_of_zero_width_are_empty():
+    assert streams.normal_rows(1, 0, 3, 0, stream=2).shape == (3, 0)
+    # the address is still checked
+    with pytest.raises(InvalidEnsembleSize, match="stream"):
+        streams.normal_rows(1, 0, 3, 0, stream=2**32)
+
+
+def test_uniform_columns_of_zero_width_leave_out_unchanged():
+    out = np.empty((0, 3))
+    assert streams.uniform_columns(1, 0, 3, 2, out) is out
+    with pytest.raises(InvalidEnsembleSize, match="stream"):
+        streams.uniform_columns(1, 0, 3, 2**32, out)
+
+
 def test_duplicate_stream_id_fails_import_under_optimize(tmp_path):
     source = Path(streams.__file__).read_text()
     duplicated = source.replace("STREAM_RIESZ = 11", "STREAM_RIESZ = 10")

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from framemeasures import (
     WhiteNoiseEnsemble,
+    analysis,
     build_frame,
     cocycle_check,
-    exp_functional,
-    kl_expand,
+    ito_isometry,
     kl_variance,
     mercedes_benz_frame,
     orthonormal_basis_frame,
     parseval_rescale,
-    pairings,
     rn_density,
     rn_mean,
     translated_moment,
@@ -23,12 +22,13 @@ from framemeasures import (
 )
 from framemeasures.errors import (
     DimensionExceedsTruncation,
+    DimensionMismatch,
     KTooLarge,
     NotParseval,
     NotTight,
     Overflow,
 )
-from conftest import stream_rows, unit
+from conftest import per_sample, stream_rows, unit
 
 
 class TestRnDensity:
@@ -53,15 +53,23 @@ class TestRnDensity:
         with pytest.raises(Overflow):
             rn_density(np.full(4, 30.0), np.zeros(4))
 
+    def test_stacks_that_do_not_broadcast(self):
+        with pytest.raises(DimensionMismatch, match=r"\[\(2,\), \(3,\)\] do not broadcast"):
+            rn_density(np.zeros((2, 3)), np.zeros((3, 3)))
+
 
 class TestExpFunctional:
     def test_positive_and_recomputable(self, ens_small):
+        # E(x) at every sample of the stream, recomputed from the pairings a
+        # pass reads; their mean is the pass's `rn_mean`
         x = np.array([0.4, -1.0, 0.2])
-        values, t = ens_small.reduce([exp_functional(x), pairings(x)])
-        assert values.shape == t.shape and np.all(values > 0.0)
+        t, est = ens_small.reduce([per_sample(x), rn_mean(x)])
+        values = rn_density(x, stream_rows(ens_small))
+        assert values.shape == (ens_small.sample_count,) and np.all(values > 0.0)
         nsq = float(x @ x)
-        recomputed = np.exp(t - 0.5 * nsq)
+        recomputed = np.exp(t[:, 0] - 0.5 * nsq)
         np.testing.assert_allclose(values, recomputed, rtol=1e-12)
+        assert est.value == pytest.approx(values.mean(), rel=1e-12)
 
 
 class TestCocycle:
@@ -120,6 +128,11 @@ class TestCocycle:
         with pytest.raises(Overflow):
             cocycle_check(x, np.zeros(4), w)
 
+    def test_stacks_that_do_not_broadcast(self):
+        # each argument broadcasts against omega, but x1 and x2 do not together
+        with pytest.raises(DimensionMismatch, match=r"\[\(2,\), \(3,\), \(\)\] do not"):
+            cocycle_check(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(3))
+
 
 class TestTranslatedSecondMoment:
     def test_x_zero_reduces_to_isometry(self, ens_small):
@@ -170,16 +183,20 @@ class TestParsevalRescale:
 
 class TestKarhunenLoeve:
     def test_onb_coordinates(self, ens_small):
+        # the KL values, the pairings with the coefficient vector, are the
+        # coordinates themselves, and kl_variance is their mean square
         onb = orthonormal_basis_frame(2)
-        vals, est = ens_small.reduce([kl_expand(onb, [1.0, 0.0]), kl_variance(onb, [1.0, 0.0])])
-        np.testing.assert_array_equal(vals, stream_rows(ens_small)[:, 0])
+        coeffs = analysis(onb, [1.0, 0.0])
+        vals, est = ens_small.reduce([per_sample(coeffs), kl_variance(onb, [1.0, 0.0])])
+        np.testing.assert_array_equal(vals[:, 0], stream_rows(ens_small)[:, 0])
+        assert est.value == pytest.approx(float(np.mean(vals**2)), rel=1e-12)
         assert est.target == pytest.approx(1.0)
         assert abs(est.z_score) <= 4
 
     def test_zero_vector(self, ens_small):
         onb = orthonormal_basis_frame(3)
-        [vals] = ens_small.reduce([kl_expand(onb, np.zeros(3))])
-        np.testing.assert_array_equal(vals, 0.0)
+        [est] = ens_small.reduce([kl_variance(onb, np.zeros(3))])
+        assert est.value == 0.0 and est.target == 0.0 and est.z_score == 0.0
 
     def test_parseval_mb_unit_energy(self, mb, ens_small):
         pf = parseval_rescale(mb)
@@ -198,19 +215,23 @@ class TestKarhunenLoeve:
 
     def test_non_parseval_rejected(self, mb):
         with pytest.raises(NotParseval):
-            kl_expand(mb, [1.0, 0.0])
+            kl_variance(mb, [1.0, 0.0])
 
     def test_frame_count_exceeds_truncation(self, mb):
         tiny = WhiteNoiseEnsemble(2, 100, seed=0)
         with pytest.raises(DimensionExceedsTruncation):
-            tiny.reduce([kl_expand(parseval_rescale(mb), [1.0, 0.0])])
+            tiny.reduce([kl_variance(parseval_rescale(mb), [1.0, 0.0])])
 
     def test_kl_is_pairing_for_onb_of_full_space(self):
+        # for an orthonormal basis the coefficients are x, so the KL energy
+        # is the Ito isometry of x
         ens = WhiteNoiseEnsemble(4, 5000, seed=4)
         onb = orthonormal_basis_frame(4)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        kl, t = ens.reduce([kl_expand(onb, x), pairings(x)])
-        np.testing.assert_allclose(kl, t, rtol=1e-12)
+        kl, iso = ens.reduce([kl_variance(onb, x), ito_isometry(x)])
+        assert kl.value == pytest.approx(iso.value, rel=1e-12)
+        assert kl.std_error == pytest.approx(iso.std_error, rel=1e-12)
+        assert kl.target == pytest.approx(iso.target, rel=1e-12)
 
 
 def test_mercedes_benz_helper_consistency():

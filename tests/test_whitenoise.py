@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -10,16 +11,13 @@ from framemeasures import (
     WhiteNoiseEnsemble,
     build_frame,
     char_functional,
-    empirical_covariance,
-    gaussian_process_from_frame,
     gram,
+    gramian_covariance,
     ito_isometry,
     joint_density,
     mc_estimate,
     moment,
-    orthonormal_basis_frame,
     pairing,
-    pairings,
     projection,
     reconstruction,
     save_frame,
@@ -38,13 +36,12 @@ from framemeasures.errors import (
 from framemeasures.frames import GramMatrix
 from framemeasures.report import CheckRecord, ExperimentConfig
 from framemeasures.suites import _probe_vectors, _verify_all_records, run
-from conftest import stream_rows, unit
+from conftest import per_sample, stream_rows, unit
 
 
 def samples(ens):
-    """The (M, D) samples as a pass sees them: their pairings with the
-    standard basis, which are the coordinates exactly."""
-    [z] = ens.reduce([gaussian_process_from_frame(orthonormal_basis_frame(ens.truncation_dim))])
+    """The (M, D) coordinates a pass over `ens` reads, tile by tile."""
+    [z] = ens.reduce([per_sample(np.zeros(1), lambda p, z: z)])
     return z
 
 
@@ -119,7 +116,7 @@ class TestPairing:
 
     def test_truncation_guard(self, ens_small):
         with pytest.raises(DimensionExceedsTruncation):
-            ens_small.reduce([pairings(np.ones(17))])
+            ens_small.reduce([ito_isometry(np.ones(17))])
 
 
 class TestItoIsometry:
@@ -186,37 +183,38 @@ class TestGaussianProcess:
     def test_streamed_arrays_match_coordinates(self, mb, ens_small):
         # the reference: products with the whole (M, D) matrix of the stream
         x = np.array([0.3, -1.2, 0.0, 2.5])
-        proc, t = ens_small.reduce([gaussian_process_from_frame(mb), pairings(x)])
+        proc, t, cov = ens_small.reduce([per_sample(mb.vectors), per_sample(x),
+                                         gramian_covariance(mb)])
         z = stream_rows(ens_small)
-        assert proc.shape == (ens_small.sample_count, 3) and t.shape == (ens_small.sample_count,)
+        assert proc.shape == (ens_small.sample_count, 3) and t.shape == (ens_small.sample_count, 1)
         np.testing.assert_allclose(proc, z[:, :2] @ mb.vectors.T, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(t, z[:, :4] @ x, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(t[:, 0], z[:, :4] @ x, rtol=1e-12, atol=1e-14)
+        # the covariance is the process's second-moment matrix, without the process
+        np.testing.assert_allclose(cov, proc.T @ proc / ens_small.sample_count, rtol=1e-12)
 
     def test_onb_columns_uncorrelated(self, onb2, ens_small):
-        [proc] = ens_small.reduce([gaussian_process_from_frame(onb2)])
+        [cov] = ens_small.reduce([gramian_covariance(onb2)])
         m = ens_small.sample_count
-        cross = empirical_covariance(proc)[0, 1]
-        assert abs(cross) <= 3 / math.sqrt(m)
+        assert abs(cov[0, 1]) <= 3 / math.sqrt(m)
 
     def test_mb_covariance_entry(self, mb, ens_small):
         # Isserlis: Var(Z_j Z_k) = 1 + rho^2 for unit-variance pair
-        [proc] = ens_small.reduce([gaussian_process_from_frame(mb)])
+        [cov] = ens_small.reduce([gramian_covariance(mb)])
         m = ens_small.sample_count
-        cov01 = empirical_covariance(proc)[0, 1]
         band = 3 * math.sqrt(1 + 0.25) / math.sqrt(m)
-        assert abs(cov01 - (-0.5)) <= band
+        assert abs(cov[0, 1] - (-0.5)) <= band
 
     def test_single_vector_variance(self, ens_small):
         f = build_frame([[2.0, 0.0, 1.0]])
-        [proc] = ens_small.reduce([gaussian_process_from_frame(f)])
+        [cov] = ens_small.reduce([gramian_covariance(f)])
         m = ens_small.sample_count
-        var = float((proc[:, 0] ** 2).mean())
+        assert cov.shape == (1, 1)
         # single-sample variance of <phi, w>^2 is 2 ||phi||^4
-        assert abs(var - 5.0) <= 3 * math.sqrt(2.0) * 5.0 / math.sqrt(m)
+        assert abs(cov[0, 0] - 5.0) <= 3 * math.sqrt(2.0) * 5.0 / math.sqrt(m)
 
     def test_covariance_frobenius(self, mb, ens_small):
-        [proc] = ens_small.reduce([gaussian_process_from_frame(mb)])
-        dist = np.linalg.norm(empirical_covariance(proc) - gram(mb).entries)
+        [cov] = ens_small.reduce([gramian_covariance(mb)])
+        dist = np.linalg.norm(cov - gram(mb).entries)
         assert dist <= 5 * mb.n_frame / math.sqrt(ens_small.sample_count)
 
 
@@ -286,8 +284,8 @@ class TestSynthesisReconstruction:
         # <f, T x> / M = <synthesis(f), x> for f = <x0, .>
         rng = np.random.default_rng(3)
         x0, x = rng.normal(size=(2, 16))
-        f, t, (x_hat, _) = ens_small.reduce([pairings(x0), pairings(x), reconstruction(x0)])
-        lhs = float(f @ t) / ens_small.sample_count
+        ft, (x_hat, _) = ens_small.reduce([per_sample([x0, x]), reconstruction(x0)])
+        lhs = float(ft[:, 0] @ ft[:, 1]) / ens_small.sample_count
         rhs = float(x_hat @ x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -446,23 +444,11 @@ class TestFusedPass:
             tracemalloc.stop()
         assert peak < whitenoise.TILE_ROWS * (d + k) * 8 + 2**20
 
-    def test_array_peak_memory_is_result_sized(self, mb, monkeypatch):
-        # the (M, n_frame) process, never the (M, D) matrix (128 MB here)
-        monkeypatch.setenv("FRAMES_THREADS", "3")
-        ens = WhiteNoiseEnsemble(32, 500_000, seed=123)
-        tracemalloc.start()
-        try:
-            [proc] = ens.reduce([gaussian_process_from_frame(mb)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * proc.nbytes
-
 
 class TestSuiteRecordsMatchPublicFunctions:
     """Each gaussian/translate/kl record, taken from the suite's pass,
     agrees with the public builder it reports run through `reduce`, and
-    the covariance and adjointness records with the arrays. BLAS
+    the adjointness record with the per-sample pairings. BLAS
     may round a product differently when the probes are stacked
     differently, so agreement is to 1e-12, not bitwise."""
 
@@ -492,9 +478,8 @@ class TestSuiteRecordsMatchPublicFunctions:
             reconstruction(p[0]),
             projection(p[2], p[2]),
             projection(p[2], y_perp),
-            gaussian_process_from_frame(mb),
-            pairings(p[0]),
-            pairings(p[1]),
+            gramian_covariance(mb),
+            per_sample(p[:2]),
         ]))
         for i in range(3):
             self._agree(recs[f"isometry_x{i}"], next(ests))
@@ -508,11 +493,11 @@ class TestSuiteRecordsMatchPublicFunctions:
         assert recs["reconstruct_error"].value == pytest.approx(err, rel=1e-12)
         self._agree(recs["projection_self"], next(ests))
         self._agree(recs["projection_orthogonal"], next(ests))
-        cov = empirical_covariance(next(ests))
-        dist = float(np.linalg.norm(cov - gram(mb).entries))
+        dist = float(np.linalg.norm(next(ests) - gram(mb).entries))
         assert recs["covariance_frobenius"].value == pytest.approx(dist, rel=1e-12)
         # a rounding-level residual: compare absolutely
-        lhs = float(next(ests) @ next(ests)) / FUSED_M
+        t = next(ests)
+        lhs = float(t[:, 0] @ t[:, 1]) / FUSED_M
         rhs = float(x_hat @ p[1])
         adj = abs(lhs - rhs) / (np.linalg.norm(x_hat) * np.linalg.norm(p[1]))
         assert abs(recs["synthesis_adjoint_rel_residual"].value - adj) <= 1e-12
@@ -600,3 +585,47 @@ class TestLibraryErrors:
         shifted_source(monkeypatch)
         with pytest.raises(SanityBandViolated):
             ens.reduce([ito_isometry([1.0]), late])
+
+
+def _shapes(result) -> list:
+    """The shape of every array and number in a reduction's result."""
+    if isinstance(result, McEstimate):
+        return [np.shape(v) for v in dataclasses.astuple(result)]
+    if isinstance(result, tuple):
+        return [shape for item in result for shape in _shapes(item)]
+    return [np.shape(result)]
+
+
+class TestResultSizes:
+    def test_no_reduction_finishes_to_a_per_sample_array(self, mb):
+        # white noise is observed only through its pairings: each public
+        # reduction of whitenoise and translation gives results of the same
+        # shapes at M = 1,000 and M = 3,000. The table names every one, so
+        # a new reduction has to be added here.
+        x, y = unit([1.0, -2.0, 0.5]), unit([0.3, 0.4, -1.0])
+        pf = translation.parseval_rescale(mb)
+        table = {
+            "whitenoise.ito_isometry": (x,),
+            "whitenoise.char_functional": (x,),
+            "whitenoise.moment": (x, 3),
+            "whitenoise.gramian_covariance": (mb,),
+            "whitenoise.reconstruction": (x,),
+            "whitenoise.projection": (x, y),
+            "translation.rn_mean": (x,),
+            "translation.translated_moment": (x, y),
+            "translation.translation_consistency": (x, y, 2),
+            "translation.kl_variance": (pf, [0.6, -0.8]),
+        }
+        builders = {
+            f"{module.__name__.rsplit('.', 1)[1]}.{name}": fn
+            for module in (whitenoise, translation)
+            for name, fn in vars(module).items()
+            if not name.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == module.__name__
+            and inspect.signature(fn).return_annotation is whitenoise.Reduction
+        }
+        assert sorted(builders) == sorted(table)
+        for name, args in table.items():
+            small, large = (WhiteNoiseEnsemble(8, m, seed=6).reduce([builders[name](*args)])[0]
+                            for m in (1_000, 3_000))
+            assert _shapes(small) == _shapes(large), name
