@@ -25,8 +25,9 @@ print("\nsynthesis of (1, 1, 1):", fm.synthesis(mb, [1.0, 1.0, 1.0]))
 g = fm.gram(mb)
 print("\nGramian:")
 print(g.entries)
-print("Gramian eigenvalues:", np.round(g.eigenvalues(), 12))
-print("leading principal minors:", np.round(g.leading_minors(), 12))
+print("Gramian eigenvalues:", np.round(g.spectrum, 12))
+minors = [np.linalg.det(g.entries[:k, :k]) for k in range(1, len(g.entries) + 1)]
+print("leading principal minors:", np.round(minors, 12))
 
 # canonical dual: S^{-1} phi_n; for a tight frame just phi_n / beta
 dual = fm.dual_frame(mb)

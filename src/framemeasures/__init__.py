@@ -40,11 +40,9 @@ from .frames import (
 from .markov import (
     FrameChain,
     build_chain,
-    normalizer,
     path_probability,
     sample_path_indices,
     start_distribution,
-    transition_prob,
 )
 from .measures import (
     DiscreteMeasure,
@@ -79,7 +77,6 @@ from .whitenoise import (
     ito_isometry,
     joint_density,
     moment,
-    pairing,
     projection,
     reconstruction,
 )

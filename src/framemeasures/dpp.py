@@ -79,9 +79,6 @@ class DppKernel:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
 
 def kernel_from_matrix(k) -> DppKernel:
     """Validate a raw symmetric matrix (`frames.as_symmetric`) as a

@@ -74,14 +74,15 @@ def as_count(value, name: str, least: int = 1, most: int | None = None,
 
     A Python or numpy integer passes. A bool, a float (2.0 included), an
     array or a value out of range raises `error`, naming the value by
-    `name`.
+    `name`; a numpy scalar is shown as its Python value.
     """
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         number = int(value)
         if least <= number and (most is None or number <= most):
             return number
     span = f">= {least}" if most is None else f"in {least}..{most}"
-    raise error(f"{name} must be an integer {span}, got {value!r}")
+    shown = value.item() if isinstance(value, np.generic) else value
+    raise error(f"{name} must be an integer {span}, got {shown!r}")
 
 
 def as_indices(values, name: str, size: int) -> np.ndarray:
@@ -185,10 +186,9 @@ class GramMatrix:
     (else InvalidGramian, or NonFinite): the smallest eigenvalue, kept as
     `min_eigenvalue` with the ascending `spectrum`, must clear
     -`psd_bound`, TOL_PSD times the largest one, so the test holds at any
-    scale. That implies every
-    leading principal minor is nonnegative, so the minors
-    (`leading_minors()`) are not tested: their determinants round below
-    zero on rank-deficient Gramians (n vectors in R^N, n > N).
+    scale. That implies every principal minor is nonnegative; no minor is
+    computed, as their determinants round below zero on rank-deficient
+    Gramians (n vectors in R^N, n > N).
     """
 
     entries: np.ndarray
@@ -205,18 +205,6 @@ class GramMatrix:
         keep(self, "psd_bound", TOL_PSD * max(float(self.spectrum[-1]), 0.0))
         if self.min_eigenvalue < -self.psd_bound:
             raise InvalidGramian("Gramian is not positive semidefinite")
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    def leading_minors(self) -> np.ndarray:
-        """det(G_k) for k = 1..n."""
-        g = self.entries
-        return np.array([np.linalg.det(g[:k, :k]) for k in range(1, g.shape[0] + 1)])
-
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum
 
 
 def build_frame(vectors) -> Frame:

@@ -6,9 +6,10 @@ A frame {phi_n} turns inner products into transition weights:
 
 Summed against the frame family itself the weights are a stochastic row
 (sum_n p(x, phi_n) = 1), the chain on frame indices is reversible with
-respect to c, and p(x, y) <= ||y||^2 / alpha. Against an arbitrary y the
-weight is a density-like quantity, not a row entry, which is why the API
-separates `transition_prob` from the index chain in `FrameChain`.
+respect to c, and p(x, y) <= ||y||^2 / alpha. The library computes the
+weights only against the frame family: `FrameChain` holds c(phi_j) and
+the matrix p(phi_j, phi_k), and `start_distribution(chain, x)` is the
+row p(x, phi_j) of any nonzero x.
 
 Path probabilities multiply transition weights exactly as sampled, and
 a path's uniforms are its column of `streams.uniform_columns`, so a
@@ -39,20 +40,6 @@ def _nonzero_coefficients(frame: Frame, x) -> np.ndarray:
     if not np.any(x):
         raise ZeroVector("c(0) = 0 would make the transition weights undefined")
     return analysis(frame, x)
-
-
-def normalizer(frame: Frame, x) -> float:
-    """c(x) = sum_n <x, phi_n>^2; lies in [alpha, beta] * ||x||^2."""
-    coeffs = _nonzero_coefficients(frame, x)
-    return float(coeffs @ coeffs)
-
-
-def transition_prob(frame: Frame, x, y) -> float:
-    """p(x, y) = <x, y>^2 / c(x) for nonzero x."""
-    y = as_vector(y, dim=frame.dim)
-    c = normalizer(frame, x)  # validates x
-    x = as_vector(x, dim=frame.dim)
-    return float((x @ y) ** 2 / c)
 
 
 @dataclass(frozen=True)

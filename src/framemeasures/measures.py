@@ -355,12 +355,6 @@ def prob_gramian_apply(mu: DiscreteMeasure, table) -> np.ndarray:
     return mu.atoms @ (mu.atoms.T @ (mu.weights * f))
 
 
-def measure_l2_normsq(mu: DiscreteMeasure, table) -> float:
-    """Squared L^2(mu) norm of a function table: sum_i w_i f_i^2."""
-    f = as_vector(table, dim=mu.n_atoms)
-    return float(mu.weights @ (f * f))
-
-
 def lower_bound_decay(mu: DiscreteMeasure, n_max: int) -> np.ndarray:
     """Coordinate energies f(n) = integral <b_n, y>^2 dmu(y), n = 1..n_max.
 

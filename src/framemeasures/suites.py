@@ -429,9 +429,17 @@ def _parse_checks(value, flag):
     raise ConfigError(f"{flag} needs checks from {list(GAUSSIAN_CHECKS)}, got {value!r}")
 
 
+def _is_finite_number(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_vector(value, flag):
-    """A flat array of numbers: given inline as JSON text, as a path to a
-    JSON file holding one, or as a config's JSON array."""
+    """A flat array of finite numbers: given inline as JSON text, as a path
+    to a JSON file holding one, or as a config's JSON array. JSON's NaN and
+    Infinity, and a number such as 1e400 that overflows, are refused."""
     doc = value
     if isinstance(value, str):
         try:
@@ -444,10 +452,9 @@ def _parse_vector(value, flag):
                 raise ConfigError(
                     f"{flag} value {value!r} is neither JSON nor a readable file: {exc}"
                 )
-    if not isinstance(doc, (list, tuple)) or not doc or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
-    ):
-        raise ConfigError(f"{flag} needs a flat array of one or more numbers, got {doc!r}")
+    if not isinstance(doc, (list, tuple)) or not doc or not all(map(_is_finite_number, doc)):
+        raise ConfigError(f"{flag} needs a flat array of one or more finite numbers, "
+                          f"got {doc!r}")
     return list(doc)
 
 

@@ -38,7 +38,7 @@ def _scalar(values: np.ndarray):
 
 def _density(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     _check_truncation(x.shape[-1], omega.shape[-1])
-    # <x, omega> with x zero-padded to omega's length, as `pairing` reads it
+    # <x, omega> with x zero-padded to omega's length, as the white-noise pass pairs them
     return _exp_values(np.vecdot(x, omega[..., : x.shape[-1]]), np.vecdot(x, x))
 
 

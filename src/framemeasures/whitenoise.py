@@ -12,8 +12,8 @@ unbiased.
 A WhiteNoiseEnsemble is the triple (D, M, seed) and nothing more: sample i
 is row i of `streams.normal_rows(seed, 0, M, D, STREAM_WHITENOISE)`,
 positions [i*D, (i+1)*D) of that stream, so the first m samples of an
-ensemble are the ensemble of m samples (`restrict(m)`). No sample is
-stored and no library path holds the (M, D) matrix: every pass
+ensemble are the ensemble of m samples, `WhiteNoiseEnsemble(D, m, seed)`.
+No sample is stored and no library path holds the (M, D) matrix: every pass
 regenerates its tiles. A tile in flight works in two buffers that
 `streams.map_blocks` lends it, made once per worker on the calling thread:
 its (TILE_ROWS, D) coordinates, which `streams.normal_rows` fills a piece
@@ -28,18 +28,17 @@ number of reductions in one pass, whose tiles of TILE_ROWS samples are the
 blocks of `streams.map_blocks`: each tile is paired with the stacked
 probes of all of them in one GEMM, and the tile statistics are merged in
 tile order (Chan, Golub & LeVeque 1979). The order is fixed, so estimates
-are bitwise identical for any thread count and for `restrict(m)` versus
-an ensemble of m samples. White noise lives on a space larger than the
-Hilbert space and is observed only through its pairings, so every result
-has a size independent of M. Every estimate is computed by passing its
-reduction to `reduce`, alone or with others:
+are bitwise identical for any thread count. White noise lives on a space
+larger than the Hilbert space and is observed only through its pairings,
+so every result has a size independent of M. Every estimate is computed
+by passing its reduction to `reduce`, alone or with others:
 `ens.reduce([ito_isometry(x), moment(x, 4), gramian_covariance(frame)])`.
 Every pass runs the 5-sigma mean/variance sanity band first.
 """
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -153,11 +152,6 @@ class WhiteNoiseEnsemble:
                                   ("seed", 0, streams.SEED_MAX)):
             object.__setattr__(self, name, as_count(getattr(self, name), name, least, most))
 
-    def restrict(self, sample_count: int) -> "WhiteNoiseEnsemble":
-        """The first `sample_count` samples, an ensemble of that size."""
-        count = as_count(sample_count, "restricted count", most=self.sample_count)
-        return replace(self, sample_count=count)
-
     def reduce(self, reductions) -> list:
         """The results of `reductions`, all computed in one pass over the
         samples, in tile order; see the module docstring."""
@@ -232,14 +226,6 @@ def _stacked(*vectors) -> np.ndarray:
     return out
 
 
-def pairing(x, omega) -> float:
-    """Extended pairing <x, omega> with x zero-padded to len(omega)."""
-    omega = as_vector(omega)
-    x = as_vector(x)
-    _check_truncation(x.size, omega.size)
-    return float(x @ omega[: x.size])
-
-
 def ito_isometry(x) -> Reduction:
     """Mean of <x, omega>^2 against ||x||^2 (isometry into L^2): the
     second `moment`."""
@@ -296,7 +282,7 @@ def joint_density(gram_matrix: GramMatrix, x):
     g = gram_matrix.entries
     n = g.shape[0]
     x = as_rows(x, dim=n)
-    eigs = gram_matrix.eigenvalues()
+    eigs = gram_matrix.spectrum
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
         raise SingularGramian(
             f"smallest Gramian eigenvalue {eigs[0]:.3g} is numerically zero"

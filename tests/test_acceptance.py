@@ -139,7 +139,7 @@ def test_criterion_04_determinantal_measure():
         worst_tv = max(worst_tv, fm.total_variation(emp, table))
         card = masks.sum(axis=1).astype(float)
         sigma = card.std(ddof=1) / math.sqrt(m)
-        worst_card_z = max(worst_card_z, abs(card.mean() - kernel.trace()) / sigma)
+        worst_card_z = max(worst_card_z, abs(card.mean() - np.trace(kernel.matrix)) / sigma)
     elapsed = time.perf_counter() - t0
     ok = (
         worst_minor <= 1e-10 and worst_sum <= 1e-9 and worst_empty <= 1e-9
@@ -192,8 +192,9 @@ def test_criterion_06_moments(ens32):
 
 
 def _reconstruction_errors(x, head):
-    """Reduction to the errors of `reconstruction(x)` over ens and over
-    `ens.restrict(head)`, in one pass over ens.
+    """Reduction to the errors of `reconstruction(x)` over ens and over its
+    first `head` samples (the ensemble of `head` samples), in one pass over
+    ens.
 
     Tile statistics are (rows, tile sum, head sum, tile pairings and
     samples); the merge adds the part of the tile in which the first

@@ -290,11 +290,21 @@ class TestExitCodes:
         ["translate", "--x", '["a"]'], ["translate", "--x", "[[1, 2]]"],
         ["translate", "--y", "[true]"], ["markov", "{mb}", "--start-vector", '["a", 1]'],
         ["translate", "--x", "[]"], ["kl", "{mb}", "--x", "[]"],
+        # non-finite entries: JSON's NaN and Infinity, and 1e400, which overflows
+        ["translate", "--x", "[NaN]"], ["translate", "--x", "[1e400]"],
+        ["translate", "--y", "[0.5, Infinity]"], ["kl", "{mb}", "--x", "[-Infinity]"],
+        ["markov", "{mb}", "--start-vector", "[NaN, 1]"],
     ])
     def test_malformed_vector_is_two(self, argv, mb_path, capsys):
         argv = [arg.format(mb=mb_path) for arg in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {argv[-2]} needs a flat array")
+
+    @pytest.mark.parametrize("x", [[math.nan], [0.5, math.inf], [-math.inf], [10**400]])
+    def test_non_finite_config_vector_is_a_config_error(self, x):
+        # a config's JSON array goes through the same parser as the flag
+        with pytest.raises(ConfigError, match="^--x needs a flat array of one or more finite"):
+            ExperimentConfig("translate", options={"x": x})
 
     def test_vector_errors_name_their_flag(self, mb_path, tmp_path, capsys):
         missing = str(tmp_path / "nosuchfile")

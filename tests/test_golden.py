@@ -71,3 +71,14 @@ def test_text_diff_names_each_moved_line():
         "-1,2", "+1,0 2"]
     assert payload_diff.text_diff(golden, golden.replace("\n", "\r\n")) == [
         "text differs in its line ends only"]
+
+
+def test_moved_count_leaves_out_the_diff_headers():
+    # one changed line: "---", "+++", "@@", "-b" and "+B", of which two moved
+    lines = payload_diff.text_diff("a\nb\nc\n", "a\nB\nc\n")
+    assert len(lines) == 5 and payload_diff.moved_count(lines) == 2
+    # lines that begin like the headers, removed and added, are counted
+    lines = payload_diff.text_diff("-- golden\n@@\n", "++ current\n@@ x\n")
+    assert payload_diff.moved_count(lines) == 4
+    assert payload_diff.moved_count(["text differs in its line ends only"]) == 1
+    assert payload_diff.moved_count(["rec.value: 1.0 -> 2.0", "rec.z_score: 0.1 -> 0.2"]) == 2

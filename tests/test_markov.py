@@ -10,13 +10,11 @@ from framemeasures import (
     build_chain,
     build_frame,
     markov,
-    normalizer,
     orthonormal_basis_frame,
     path_probability,
     sample_path_indices,
     start_distribution,
     streams,
-    transition_prob,
 )
 from framemeasures.errors import (
     IndexOutOfRange,
@@ -31,61 +29,66 @@ from conftest import random_spanning_frame
 
 
 class TestNormalizer:
+    # c(x) = sum_n <x, phi_n>^2: the chain holds c(phi_j), and
+    # start_distribution divides by c(x)
     def test_onb(self, onb2):
-        assert normalizer(onb2, [1.0, 0.0]) == pytest.approx(1.0)
+        np.testing.assert_allclose(build_chain(onb2).normalizers, [1.0, 1.0])
 
     def test_mb(self, mb):
-        # direct: 1 + 1/4 + 1/4
-        assert normalizer(mb, [1.0, 0.0]) == pytest.approx(1.5, rel=1e-14)
+        # direct: 1 + 1/4 + 1/4 for every frame vector
+        np.testing.assert_allclose(build_chain(mb).normalizers, 1.5, rtol=1e-14)
 
     def test_quadratic_scaling(self, mb):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=2)
+        # c is quadratic in x and in the frame, so scaling the frame by t
+        # scales c(phi_j) by t^4 and leaves the transitions as they were
+        base = build_chain(mb)
         for t in (2.0, -3.5, 0.125):
-            assert normalizer(mb, t * x) == pytest.approx(
-                t * t * normalizer(mb, x), rel=1e-12
-            )
+            scaled = build_chain(build_frame(t * mb.vectors))
+            np.testing.assert_allclose(scaled.normalizers, t**4 * base.normalizers, rtol=1e-12)
+            np.testing.assert_allclose(scaled.transition_matrix, base.transition_matrix,
+                                       rtol=1e-12)
 
     def test_zero_rejected(self, mb):
         with pytest.raises(ZeroVector):
-            normalizer(mb, [0.0, 0.0])
+            start_distribution(build_chain(mb), [0.0, 0.0])
 
     def test_bounded_by_frame_bounds(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             f = build_frame(random_spanning_frame(rng))
-            x = rng.normal(size=f.dim)
-            c = normalizer(f, x)
-            nsq = float(x @ x)
-            assert f.lower_bound * nsq - 1e-10 <= c <= f.upper_bound * nsq + 1e-10
+            c = build_chain(f).normalizers
+            nsq = (f.vectors**2).sum(axis=1)
+            assert np.all(f.lower_bound * nsq - 1e-10 <= c)
+            assert np.all(c <= f.upper_bound * nsq + 1e-10)
 
 
 class TestTransitionProb:
+    # p(x, phi_j) = <x, phi_j>^2 / c(x) is entry j of start_distribution
     def test_onb_self(self, onb2):
-        assert transition_prob(onb2, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+        np.testing.assert_array_equal(start_distribution(build_chain(onb2), [1.0, 0.0]),
+                                      [1.0, 0.0])
 
     def test_mb_pair(self, mb):
         # <phi0, phi1>^2 / c(phi0) = (1/4) / 1.5
-        p = transition_prob(mb, mb.vectors[0], mb.vectors[1])
+        p = start_distribution(build_chain(mb), mb.vectors[0])[1]
         assert p == pytest.approx(1.0 / 6.0, rel=1e-13)
 
     def test_orthogonal(self, onb2):
-        assert transition_prob(onb2, [1.0, 0.0], [0.0, 2.0]) == 0.0
+        assert start_distribution(build_chain(onb2), [2.0, 0.0])[1] == 0.0
 
     def test_scale_invariance_in_x(self, mb):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=2)
-        y = rng.normal(size=2)
-        base = transition_prob(mb, x, y)
+        chain = build_chain(mb)
+        x = np.random.default_rng(3).normal(size=2)
+        base = start_distribution(chain, x)
         for t in (5.0, -0.25):
-            assert transition_prob(mb, t * x, y) == pytest.approx(base, rel=1e-12)
+            np.testing.assert_allclose(start_distribution(chain, t * x), base, rtol=1e-12)
 
-    def test_normalization_bound(self, mb):
+    def test_normalization_bound(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            x, y = rng.normal(size=2), rng.normal(size=2)
-            p = transition_prob(mb, x, y)
-            assert p <= float(y @ y) / mb.lower_bound + 1e-12
+            f = build_frame(random_spanning_frame(rng))
+            p = start_distribution(build_chain(f), rng.normal(size=f.dim))
+            assert np.all(p <= (f.vectors**2).sum(axis=1) / f.lower_bound + 1e-12)
 
 
 class TestBuildChain:

@@ -1,8 +1,8 @@
 """One validator per kind of input: flat vectors and coefficient sequences
 (`frames.as_vector`), sample points omega and a measure's atoms
 (`as_vector` or `as_rows`), square symmetric matrices
-(`frames.as_symmetric`) and integers: counts, orders, seeds and indices
-(`frames.as_count`). Every entry point of a kind refuses non-finite
+(`frames.as_symmetric`) and integers: counts, orders, seeds, stream ids
+and indices (`frames.as_count`). Every entry point of a kind refuses non-finite
 input with NonFinite, a malformed shape with a typed error and a
 non-integer or out-of-range integer with a typed error naming it, never
 a NaN result, a truncated value or a bare numpy error."""
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import framemeasures as fm
-from framemeasures import measures
+from framemeasures import streams
 from framemeasures.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -38,12 +38,10 @@ VECTOR_INPUTS = {
     "prob_analysis": lambda x: fm.prob_analysis(fm.DiscreteMeasure.uniform([[1.0, 0.0, 2.0]]), x),
     "prob_synthesis": lambda f: fm.prob_synthesis(MU, f),
     "prob_gramian_apply": lambda f: fm.prob_gramian_apply(MU, f),
-    "measure_l2_normsq": lambda f: measures.measure_l2_normsq(MU, f),
 }
 
 # each takes a sample point omega of dimension 3
 SAMPLE_POINT_INPUTS = {
-    "pairing": lambda omega: fm.pairing([1.0, 0.5], omega),
     "rn_density": lambda omega: fm.rn_density([1.0, 0.5], omega),
     "cocycle_check": lambda omega: fm.cocycle_check([1.0, 0.5], [0.0, 0.3], omega),
 }
@@ -150,6 +148,8 @@ NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), True, "2", None, [2], np.array([2]), 
 COUNTS_OUT = [0, -1]
 ORDERS_OUT = [0, MAX_MOMENT_ORDER + 1]
 SEEDS_OUT = [-1, 1 << 64]
+# 2^32 and 2^32 + 3 would alias streams 0 and 3
+STREAMS_OUT = [-1, 1 << 32, (1 << 32) + 3]
 
 # each takes one integer, valid at 2: (call, error, out-of-range values)
 INTEGER_INPUTS = {
@@ -157,8 +157,8 @@ INTEGER_INPUTS = {
     "sample_count": (lambda n: fm.WhiteNoiseEnsemble(2, n, 0), InvalidEnsembleSize, COUNTS_OUT),
     "ensemble seed": (lambda n: fm.WhiteNoiseEnsemble(2, 10, n).reduce([fm.ito_isometry(X)]),
                       InvalidEnsembleSize, SEEDS_OUT),
-    "restrict": (lambda n: fm.WhiteNoiseEnsemble(2, 10, 0).restrict(n), InvalidEnsembleSize,
-                 COUNTS_OUT + [11]),
+    "stream": (lambda n: streams.normal_rows(0, 0, 1, 1, stream=n), InvalidEnsembleSize,
+               STREAMS_OUT),
     "sample_masks m": (lambda n: fm.sample_masks(K, n, 0), InvalidEnsembleSize, COUNTS_OUT),
     "sample_masks seed": (lambda n: fm.sample_masks(K, 3, n), InvalidEnsembleSize, SEEDS_OUT),
     "sample_path_indices k": (lambda n: fm.sample_path_indices(CHAIN, X, n, 10, 0),
@@ -187,6 +187,16 @@ def test_integers(name, bad):
     with pytest.raises(error) as caught:
         call(bad)
     assert str(bad) in str(caught.value)
+
+
+def test_numpy_scalars_are_named_by_their_python_value():
+    cases = [(lambda: fm.WhiteNoiseEnsemble(2, np.float64(2.5), 0), InvalidEnsembleSize, "2.5"),
+             (lambda: fm.moment([1.0], np.float64(3.0)), KTooLarge, "3.0"),
+             (lambda: fm.sample_masks(K, np.int64(-3), 1), InvalidEnsembleSize, "-3")]
+    for call, error, value in cases:
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value).endswith(f", got {value}")
 
 
 # each takes a list of indices of a 3-vector frame, valid at [0, 1]

@@ -17,7 +17,6 @@ from framemeasures import (
     joint_density,
     mc_estimate,
     moment,
-    pairing,
     projection,
     reconstruction,
     save_frame,
@@ -69,8 +68,7 @@ class TestEnsemble:
 
     def test_prefix_property(self):
         big = WhiteNoiseEnsemble(4, 70_000, seed=2)  # spans several tiles
-        assert big.restrict(35_000) == WhiteNoiseEnsemble(4, 35_000, seed=2)
-        head = samples(big.restrict(35_000))
+        head = samples(WhiteNoiseEnsemble(4, 35_000, seed=2))
         np.testing.assert_array_equal(head, stream_rows(big)[:35_000])
         np.testing.assert_array_equal(head, samples(big)[:35_000])
 
@@ -103,16 +101,22 @@ class TestEnsemble:
 
 
 class TestPairing:
+    # the pass pairs x, zero-padded, with each sample omega: x @ omega[:x.size]
+    ENS = WhiteNoiseEnsemble(6, 1000, seed=0)
+
     def test_zero(self):
-        assert pairing([0.0, 0.0], [2.0, -1.0]) == 0.0
+        [p] = self.ENS.reduce([per_sample([0.0, 0.0])])
+        assert p.shape == (1000, 1) and not p.any()
 
     def test_coordinate_extraction(self):
-        assert pairing([1.0], [2.0, -1.0, 5.0]) == 2.0
+        [p] = self.ENS.reduce([per_sample([1.0])])
+        np.testing.assert_array_equal(p[:, 0], stream_rows(self.ENS)[:, 0])
 
     def test_bilinearity(self):
-        rng = np.random.default_rng(0)
-        x, y, w = rng.normal(size=(3, 6))
-        assert pairing(x + y, w) == pytest.approx(pairing(x, w) + pairing(y, w), rel=1e-12)
+        x, y = np.random.default_rng(0).normal(size=(2, 6))
+        pxy, px, py = self.ENS.reduce([per_sample(x + y), per_sample(x), per_sample(y)])
+        np.testing.assert_allclose(pxy, px + py, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(px[:, 0], stream_rows(self.ENS) @ x, rtol=0, atol=1e-12)
 
     def test_truncation_guard(self, ens_small):
         with pytest.raises(DimensionExceedsTruncation):
@@ -405,12 +409,6 @@ class TestFusedPass:
         three = _bits(ens.reduce(_all_reductions(mb)))
         assert one == three
 
-    def test_restrict_equals_direct(self, mb):
-        m = 2 * streams.BLOCK_ROWS + 5
-        direct = _bits(WhiteNoiseEnsemble(FUSED_D, m, FUSED_SEED).reduce(_all_reductions(mb)))
-        restricted = WhiteNoiseEnsemble(FUSED_D, FUSED_M, FUSED_SEED).restrict(m)
-        assert _bits(restricted.reduce(_all_reductions(mb))) == direct
-
     def test_suite_peak_memory_is_tile_sized(self, monkeypatch):
         # peak memory is O(workers * TILE_ROWS * D): pin the workers
         monkeypatch.setenv("FRAMES_THREADS", "3")
@@ -541,8 +539,6 @@ class TestLibraryErrors:
     def test_size_errors_are_library_errors(self):
         with pytest.raises(InvalidEnsembleSize):
             WhiteNoiseEnsemble(3, 0, seed=0)
-        with pytest.raises(InvalidEnsembleSize):
-            WhiteNoiseEnsemble(3, 10, seed=0).restrict(11)
         assert issubclass(InvalidEnsembleSize, FrameMeasuresError)
 
     def test_variance_band_holds_at_two_samples(self):

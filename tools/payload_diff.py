@@ -45,6 +45,7 @@ WRITE_COMMAND = "python3 tools/payload_diff.py --write"
 # (seed, samples, dim) of each golden run
 CONFIGS = ((1, 100_000, 32), (7, 100_000, 32), (11, 20_000, 16), (3, 1_000_000, 32))
 FIELDS = ("value", "target", "std_error", "z_score", "pass")
+SHOWN = 40  # diff lines that a message shows
 DEMOS = tuple(sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))))
 # five vectors in R^3 whose kernel has eigenvalues 1, two inside (0, 1)
 # and two 0, so draws take one to three points
@@ -144,12 +145,21 @@ def diff(golden: str, current: str) -> list:
 
 def text_diff(golden: str, current: str) -> list:
     """The lines that moved from `golden` to `current`, as a unified diff
-    cut at 40 lines; empty iff the two texts are identical."""
+    without context lines; empty iff the two texts are identical."""
     if golden == current:
         return []
     lines = list(difflib.unified_diff(golden.splitlines(), current.splitlines(),
                                       "golden", "current", n=0, lineterm=""))
-    return (lines or ["text differs in its line ends only"])[:40]
+    return lines or ["text differs in its line ends only"]
+
+
+def moved_count(lines: list) -> int:
+    """How many lines moved in a diff of `diff` or `text_diff`: every line
+    of a payload diff, and the `-` and `+` lines of a text diff, not its
+    `---`, `+++` and `@@` headers."""
+    if lines[:2] != ["--- golden", "+++ current"]:
+        return len(lines)
+    return sum(not line.startswith("@@") for line in lines[2:])
 
 
 def version_note() -> str:
@@ -166,7 +176,7 @@ def failure(what: str, lines: list) -> str:
     """The message of a moved golden file: its diff lines, then the
     version note when the versions differ."""
     note = version_note()
-    return f"{what} moved:\n" + "\n".join(lines) + (f"\n{note}" if note else "")
+    return f"{what} moved:\n" + "\n".join(lines[:SHOWN]) + (f"\n{note}" if note else "")
 
 
 def _read(path) -> str:
@@ -223,8 +233,8 @@ def main(argv=None) -> int:
     moved = False
     for label, lines in results:
         moved = moved or bool(lines)
-        print(f"{label}: " + (f"{len(lines)} moved" if lines else "nothing moved"))
-        print("".join(f"  {line}\n" for line in lines), end="")
+        print(f"{label}: " + (f"{moved_count(lines)} moved" if lines else "nothing moved"))
+        print("".join(f"  {line}\n" for line in lines[:SHOWN]), end="")
     note = version_note()
     if moved and note:
         print(note)
