@@ -56,7 +56,7 @@ class NotTight(FrameMeasuresError):
 
 
 class Overflow(FrameMeasuresError):
-    """Exponent outside the representable double range."""
+    """An exponent, norm or inner product outside the double range."""
 
 
 class InvalidEnsembleSize(FrameMeasuresError, ValueError):

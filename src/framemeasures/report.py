@@ -107,21 +107,6 @@ class ExperimentConfig:
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Strict parse: unknown fields are rejected, and `__post_init__`
-        rejects values not of the field's JSON type (an integer for seed,
-        samples and dim)."""
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "command" not in doc:
-            raise ConfigError('config needs a "command" field')
-        # fields the document leaves out take the dataclass defaults
-        return cls(**doc)
-
     def to_dict(self) -> dict:
         return {
             "command": self.command,
@@ -272,14 +257,16 @@ class Report:
     command: str
     config: dict
     records: list
-    overall_pass: bool
     duration_s: float
     extras: dict = field(default_factory=dict)
-    schema: int = SCHEMA_VERSION
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(r.passed for r in self.records)
 
     def to_dict(self) -> dict:
         doc = {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "records": [r.to_dict() for r in self.records],
@@ -299,20 +286,6 @@ class Report:
         doc = self.to_dict()
         del doc["duration_s"]
         return json.dumps(doc)
-
-
-def build_report(
-    command: str, config: ExperimentConfig, records, duration_s: float, extras=None
-) -> Report:
-    records = list(records)
-    return Report(
-        command=command,
-        config=config.to_dict(),
-        records=records,
-        overall_pass=all(r.passed for r in records),
-        duration_s=duration_s,
-        extras=dict(extras or {}),
-    )
 
 
 def _fmt(v: float) -> str:
@@ -335,24 +308,3 @@ def report_csv_text(report: Report) -> str:
         [r.name, r.value, r.target, r.std_error, r.z_score, "true" if r.passed else "false"]
         for r in report.records
     ))
-
-
-def parse_csv_records(text: str):
-    """Re-parse a report CSV; numeric fields recover the exact doubles."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ConfigError(f"unexpected CSV header {header}")
-    out = []
-    for row in reader:
-        out.append(
-            CheckRecord(
-                name=row[0],
-                value=float(row[1]),
-                target=float(row[2]),
-                std_error=float(row[3]),
-                z_score=float(row[4]),
-                passed=row[5] == "true",
-            )
-        )
-    return out

@@ -33,7 +33,6 @@ from .report import (
     Report,
     _estimate_known_variance,
     bound_record,
-    build_report,
     csv_text,
     exact_record,
     mc_record,
@@ -57,10 +56,8 @@ def run(config: ExperimentConfig) -> Report:
     loaded = [inp.load(path) for inp, path in zip(command.inputs, config.inputs)]
     out = command.build(config, *loaded, **config.options)
     records, extras = out if isinstance(out, tuple) else (out, {})
-    return build_report(
-        config.command, config, _resolve(config, records), time.perf_counter() - start,
-        extras=extras,
-    )
+    return Report(config.command, config.to_dict(), _resolve(config, records),
+                  time.perf_counter() - start, extras)
 
 
 def _probe_vectors(seed: int, count: int, dim: int, unit: bool = True) -> np.ndarray:
@@ -319,11 +316,10 @@ def _translate_records(config, prefix="", *, x, y):
     z_max = config.tolerance("z_max")
     rel = config.tolerance("exact_rel")
     d = config.dim
-    if x is None or y is None:
-        probes = _probe_vectors(config.seed, 2, d)
-        x = probes[0] if x is None else x
-        y = probes[1] if y is None else y
-    norm_sq = float(np.dot(x, x))
+    probes = _probe_vectors(config.seed, 2, d)
+    x = frames_mod.as_vector(probes[0] if x is None else x)
+    y = probes[1] if y is None else y
+    norm_sq = wn._inner(x, x)
     if norm_sq > 4.0:
         log.warning(
             "||x||^2 = %.3g > 4; importance-sampling variance grows like "

@@ -23,6 +23,7 @@ from .whitenoise import (
     MAX_MOMENT_ORDER,
     Reduction,
     _check_truncation,
+    _inner,
     _mean_reduction,
     _power,
     _stacked,
@@ -104,7 +105,7 @@ def rn_mean(x) -> Reduction:
     keep ||x||^2 modest.
     """
     x = as_vector(x)
-    norm_sq = float(x @ x)
+    norm_sq = _inner(x, x)
     return _mean_reduction(x, lambda p: _exp_values(p, norm_sq), [1.0])
 
 
@@ -112,9 +113,8 @@ def translated_moment(x, y) -> Reduction:
     """Mean of E(x) <y, omega>^2 against <x, y>^2 + ||y||^2."""
     x = as_vector(x)
     y = as_vector(y)
-    d = min(x.size, y.size)
-    target = float(x[:d] @ y[:d]) ** 2 + float(y @ y)
-    norm_sq = float(x @ x)
+    target = _inner(x, y, 2) + _inner(y, y)
+    norm_sq = _inner(x, x)
     return _mean_reduction(
         _stacked(x, y), lambda p: _exp_values(p[:1], norm_sq) * p[1:] * p[1:], [target]
     )
@@ -128,9 +128,8 @@ def translation_consistency(x, y, power: int = 1) -> Reduction:
     power = as_count(power, "power", most=MAX_MOMENT_ORDER, error=KTooLarge)
     x = as_vector(x)
     y = as_vector(y)
-    d = min(x.size, y.size)
-    shift = float(y[:d] @ x[:d])
-    norm_sq = float(x @ x)
+    shift = _inner(y, x)
+    norm_sq = _inner(x, x)
 
     def values(p):
         e, t = _exp_values(p[:1], norm_sq), p[1:]

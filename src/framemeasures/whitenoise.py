@@ -47,6 +47,7 @@ from . import streams
 from .errors import (
     DimensionExceedsTruncation,
     KTooLarge,
+    Overflow,
     SanityBandViolated,
     SingularGramian,
 )
@@ -60,24 +61,23 @@ VAR_BAND = 5.0        # and coord var within the chi-square quantiles of 5-sigma
 # tile and its pairings stay in cache. Tiles fix the merge order, so a
 # new value changes the estimates' last bits.
 TILE_ROWS = 1 << 13
-# Samples per matrix product inside a tile: 30 probes x 32 coordinates x
-# 256 samples stays under streams.BLAS_SERIAL_MADDS. A product over the
-# whole tile made the white-noise pass of verify-all at 1M x 32 take about
-# 1.4 s instead of 0.8 s on 2 vCPUs.
-BLAS_ROWS = 256
 
 
 def _pair(probes: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """p[j, i] = <probes[j], z[i]> for a tile z, BLAS_ROWS samples per
-    product, written into the first z.shape[0] columns of `out` (k, >= rows)
-    and returned as a view of them."""
+    """p[j, i] = <probes[j], z[i]> for a tile z, written into the first
+    z.shape[0] columns of `out` (k, >= rows) and returned as a view of them.
+    A product takes the most samples, a power of two >= 2, whose k * width *
+    samples multiply-adds stay within streams.BLAS_SERIAL_MADDS: one product
+    over the whole tile made the white-noise pass of verify-all at 1M x 32
+    take about 1.4 s instead of 0.8 s on 2 vCPUs."""
     k, width = probes.shape
     rows, cols = z.shape
-    full = rows - rows % BLAS_ROWS
-    chunks = z[:full].reshape(-1, BLAS_ROWS, cols)[:, :, :width]
-    # product c fills columns [c * BLAS_ROWS, (c + 1) * BLAS_ROWS) of out
+    step = 1 << max(1, (streams.BLAS_SERIAL_MADDS // (k * width)).bit_length() - 1)
+    full = rows - rows % step
+    chunks = z[:full].reshape(-1, step, cols)[:, :, :width]
+    # product c fills columns [c * step, (c + 1) * step) of out
     np.matmul(probes, chunks.transpose(0, 2, 1),
-              out=np.reshape(out[:, :full], (k, -1, BLAS_ROWS), copy=False).transpose(1, 0, 2))
+              out=np.reshape(out[:, :full], (k, -1, step), copy=False).transpose(1, 0, 2))
     if full < rows:
         np.matmul(probes, z[full:, :width].T, out=out[:, full:rows])
     return out[:, :rows]
@@ -195,6 +195,8 @@ def _mean_reduction(probes, values: Callable, targets) -> Reduction:
     target, a bare McEstimate when there is one target.
     """
     targets = [float(t) for t in targets]
+    if not all(map(math.isfinite, targets)):
+        raise Overflow(f"targets {targets} outside double range")
 
     def finish(moments, m):
         _, mean, m2 = moments
@@ -215,6 +217,16 @@ def _power(t: np.ndarray, order: int) -> np.ndarray:
     for _ in range(order - 1):
         out = out * t
     return out
+
+
+def _inner(a: np.ndarray, b: np.ndarray, power: int = 1) -> float:
+    """<a, b> ** power, the shorter vector zero-padded; Overflow unless finite."""
+    n = min(a.size, b.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float((a[:n] @ b[:n]) ** power)
+    if not math.isfinite(value):
+        raise Overflow(f"inner product <a, b>^{power} = {value} outside double range")
+    return value
 
 
 def _stacked(*vectors) -> np.ndarray:
@@ -238,7 +250,7 @@ def char_functional(x) -> Reduction:
     Finishes to (real, imaginary) McEstimates; the imaginary target is 0.
     """
     x = as_vector(x)
-    target = math.exp(-0.5 * float(x @ x))
+    target = math.exp(-0.5 * _inner(x, x))
     return _mean_reduction(x, lambda p: np.concatenate([np.cos(p), np.sin(p)]), [target, 0.0])
 
 
@@ -252,9 +264,7 @@ def moment(x, order: int) -> Reduction:
     order = as_count(order, "moment order", most=MAX_MOMENT_ORDER, error=KTooLarge)
     x = as_vector(x)
     if order % 2 == 0:
-        from scipy.special import factorial2
-
-        target = float(factorial2(order - 1)) * float(x @ x) ** (order // 2)
+        target = math.prod(range(order - 1, 0, -2)) * _inner(x, x, order // 2)
     else:
         target = 0.0
     return _mean_reduction(x, lambda p: _power(p, order), [target])
@@ -324,6 +334,5 @@ def projection(y, x_probe) -> Reduction:
     """
     y = as_vector(y)
     x_probe = as_vector(x_probe)
-    d = min(y.size, x_probe.size)
-    target = float(y[:d] @ x_probe[:d])
+    target = _inner(y, x_probe)
     return _mean_reduction(_stacked(y, x_probe), lambda p: p[:1] * p[1:], [target])

@@ -1,6 +1,6 @@
-"""tools/reach.py: every exported name is reached by a command or has its
-reason in `reach.UNREACHED`, and no name has both. The trace takes about
-4 s."""
+"""tools/reach.py: every public name of every module is reached by a
+command or has its reason in `reach.UNREACHED`, and no name has both. The
+trace takes about 4 s."""
 import reach
 
 from framemeasures.suites import COMMANDS
@@ -21,4 +21,4 @@ def test_problems_names_a_missing_and_a_stale_reason():
         "c: no command reaches it and UNREACHED gives no reason"]
     assert reach.problems(reached, {"a": "x", "b": "y", "c": "z", "d": "w"}) == [
         "b: UNREACHED gives a reason, but dpp reach it",
-        "d: UNREACHED gives a reason, but the package exports no such name"]
+        "d: UNREACHED gives a reason, but the package has no such public name"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from framemeasures import (
     WhiteNoiseEnsemble,
     analysis,
     build_frame,
+    char_functional,
     cocycle_check,
     ito_isometry,
     kl_variance,
     mercedes_benz_frame,
+    moment,
     orthonormal_basis_frame,
     parseval_rescale,
+    projection,
     rn_density,
     rn_mean,
     translated_moment,
@@ -232,6 +236,26 @@ class TestKarhunenLoeve:
         assert kl.value == pytest.approx(iso.value, rel=1e-12)
         assert kl.std_error == pytest.approx(iso.std_error, rel=1e-12)
         assert kl.target == pytest.approx(iso.target, rel=1e-12)
+
+
+# each builds a target from norms or inner products beyond the double range
+OVERFLOWING_TARGETS = {
+    "char_functional": lambda: char_functional([1e200]),
+    "moment": lambda: moment([1e150], 4),
+    "translated_moment": lambda: translated_moment([1.0], [1e200]),
+    "translated_moment sum": lambda: translated_moment([1.0], [1e154]),
+    "rn_mean": lambda: rn_mean([1e200]),
+    "projection": lambda: projection([1e200], [1e200]),
+    "translation_consistency": lambda: translation_consistency([1e200], [1.0], power=2),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_TARGETS)
+def test_targets_beyond_the_double_range_overflow(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="outside double range"):
+            OVERFLOWING_TARGETS[name]()
 
 
 def test_mercedes_benz_helper_consistency():

@@ -174,8 +174,11 @@ INTEGER_INPUTS = {
     "orthonormal_basis_frame": (fm.orthonormal_basis_frame, DimensionMismatch, COUNTS_OUT),
 }
 
+# an array case is named by its row and its position in the row, so that
+# adding or deleting a row renames no case of another
 INTEGER_CASES = [
-    (name, bad) for name, (_, _, out) in INTEGER_INPUTS.items() for bad in NOT_INTEGERS + out
+    pytest.param(name, bad, id=f"{name}-bad{i}" if isinstance(bad, (list, np.ndarray)) else None)
+    for name, (_, _, out) in INTEGER_INPUTS.items() for i, bad in enumerate(NOT_INTEGERS + out)
 ]
 
 

@@ -166,6 +166,11 @@ class TestMoments:
         assert est.target == pytest.approx(coef)
         assert abs(est.z_score) <= 4
 
+    def test_even_targets_are_exact_double_factorials(self, ens_small):
+        # (order - 1)!! ||e_1||^order with no rounding: 3!! = 3, not 3.0000000000000004
+        ests = ens_small.reduce([moment([1.0], order) for order in (4, 6, 8)])
+        assert [est.target for est in ests] == [3.0, 15.0, 105.0]
+
     @pytest.mark.parametrize("order", [1, 3, 5])
     def test_odd_targets_zero(self, ens_small, order):
         [est] = ens_small.reduce([moment(unit([0.3, 0.1, -0.7]), order)])
@@ -441,6 +446,27 @@ class TestFusedPass:
         finally:
             tracemalloc.stop()
         assert peak < whitenoise.TILE_ROWS * (d + k) * 8 + 2**20
+
+    def test_pairing_products_stay_within_the_serial_bound(self, monkeypatch):
+        # verify-all's 30 probes at 64 coordinates, over a full tile and a
+        # part tile: each product (a batched one per sample chunk) keeps to
+        # the multiply-adds BLAS runs on the calling thread
+        monkeypatch.setenv("FRAMES_THREADS", "1")
+        m, d = whitenoise.TILE_ROWS + 300, 64
+        cfg = ExperimentConfig(command="verify-all", seed=5, samples=m, dim=d)
+        reductions = [r for item in _verify_all_records(cfg) if not isinstance(item, CheckRecord)
+                      for r in item[1:]]
+        assert sum(len(r.probes) for r in reductions) == 30
+        madds = []
+        matmul = np.matmul
+
+        def counted(a, b, **kwargs):
+            madds.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        WhiteNoiseEnsemble(d, m, seed=5).reduce(reductions)
+        assert madds and max(madds) <= streams.BLAS_SERIAL_MADDS
 
 
 class TestSuiteRecordsMatchPublicFunctions:
