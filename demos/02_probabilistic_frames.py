@@ -1,9 +1,10 @@
 """Probabilistic frames: weighted atoms, optimal bounds, W2 distance.
 
 A probability measure with atoms y_i and weights w_i is a probabilistic
-frame iff S = sum w_i y_i y_i^T is positive definite; its extreme
-eigenvalues are the optimal bounds. The 2-Wasserstein metric compares two
-such measures through an exact transport plan.
+frame iff its weighted atoms sqrt(w_i) y_i are a frame: both have the
+frame operator S = sum w_i y_i y_i^T, whose extreme eigenvalues are the
+optimal bounds. The 2-Wasserstein metric compares two such measures
+through an exact transport plan.
 
 Also shown: the coordinate decay sequence f(n) = integral <b_n, y>^2 dmu.
 At any finite truncation it sums to the second moment, but it vanishes
@@ -19,16 +20,19 @@ import framemeasures as fm
 # uniform measure on the Mercedes-Benz directions is a tight probabilistic frame
 mb = fm.mercedes_benz_frame()
 mu = fm.DiscreteMeasure.uniform(mb.vectors)
-s = fm.prob_frame_operator(mu)
+weighted = fm.weighted_frame(mu)
+s = weighted.frame_operator
 print("S_mu for the uniform MB measure:")
 print(s)
-bounds = fm.measure_frame_bounds(mu)
-print(f"bounds: A = {bounds.lower:.6f}, B = {bounds.upper:.6f}, tight = {bounds.is_tight()}")
+print(f"bounds: A = {weighted.lower_bound:.6f}, B = {weighted.upper_bound:.6f}, "
+      f"tight = {weighted.is_tight()}")
 print(f"second moment = {fm.second_moment(mu):.6f} (= trace of S_mu)")
 
 # a point mass spans nothing: not a probabilistic frame
 delta = fm.DiscreteMeasure.point_mass([1.0, 0.0])
-print("\npoint mass bounds:", fm.measure_frame_bounds(delta))
+spike = fm.weighted_frame(delta)
+print(f"\npoint mass bounds: A = {spike.lower_bound}, B = {spike.upper_bound}, "
+      f"frame = {spike.is_frame()}")
 
 # exact optimal transport between two small measures
 nu = fm.DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])

@@ -46,19 +46,16 @@ from .markov import (
 )
 from .measures import (
     DiscreteMeasure,
-    MeasureFrameBounds,
     TransportPlan,
     load_measure,
     lower_bound_decay,
-    measure_frame_bounds,
     measure_from_dict,
     measure_to_dict,
     prob_analysis,
-    prob_frame_operator,
-    prob_gramian_apply,
     prob_synthesis,
     second_moment,
     wasserstein2,
+    weighted_frame,
 )
 from .report import McEstimate, mc_estimate
 from .translation import (

@@ -154,10 +154,10 @@ class Frame:
 
     def is_frame(self) -> bool:
         """True when the vectors span R^dim (positive lower bound)."""
-        return _spans(self.lower_bound, self.upper_bound)
+        return self.lower_bound > RANK_RTOL * self.upper_bound
 
     def is_tight(self) -> bool:
-        return _is_tight(self.lower_bound, self.upper_bound)
+        return self.upper_bound - self.lower_bound <= TIGHT_RTOL * self.upper_bound
 
     @property
     def parseval_residual(self) -> float:
@@ -166,16 +166,6 @@ class Frame:
 
     def is_parseval(self) -> bool:
         return self.parseval_residual <= PARSEVAL_TOL
-
-
-def _spans(lower: float, upper: float) -> bool:
-    """The frame rule for bounds: the lower one clears RANK_RTOL * upper."""
-    return lower > RANK_RTOL * upper
-
-
-def _is_tight(lower: float, upper: float) -> bool:
-    """The tightness rule for bounds: they agree within TIGHT_RTOL * upper."""
-    return upper - lower <= TIGHT_RTOL * upper
 
 
 @dataclass(frozen=True)

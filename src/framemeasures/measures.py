@@ -4,14 +4,15 @@ A probability measure mu is a probabilistic frame when
 
     A ||x||^2  <=  integral <x, y>^2 dmu(y)  <=  B ||x||^2
 
-with A > 0. For a weighted atom measure the middle term is x^T S_mu x with
-S_mu = sum_i w_i y_i y_i^T, so the optimal A, B are again extreme
-eigenvalues. The module also carries the 2-Wasserstein metric between such
-measures (the exact transport LP: an assignment problem when both have n
-atoms of one weight, else solved on a shortlist of each atom's cheapest
-partners that grows by pricing; it scales with the atoms) and the
-coordinate decay diagnostic showing why no measure supported on an
-infinite-dimensional space itself can have a positive lower bound.
+with A > 0. For weighted atoms the middle term is sum_i <x, sqrt(w_i) y_i>^2,
+so mu is a probabilistic frame, with optimal bounds A, B, exactly when
+`weighted_frame(mu)` is a frame with those bounds. The module also
+carries the 2-Wasserstein metric between such measures (the exact
+transport LP: an assignment problem when both have n atoms of one
+weight, else solved on a shortlist of each atom's cheapest partners that
+grows by pricing; it scales with the atoms) and the coordinate decay
+diagnostic showing why no measure supported on an infinite-dimensional
+space itself can have a positive lower bound.
 """
 import json
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidWeights, TransportFailed
-from .frames import _floats, _is_tight, _spans, as_count, as_rows, as_vector
+from .frames import Frame, _floats, as_count, as_rows, as_vector, build_frame
 
 WEIGHT_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -126,6 +127,9 @@ def measure_from_dict(doc: dict) -> DiscreteMeasure:
         if key not in doc:
             raise DimensionMismatch(f'measure document needs "{key}"')
     dim = as_count(doc["dim"], 'measure document "dim"', error=DimensionMismatch)
+    if doc["weights"] is None:
+        # from_points would read None as uniform weights
+        raise InvalidWeights('measure document "weights" must be an array of numbers, got null')
     mu = DiscreteMeasure.from_points(doc["atoms"], doc["weights"])
     if mu.dim != dim:
         raise DimensionMismatch(f"document says dim {dim} but atoms have dimension {mu.dim}")
@@ -137,30 +141,11 @@ def load_measure(path) -> DiscreteMeasure:
         return measure_from_dict(json.load(fh))
 
 
-def prob_frame_operator(mu: DiscreteMeasure) -> np.ndarray:
-    """S_mu = sum_i w_i y_i y_i^T."""
-    s = mu.atoms.T @ (mu.weights[:, None] * mu.atoms)
-    return (s + s.T) / 2.0
-
-
-@dataclass(frozen=True)
-class MeasureFrameBounds:
-    """Probabilistic frame bounds, judged by the rules of `frames.Frame`."""
-
-    lower: float
-    upper: float
-
-    def is_frame(self) -> bool:
-        return _spans(self.lower, self.upper)
-
-    def is_tight(self) -> bool:
-        return _is_tight(self.lower, self.upper)
-
-
-def measure_frame_bounds(mu: DiscreteMeasure) -> MeasureFrameBounds:
-    """Optimal probabilistic frame bounds (extreme eigenvalues of S_mu)."""
-    eigs = np.linalg.eigvalsh(prob_frame_operator(mu))
-    return MeasureFrameBounds(lower=float(max(eigs[0], 0.0)), upper=float(eigs[-1]))
+def weighted_frame(mu: DiscreteMeasure) -> Frame:
+    """The frame {sqrt(w_i) y_i}: its energies sum_i w_i <x, y_i>^2 are
+    mu's, so its frame operator is S_mu and its bounds are mu's optimal
+    probabilistic frame bounds (Ehler & Okoudjou 2012)."""
+    return build_frame(np.sqrt(mu.weights)[:, None] * mu.atoms)
 
 
 def second_moment(mu: DiscreteMeasure) -> float:
@@ -212,13 +197,8 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure):
     diff = np.ldexp(mu.atoms, -e)[:, None, :] - np.ldexp(nu.atoms, -e)[None, :, :]
     cost = (diff * diff).sum(axis=2)
 
-    if mu.n_atoms == 1:
-        plan = nu.weights[None, :].copy()
-    elif nu.n_atoms == 1:
-        plan = mu.weights[:, None].copy()
-    else:
-        plan = _priced_plan(cost, mu, nu)
-
+    # with one atom on a side the staircase is the only plan: it prices optimal
+    plan = _priced_plan(cost, mu, nu)
     row_err = float(np.abs(plan.sum(axis=1) - mu.weights).max())
     col_err = float(np.abs(plan.sum(axis=0) - nu.weights).max())
     if max(row_err, col_err) > MARGINAL_TOL:
@@ -347,12 +327,6 @@ def prob_synthesis(mu: DiscreteMeasure, table) -> np.ndarray:
     """Adjoint of prob_analysis: sum_i w_i f_i y_i."""
     f = as_vector(table, dim=mu.n_atoms)
     return mu.atoms.T @ (mu.weights * f)
-
-
-def prob_gramian_apply(mu: DiscreteMeasure, table) -> np.ndarray:
-    """Gramian G_mu f at each atom: (G_mu f)(y_j) = sum_i w_i <y_j, y_i> f_i."""
-    f = as_vector(table, dim=mu.n_atoms)
-    return mu.atoms @ (mu.atoms.T @ (mu.weights * f))
 
 
 def lower_bound_decay(mu: DiscreteMeasure, n_max: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from . import measures as measures_mod
 from . import streams
 from . import translation as trans_mod
 from . import whitenoise as wn
-from .errors import ConfigError
+from .errors import ConfigError, DimensionExceedsTruncation
 from .frames import as_count
 from .report import (
     CheckRecord,
@@ -247,7 +247,11 @@ def _resolve(config, items):
     if not pending:
         return items
     ens = wn.WhiteNoiseEnsemble(config.dim, config.samples, config.seed)
-    results = iter(ens.reduce(r for _, *reductions in pending for r in reductions))
+    try:
+        results = iter(ens.reduce(r for _, *reductions in pending for r in reductions))
+    except DimensionExceedsTruncation as exc:
+        # refused before any tile is drawn: the command's probes need a larger --dim
+        raise ConfigError(f"--dim {config.dim} is too small for {config.command}: {exc}") from None
     records = []
     for item in items:
         if isinstance(item, CheckRecord):

@@ -74,24 +74,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(command="nosuch")
 
-    @pytest.mark.parametrize("field, value", [
-        ("seed", "abc"), ("seed", 1.9), ("seed", True), ("samples", [1]), ("dim", None),
-        ("command", 3), ("inputs", "mb.json"), ("inputs", [1]), ("tolerances", [["z_max", 5.0]]),
-        ("tolerances", {"z_max": "abc"}),
+    @pytest.mark.parametrize("command, field, value", [
+        ("frames", "seed", "abc"), ("frames", "seed", 1.9), ("frames", "seed", True),
+        ("frames", "samples", [1]), ("frames", "dim", None), ("frames", "command", 3),
+        ("frames", "inputs", "mb.json"), ("frames", "inputs", [1]),
+        ("frames", "tolerances", [["z_max", 5.0]]), ("frames", "tolerances", {"z_max": "abc"}),
+        ("gaussian", "seed", 1.5), ("gaussian", "seed", "3"), ("gaussian", "samples", True),
+        ("gaussian", "dim", None), ("gaussian", "inputs", "mb.json"),
+        ("gaussian", "options", [("x", [1.0])]),
     ])
-    def test_field_types(self, field, value):
-        doc = {"command": "frames", field: value}
-        with pytest.raises(ConfigError, match=f"^config field {field!r}"):
-            ExperimentConfig(**doc)
-
-    @pytest.mark.parametrize("field, value", [
-        ("seed", 1.5), ("seed", "3"), ("samples", True), ("dim", None), ("inputs", "mb.json"),
-        ("options", [("x", [1.0])]),
-    ])
-    def test_library_field_types(self, field, value):
+    def test_field_types(self, command, field, value):
         # a field of the wrong type is a config error naming it, never coerced
         with pytest.raises(ConfigError, match=f"^config field {field!r}"):
-            ExperimentConfig(command="gaussian", **{field: value})
+            ExperimentConfig(**{"command": command, field: value})
 
     def test_library_inputs_list_is_a_tuple(self, mb_path):
         assert ExperimentConfig(command="markov", inputs=[mb_path]).inputs == (mb_path,)
@@ -333,6 +328,23 @@ class TestExitCodes:
         kpath.write_text(json.dumps({"k": k}))
         assert main(["dpp", str(kpath)]) == 3
         assert capsys.readouterr().err == "dpp: NonFinite: kernel has NaN or infinite entries\n"
+
+    def test_null_weights_measure_file_is_three(self, tmp_path, capsys):
+        # null is not read as uniform weights
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"dim": 2, "atoms": [[0, 0], [1, 0]], "weights": None}))
+        assert main(["decay", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith('decay: InvalidWeights: measure document "weights"')
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "--dim", "2"], ["gaussian", "--dim", "1"],
+        ["translate", "--dim", "1", "--x", "[1,2]"],
+    ])
+    def test_dim_below_the_probes_is_two(self, argv, capsys):
+        # refused before any sample is drawn, so the default --samples costs nothing
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --dim")
 
     def test_zero_weight_measure_file_is_three(self, tmp_path, capsys):
         path = tmp_path / "mu.json"

@@ -14,15 +14,13 @@ from scipy.sparse import csr_array
 from framemeasures import (
     DiscreteMeasure,
     lower_bound_decay,
-    measure_frame_bounds,
     measure_from_dict,
     measure_to_dict,
     prob_analysis,
-    prob_frame_operator,
-    prob_gramian_apply,
     prob_synthesis,
     second_moment,
     wasserstein2,
+    weighted_frame,
 )
 from framemeasures.errors import (
     DimensionMismatch,
@@ -222,28 +220,28 @@ class TestFrameOperator:
     def test_uniform_on_basis(self):
         # oracle: (1/2) e1 e1^T + (1/2) e2 e2^T = I/2
         mu = DiscreteMeasure.uniform([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(prob_frame_operator(mu), np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(weighted_frame(mu).frame_operator, np.eye(2) / 2, atol=1e-15)
 
     def test_point_mass_at_zero(self):
         mu = DiscreteMeasure.point_mass([0.0, 0.0])
-        np.testing.assert_array_equal(prob_frame_operator(mu), np.zeros((2, 2)))
+        np.testing.assert_array_equal(weighted_frame(mu).frame_operator, np.zeros((2, 2)))
 
     def test_uniform_on_mercedes_benz(self, mb):
         mu = DiscreteMeasure.uniform(mb.vectors)
-        np.testing.assert_allclose(prob_frame_operator(mu), np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(weighted_frame(mu).frame_operator, np.eye(2) / 2, atol=1e-15)
 
     def test_bounds_tight_cases(self, mb):
-        b = measure_frame_bounds(DiscreteMeasure.uniform([[1.0, 0.0], [0.0, 1.0]]))
-        assert b.lower == pytest.approx(0.5) and b.upper == pytest.approx(0.5)
+        b = weighted_frame(DiscreteMeasure.uniform([[1.0, 0.0], [0.0, 1.0]]))
+        assert b.lower_bound == pytest.approx(0.5) and b.upper_bound == pytest.approx(0.5)
         assert b.is_tight() and b.is_frame()
 
-        b = measure_frame_bounds(DiscreteMeasure.point_mass([1.0, 0.0]))
-        assert b.lower == pytest.approx(0.0, abs=1e-15)
-        assert b.upper == pytest.approx(1.0)
+        b = weighted_frame(DiscreteMeasure.point_mass([1.0, 0.0]))
+        assert b.lower_bound == pytest.approx(0.0, abs=1e-15)
+        assert b.upper_bound == pytest.approx(1.0)
         assert not b.is_frame()
 
-        b = measure_frame_bounds(DiscreteMeasure.uniform(mb.vectors))
-        assert b.lower == pytest.approx(0.5) and b.is_tight()
+        b = weighted_frame(DiscreteMeasure.uniform(mb.vectors))
+        assert b.lower_bound == pytest.approx(0.5) and b.is_tight()
 
     def test_second_moment(self, mb):
         assert second_moment(DiscreteMeasure.uniform([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx(1.0)
@@ -255,8 +253,39 @@ class TestFrameOperator:
         for _ in range(25):
             mu = random_measure(rng, dim=int(rng.integers(1, 5)))
             assert second_moment(mu) == pytest.approx(
-                float(np.trace(prob_frame_operator(mu))), rel=1e-12
+                float(np.trace(weighted_frame(mu).frame_operator)), rel=1e-12
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+    def test_weighted_frame_is_the_measure(self, mb, seed, log_scale):
+        # the frame {sqrt(w_i) y_i} of a measure with its atoms shuffled has
+        # the measure's energies sum_i w_i <x, y_i>^2 and the extreme
+        # eigenvalues of sum_i w_i y_i y_i^T as its bounds, at any scale
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        mu = random_measure(rng, dim=int(rng.integers(1, 5)), max_atoms=8)
+        atoms, w = scale * mu.atoms, mu.weights
+        order = rng.permutation(mu.n_atoms)
+        frame = weighted_frame(DiscreteMeasure.from_points(atoms[order], w[order]))
+        for x in rng.normal(size=(3, mu.dim)):
+            energy = float(np.sum((frame.vectors @ x) ** 2))
+            assert energy == pytest.approx(float(w @ (atoms @ x) ** 2), rel=1e-12)
+        eigs = np.linalg.eigvalsh(atoms.T @ (w[:, None] * atoms))
+        tol = 1e-12 * frame.upper_bound
+        assert abs(frame.upper_bound - eigs[-1]) <= tol
+        assert abs(frame.lower_bound - max(eigs[0], 0.0)) <= tol
+        # the verdicts of the point mass, the uniform Mercedes-Benz measure
+        # and a rank-deficient measure on the line through (1, 2)
+        verdicts = [
+            (DiscreteMeasure.point_mass([scale, 0.0]), False, False),
+            (DiscreteMeasure.uniform(scale * mb.vectors), True, True),
+            (DiscreteMeasure.from_points(scale * np.outer([0.3, -1.0, 2.5], [1.0, 2.0]),
+                                         [0.2, 0.5, 0.3]), False, False),
+        ]
+        for nu, spans, tight in verdicts:
+            b = weighted_frame(nu)
+            assert (b.is_frame(), b.is_tight()) == (spans, tight)
 
 
 class TestWasserstein:
@@ -580,14 +609,19 @@ class TestOperators:
             mu = random_measure(rng, dim=3)
             x = rng.normal(size=3)
             lhs = prob_synthesis(mu, prob_analysis(mu, x))
-            np.testing.assert_allclose(lhs, prob_frame_operator(mu) @ x, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(lhs, weighted_frame(mu).frame_operator @ x,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_gramian_apply(self):
+        # the Gramian G_mu f = T_mu T_mu* f at each atom
+        def gramian(mu, f):
+            return prob_analysis(mu, prob_synthesis(mu, f))
+
         mu = DiscreteMeasure.uniform([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(prob_gramian_apply(mu, [0.0, 0.0]), [0.0, 0.0])
-        np.testing.assert_allclose(prob_gramian_apply(mu, [1.0, 0.0]), [0.5, 0.0])
+        np.testing.assert_allclose(gramian(mu, [0.0, 0.0]), [0.0, 0.0])
+        np.testing.assert_allclose(gramian(mu, [1.0, 0.0]), [0.5, 0.0])
         one = DiscreteMeasure.point_mass([1.0, 0.0])
-        np.testing.assert_allclose(prob_gramian_apply(one, [1.0]), [1.0])
+        np.testing.assert_allclose(gramian(one, [1.0]), [1.0])
 
     def test_adjointness(self):
         rng = np.random.default_rng(37)
@@ -620,7 +654,6 @@ class TestDecay:
     def test_no_uniform_lower_bound(self):
         rng = np.random.default_rng(43)
         mu = random_measure(rng, dim=4)
-        b = measure_frame_bounds(mu)
         seq = lower_bound_decay(mu, 16)
-        assert seq[: mu.dim].min() < b.upper + 1e-12
+        assert seq[: mu.dim].min() < weighted_frame(mu).upper_bound + 1e-12
         assert np.all(seq[mu.dim:] == 0.0)

@@ -37,7 +37,6 @@ VECTOR_INPUTS = {
     "verify_riesz_upper": lambda c: fm.verify_riesz_upper(MB, c),
     "prob_analysis": lambda x: fm.prob_analysis(fm.DiscreteMeasure.uniform([[1.0, 0.0, 2.0]]), x),
     "prob_synthesis": lambda f: fm.prob_synthesis(MU, f),
-    "prob_gramian_apply": lambda f: fm.prob_gramian_apply(MU, f),
 }
 
 # each takes a sample point omega of dimension 3
@@ -116,6 +115,8 @@ DOCUMENTS = {
     "frame vectors 'ab'": (lambda: fm.frame_from_dict({"dim": 2, "vectors": "ab"}),
                            DimensionMismatch),
     "weights 'a'": (lambda: fm.measure_from_dict(dict(MEASURE_DOC, weights="a")), InvalidWeights),
+    "weights null": (lambda: fm.measure_from_dict(dict(MEASURE_DOC, weights=None)),
+                     InvalidWeights),
     "normalized weights 'a'": (lambda: fm.DiscreteMeasure.normalized([[0.0]], "a"),
                                InvalidWeights),
     "ragged atoms": (lambda: fm.measure_from_dict(dict(MEASURE_DOC, atoms=[[1], [2, 3]])),

@@ -52,20 +52,16 @@ _DOCUMENT = "the input documents that the commands read"
 _TABLE = "the command table builds them at import, before the trace starts"
 # each public name that no command reaches, and why it stays
 UNREACHED = {
-    "measures.MeasureFrameBounds": _PROBABILISTIC,
-    "measures.measure_frame_bounds": _PROBABILISTIC,
-    "measures.prob_frame_operator": _PROBABILISTIC,
+    "measures.weighted_frame": _PROBABILISTIC,
     "measures.prob_analysis": _PROBABILISTIC,
     "measures.prob_synthesis": _PROBABILISTIC,
-    "measures.prob_gramian_apply": _PROBABILISTIC,
-    "measures.MeasureFrameBounds.is_frame": _PROBABILISTIC,
-    "measures.MeasureFrameBounds.is_tight": _PROBABILISTIC,
     "dpp.inclusion_probability": "the sampler checks of ROADMAP items 2 and 22 read it",
     "whitenoise.joint_density": "ROADMAP item 14 gives it an exact record on Gauss-Hermite nodes",
     "frames.synthesis": "demo 01 shows with it that synthesis is not injective",
     "translation.rn_density": "demo 06 evaluates the translation density with it",
     "measures.DiscreteMeasure.normalized": "builds an input measure from unnormalized weights",
     "measures.DiscreteMeasure.point_mass": "builds a one-atom input measure",
+    "measures.DiscreteMeasure.n_atoms": "prob_synthesis reads it; perfbench sizes a W2 span by it",
     "frames.save_frame": f"writes {_DOCUMENT}",
     "frames.frame_to_dict": f"gives {_DOCUMENT}",
     "measures.measure_to_dict": f"gives {_DOCUMENT}",
