@@ -1,17 +1,25 @@
-"""Counter-based random streams (Philox) for reproducible Monte Carlo.
+"""Seeded random streams for reproducible Monte Carlo.
 
-Every variate is a pure function of (seed, stream, position): position p
-of a stream is raw output p of a Philox-4x64 generator keyed by
-(seed, stream), so results never depend on execution order, chunking, or
-thread count. One addressing rule serves every consumer: variate j of
-unit i, where a unit (a path, a draw, a sample row) has width w, is at
-position i*w + j. Each consumer names its stream from the registry below;
-only the readers here, `normal_rows` and `uniform_columns` (which the DPP
-and Markov samplers use), compute a position, both through one loop.
+Every variate is a pure function of its address in a (seed, stream)
+stream, so results never depend on execution order, chunking, or thread
+count. Each consumer names its stream from the registry below; only the
+readers here, `normal_rows` and `uniform_columns` (which the DPP and
+Markov samplers use), compute an address.
 
-Normal variates use the inverse-CDF transform on open-interval uniforms
-rather than Box-Muller, which consumes variates in pairs and would couple
-adjacent positions.
+Uniforms are read by position: position p of a stream is raw output p of
+a Philox-4x64 generator keyed by (seed, stream), and variate j of unit i,
+where a unit (a path, a draw) has width w, is at position i*w + j. Any
+single uniform costs the same to reach.
+
+Normals are read by unit: the rows [k*NORMAL_ROWS, (k+1)*NORMAL_ROWS) of
+the (seed, stream) normal matrix with c columns are the (NORMAL_ROWS, c)
+normals that numpy's ziggurat (`Generator.standard_normal`, Marsaglia &
+Tsang 2000) draws in order from an SFC64 generator seeded by
+SeedSequence(seed, spawn_key=(stream, k)). The ziggurat draws most
+normals from one raw output, but it consumes a variable number of them,
+so a normal has no fixed position: reading one means drawing its unit up
+to its row. The rows of a unit are a prefix of its sequence, so the
+first m rows of a matrix are the matrix of m rows.
 
 `map_blocks` is the one entry point to the library's thread pool, whose
 size FRAMES_THREADS caps: it runs blocks of units, each with a lent
@@ -25,7 +33,8 @@ import numpy as np
 
 # The registry of stream ids, one per consumer, so a shared seed never
 # aliases streams. Every id of the library is declared here, below 2^32:
-# the id keys bits 32..63 of the generator, the seed bits 64..127.
+# the id keys bits 32..63 of the Philox generator, the seed bits 64..127,
+# and it is one 32-bit word of a normal unit's spawn key.
 STREAM_MARKOV = 1
 STREAM_DPP = 2
 STREAM_WHITENOISE = 3
@@ -42,16 +51,25 @@ if len(set(STREAM_IDS.values())) != len(STREAM_IDS):
 from .errors import DimensionMismatch  # noqa: E402
 from .frames import as_count  # noqa: E402
 
-# A seed keys the generator's upper 64 bits: 0 <= seed <= SEED_MAX.
+# A seed keys the Philox generator's upper 64 bits: 0 <= seed <= SEED_MAX.
 SEED_MAX = (1 << 64) - 1
+WORD_MAX = (1 << 32) - 1
 
-# Rows per task of `normal_matrix`; both serve only the stream tests and perfbench's probe.
+# Rows of a normal unit, each drawn by one generator; see the module docstring.
+NORMAL_ROWS = 1 << 13
+# Rows per task of `normal_matrix`, a whole number of units; both serve
+# only the stream tests and perfbench's probe.
 BLOCK_ROWS = 1 << 16
 
 
+def _address(seed: int, stream: int) -> tuple:
+    stream = as_count(stream, "stream", 0, WORD_MAX)
+    return as_count(seed, "seed", 0, SEED_MAX), stream
+
+
 def _philox(seed: int, stream: int) -> np.random.Philox:
-    stream = as_count(stream, "stream", 0, (1 << 32) - 1)
-    return np.random.Philox(key=(as_count(seed, "seed", 0, SEED_MAX) << 64) | (stream << 32))
+    seed, stream = _address(seed, stream)
+    return np.random.Philox(key=(seed << 64) | (stream << 32))
 
 
 # largest double below 1: the top raw values would otherwise round up to 1.0
@@ -97,12 +115,12 @@ def _unit_count(start: int, stop: int) -> int:
     return as_count(stop, "stop", as_count(start, "start", 0)) - start
 
 
-def _read_units(seed: int, stream: int, start: int, stop: int, view, write=np.copyto) -> None:
+def _read_units(seed: int, stream: int, start: int, stop: int, view) -> None:
     """Units [start, stop) of the (seed, stream) uniforms into `view`, a
     (stop - start, w) array or view: entry (i, j) is position
     (start + i)*w + j. The raw outputs are drawn and converted whole units
-    at a time, UNIFORM_CHUNK of them or one unit, and `write(piece, u)`
-    puts each piece's uniforms u into its rows of the view."""
+    at a time, UNIFORM_CHUNK of them or one unit, and each piece is
+    copied into its rows of the view."""
     if view.ndim != 2 or len(view) != _unit_count(start, stop):
         raise DimensionMismatch(f"out does not hold exactly the units [{start}, {stop})")
     units, width = view.shape
@@ -111,7 +129,7 @@ def _read_units(seed: int, stream: int, start: int, stop: int, view, write=np.co
     for lo in range(0, units, step):
         piece = view[lo : lo + step]
         # unnamed, the raw piece is freed before the next one is drawn
-        write(piece, _to_open_unit(bg.random_raw(piece.size)).reshape(piece.shape))
+        np.copyto(piece, _to_open_unit(bg.random_raw(piece.size)).reshape(piece.shape))
 
 
 # Multiply-adds up to which OpenBLAS runs a matrix product (gemm) on the
@@ -175,19 +193,36 @@ def map_blocks(fn, count: int, block: int, scratch=lambda: None, workers: int | 
 
 def normal_rows(seed: int, start: int, stop: int, cols: int, stream: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Rows [start, stop) of the (seed, stream) normal matrix with `cols` columns.
-
-    Entry (i, j) is the normal at position i*cols + j of the stream, the
-    `ndtri` of its uniform, written into `out`, a (stop - start, cols)
-    array or view, when given.
+    """Rows [start, stop) of the (seed, stream) normal matrix with `cols`
+    columns, written into `out`, a (stop - start, cols) array or view, when
+    given. Row i is in unit i // NORMAL_ROWS, whose generator draws the
+    rows in order; see the module docstring. A range that starts inside a
+    unit draws and discards that unit's earlier rows, UNIFORM_CHUNK
+    normals at a time.
     """
-    # imported where it runs, so that the samplers never load scipy
-    from scipy.special import ndtri
-
-    out = np.empty((_unit_count(start, stop), cols)) if out is None else out
-    if out.shape[1:] != (cols,):
-        raise DimensionMismatch(f"out of shape {out.shape} does not hold rows of {cols} columns")
-    _read_units(seed, stream, start, stop, out, lambda piece, u: ndtri(u, out=piece))
+    count = _unit_count(start, stop)
+    seed, stream = _address(seed, stream)
+    # the last unit read: each spawn-key entry is one 32-bit word
+    as_count(max(stop - 1, 0) // NORMAL_ROWS, "normal unit", 0, WORD_MAX)
+    out = np.empty((count, cols)) if out is None else out
+    if out.shape != (count, cols):
+        raise DimensionMismatch(f"out of shape {out.shape} does not hold rows [{start}, {stop}) "
+                                f"of {cols} columns")
+    lo = start
+    while lo < stop:
+        unit, row = divmod(lo, NORMAL_ROWS)
+        hi = min(stop, (unit + 1) * NORMAL_ROWS)
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            seed, spawn_key=(stream, unit))))
+        for skipped in range(0, row * cols, UNIFORM_CHUNK):
+            gen.standard_normal(min(UNIFORM_CHUNK, row * cols - skipped))
+        piece = out[lo - start : hi - start]
+        if piece.flags.c_contiguous:
+            gen.standard_normal(out=piece)
+        else:
+            # the generator fills memory order, which is row order only here
+            piece[...] = gen.standard_normal(piece.shape)
+        lo = hi
     return out
 
 

@@ -240,18 +240,30 @@ def _mc(reduction, z_max, *names):
     return (to_records, reduction)
 
 
+def _pending(items) -> list:
+    return [item for item in items if not isinstance(item, CheckRecord)]
+
+
+def _check_dim(config, items) -> None:
+    """Refuse, as a ConfigError, a --dim below the widest probe of the
+    pending reductions in `items`. A builder calls it before its other
+    work, so a command that cannot run its pass does nothing else."""
+    widths = [len(v) for _, *reductions in _pending(items) for r in reductions for v in r.probes]
+    try:
+        wn._check_truncation(max(widths, default=0), config.dim)
+    except DimensionExceedsTruncation as exc:
+        raise ConfigError(f"--dim {config.dim} is too small for {config.command}: {exc}") from None
+
+
 def _resolve(config, items):
     """Records of `items`, in order, after one pass over the config's
     (dim, samples, seed) ensemble; none when nothing is pending."""
-    pending = [item for item in items if not isinstance(item, CheckRecord)]
+    pending = _pending(items)
     if not pending:
         return items
+    _check_dim(config, pending)
     ens = wn.WhiteNoiseEnsemble(config.dim, config.samples, config.seed)
-    try:
-        results = iter(ens.reduce(r for _, *reductions in pending for r in reductions))
-    except DimensionExceedsTruncation as exc:
-        # refused before any tile is drawn: the command's probes need a larger --dim
-        raise ConfigError(f"--dim {config.dim} is too small for {config.command}: {exc}") from None
+    results = iter(ens.reduce(r for _, *reductions in pending for r in reductions))
     records = []
     for item in items:
         if isinstance(item, CheckRecord):
@@ -323,6 +335,15 @@ def _translate_records(config, prefix="", *, x, y):
     probes = _probe_vectors(config.seed, 2, d)
     x = frames_mod.as_vector(probes[0] if x is None else x)
     y = probes[1] if y is None else y
+    pending = [
+        _mc(trans_mod.rn_mean(x), z_max, prefix + "rn_density_mean"),
+        _mc(trans_mod.translated_moment(x, y), z_max, prefix + "translated_second_moment"),
+        _mc(trans_mod.translation_consistency(x, y, power=1), z_max,
+            prefix + "shift_consistency_linear"),
+        _mc(trans_mod.translation_consistency(x, y, power=2), z_max,
+            prefix + "shift_consistency_quadratic"),
+    ]
+    _check_dim(config, pending)
     norm_sq = wn._inner(x, x)
     if norm_sq > 4.0:
         log.warning(
@@ -333,16 +354,7 @@ def _translate_records(config, prefix="", *, x, y):
     triples = streams.normal_rows(config.seed, 0, 1000, 3 * d, stream=streams.STREAM_COCYCLE)
     lhs, rhs = trans_mod.cocycle_check(triples[:, :d], triples[:, d : 2 * d], triples[:, 2 * d :])
     worst = float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max())
-
-    return [
-        bound_record(prefix + "cocycle_max_rel_residual", worst, rel),
-        _mc(trans_mod.rn_mean(x), z_max, prefix + "rn_density_mean"),
-        _mc(trans_mod.translated_moment(x, y), z_max, prefix + "translated_second_moment"),
-        _mc(trans_mod.translation_consistency(x, y, power=1), z_max,
-            prefix + "shift_consistency_linear"),
-        _mc(trans_mod.translation_consistency(x, y, power=2), z_max,
-            prefix + "shift_consistency_quadratic"),
-    ]
+    return [bound_record(prefix + "cocycle_max_rel_residual", worst, rel), *pending]
 
 
 # --------------------------------------------------------------------- kl
@@ -364,6 +376,13 @@ def _verify_all_records(config):
     mb = frames_mod.mercedes_benz_frame()
     mu = measures_mod.DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
     nu = measures_mod.DiscreteMeasure.uniform([[0.0, 0.0], [2.0, 0.0]])
+    # the white-noise items come first, so that a --dim too small for their
+    # probes is refused before the exact suites run; `run` resolves them in
+    # one pass over one shared ensemble
+    white_noise = _gaussian_records(config, "gaussian.", **_options("gaussian"))
+    white_noise += _translate_records(config, "translate.", **_options("translate"))
+    white_noise += _kl_records(config, trans_mod.parseval_rescale(mb), "kl.", **_options("kl"))
+    _check_dim(config, white_noise)
 
     records = _frames_records(config, mb, "frames.mb.")
     records += _frames_records(config, frames_mod.orthonormal_basis_frame(4), "frames.onb.")
@@ -372,11 +391,7 @@ def _verify_all_records(config):
     records += _markov_records(config, mb, "markov.", **_options("markov", paths=2000))[0]
     records += _dpp_records(config, dpp_mod.kernel_from_frame(mb), "dpp.",
                             **_options("dpp", bruteforce=True))
-    # `run` resolves these in one pass over one shared ensemble
-    records += _gaussian_records(config, "gaussian.", **_options("gaussian"))
-    records += _translate_records(config, "translate.", **_options("translate"))
-    records += _kl_records(config, trans_mod.parseval_rescale(mb), "kl.", **_options("kl"))
-    return records
+    return records + white_noise
 
 
 def _options(command, **given):

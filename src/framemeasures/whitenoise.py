@@ -10,16 +10,18 @@ truncation D >= dim(x), so Monte-Carlo verification at desk scale is
 unbiased.
 
 A WhiteNoiseEnsemble is the triple (D, M, seed) and nothing more: sample i
-is row i of `streams.normal_rows(seed, 0, M, D, STREAM_WHITENOISE)`,
-positions [i*D, (i+1)*D) of that stream, so the first m samples of an
-ensemble are the ensemble of m samples, `WhiteNoiseEnsemble(D, m, seed)`.
-No sample is stored and no library path holds the (M, D) matrix: every pass
-regenerates its tiles. A tile in flight works in two buffers that
-`streams.map_blocks` lends it, made once per worker on the calling thread:
-its (TILE_ROWS, D) coordinates, which `streams.normal_rows` fills a piece
-of the stream at a time, and its (k, TILE_ROWS) pairings with the k
-probes. So a pass holds O(workers * TILE_ROWS * (D + k)) doubles and
-allocates no tile-sized array on the workers.
+is row i of `streams.normal_rows(seed, 0, M, D, STREAM_WHITENOISE)`, and
+the rows of a unit of that stream are a prefix of its sequence, so the
+first m samples of an ensemble are the ensemble of m samples,
+`WhiteNoiseEnsemble(D, m, seed)`. No sample is stored and no library path
+holds the (M, D) matrix: every pass regenerates its tiles, each one unit
+of the stream (TILE_ROWS = streams.NORMAL_ROWS), so no row is drawn
+twice. A tile in flight works in two buffers that `streams.map_blocks`
+lends it, made once per worker on the calling thread: its (TILE_ROWS, D)
+coordinates, which the unit's generator fills in place, and its
+(k, TILE_ROWS) pairings with the k probes. So a pass holds
+O(workers * TILE_ROWS * (D + k)) doubles and allocates no tile-sized
+array on the workers.
 
 Each scalar estimator is written once, as a `Reduction`: the probe vectors
 it pairs with every sample and a per-tile contribution (count, mean and M2
@@ -57,10 +59,11 @@ from .report import _estimate, _merge_moments, _moments
 MAX_MOMENT_ORDER = 9     # 2k and 2k+1 for k <= 4
 MEAN_BAND = 5.0       # generator sanity: |coord mean| <= 5/sqrt(M)
 VAR_BAND = 5.0        # and coord var within the chi-square quantiles of 5-sigma tails
-# Samples per task of a pass: a tile of D = 32 coordinates is 2 MB, so a
-# tile and its pairings stay in cache. Tiles fix the merge order, so a
-# new value changes the estimates' last bits.
-TILE_ROWS = 1 << 13
+# Samples per task of a pass: one unit of the normal stream, so no row is
+# drawn twice, and a tile of D = 32 coordinates is 2 MB, so a tile and its
+# pairings stay in cache. Tiles fix the merge order, so a new value
+# changes the estimates' last bits.
+TILE_ROWS = streams.NORMAL_ROWS
 
 
 def _pair(probes: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

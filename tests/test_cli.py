@@ -341,10 +341,18 @@ class TestExitCodes:
         ["verify-all", "--dim", "2"], ["gaussian", "--dim", "1"],
         ["translate", "--dim", "1", "--x", "[1,2]"],
     ])
-    def test_dim_below_the_probes_is_two(self, argv, capsys):
-        # refused before any sample is drawn, so the default --samples costs nothing
+    def test_dim_below_the_probes_is_two(self, argv, capsys, caplog, monkeypatch):
+        # refused before any sample is drawn, so the default --samples costs
+        # nothing: verify-all runs no exact suite (its DPP draws come last),
+        # and translate logs no power warning for its ||x||^2 = 5
+        def refused(*args):
+            raise AssertionError("the DPP sampler ran")
+
+        monkeypatch.setattr(fm.dpp, "sample_masks", refused)
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("config error: --dim")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --dim") and err.count("\n") == 1
+        assert not caplog.records
 
     def test_zero_weight_measure_file_is_three(self, tmp_path, capsys):
         path = tmp_path / "mu.json"
@@ -577,7 +585,7 @@ def test_riesz_coefficients_are_not_the_probe_uniforms(mb_path, mb, monkeypatch)
     monkeypatch.setattr(frames_mod, "verify_riesz_upper", spy)
     run(ExperimentConfig(command="frames", inputs=(mb_path,), seed=7))
     (c,) = seen
-    # the probe vectors are ndtri of these uniforms
+    # the uniforms of the probes' stream id; the coefficients read their own
     probe_uniforms = streams.uniform_columns(7, 0, 1, streams.STREAM_PROBES,
                                              np.empty((mb.n_frame, 1)))[:, 0]
     assert not np.isclose(c + 0.5, probe_uniforms).any()
@@ -647,8 +655,8 @@ def test_every_option_parses_alike_from_text_and_json():
 
 def test_samplers_and_decay_never_load_scipy(mb_path, measure_path):
     # scipy.special alone takes about 0.3 s to import, more than these
-    # commands take to run; only ndtri, the sanity band, the Gaussian
-    # moments and the W2 solvers load it, where they run
+    # commands take to run; only the sanity band and the W2 solvers load
+    # it, where they run
     runs = [["dpp", mb_path, "--bruteforce"], ["markov", mb_path], ["decay", measure_path]]
     code = ("import sys\n"
             "from framemeasures.cli import main\n"

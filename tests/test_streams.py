@@ -8,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from framemeasures import streams
 from framemeasures.errors import DimensionMismatch, InvalidEnsembleSize
 
 B = streams.BLOCK_ROWS
+N = streams.NORMAL_ROWS
 
 
 def _flat(seed, start, count, stream):
@@ -197,7 +197,8 @@ def test_only_streams_addresses_a_stream():
     for path in Path(streams.__file__).parent.glob("*.py"):
         source = path.read_text()
         if path.name != "streams.py":
-            for name in ("random_raw", "_generator_at", "UNIFORM_CHUNK"):
+            for name in ("random_raw", "_generator_at", "UNIFORM_CHUNK", "SeedSequence",
+                         "standard_normal"):
                 assert name not in source, (path.name, name)
         if path.name in ("dpp.py", "markov.py"):
             assert "uniforms_at" not in source, path.name
@@ -219,13 +220,58 @@ def test_open_unit_extremes_are_open_and_finite():
     u = streams._to_open_unit(raw.copy())
     assert 0.0 < u[0] and u[1] < 1.0
     assert u[1] == np.nextafter(1.0, 0.0)
-    assert np.isfinite(ndtri(u)).all()
 
 
 def test_open_unit_matches_formula_bitwise():
     raw = streams._philox(11, 4).random_raw(1_000_000)
     expected = _old_open_unit(raw)
     np.testing.assert_array_equal(streams._to_open_unit(raw.copy()), expected)
+
+
+def _unit_rows(seed, stream, unit, cols):
+    # the NORMAL_ROWS rows of a unit: its generator's draws, in order
+    key = np.random.SeedSequence(seed, spawn_key=(stream, unit))
+    return np.random.Generator(np.random.SFC64(key)).standard_normal(N * cols).reshape(N, cols)
+
+
+def _reference_rows(seed, start, stop, cols, stream):
+    units = range(start // N, (stop - 1) // N + 1)
+    rows = np.concatenate([_unit_rows(seed, stream, k, cols) for k in units])
+    return rows[start - units[0] * N : stop - units[0] * N]
+
+
+# The law test's sample: LAW_UNITS units of 32 columns, 2^22 normals; its
+# equiprobable bins of Phi; its tails |z| > c; and its false-failure rate,
+# half of it the bins' chi-square, a quarter each tail's binomial band.
+LAW_UNITS, LAW_COLS = 16, 32
+LAW_BINS = 64
+LAW_TAILS = (3.5, 4.5)
+LAW_ALPHA = 1e-6
+
+
+def test_normal_rows_follow_the_normal_law_in_bins_and_tails():
+    # a pass's 5-sigma band sees only each coordinate's mean and variance,
+    # so a wrong ziggurat layer or tail would pass it; a correct stream
+    # fails this test with probability at most LAW_ALPHA
+    from scipy.special import ndtr, ndtri
+    from scipy.stats import binom, chi2
+
+    edges = ndtri(np.arange(1, LAW_BINS) / LAW_BINS)
+    bins, tails = np.zeros(LAW_BINS, dtype=np.int64), np.zeros(len(LAW_TAILS), dtype=np.int64)
+    for unit in range(LAW_UNITS):
+        z = streams.normal_rows(12, unit * N, (unit + 1) * N, LAW_COLS,
+                                streams.STREAM_WHITENOISE).ravel()
+        bins += np.bincount(np.searchsorted(edges, z), minlength=LAW_BINS)
+        tails += [np.count_nonzero(np.abs(z) > c) for c in LAW_TAILS]
+    n = LAW_UNITS * N * LAW_COLS
+    expected = n / LAW_BINS
+    stat = float(((bins - expected) ** 2).sum() / expected)
+    assert stat < chi2.isf(LAW_ALPHA / 2, LAW_BINS - 1), stat
+    for c, count in zip(LAW_TAILS, tails):
+        p = 2.0 * ndtr(-c)
+        # each side of the band takes LAW_ALPHA / 8
+        low, high = binom.cdf(count, n, p), binom.sf(count - 1, n, p)
+        assert min(low, high) > LAW_ALPHA / 8, (c, int(count), n * p)
 
 
 def test_normal_rows_within_a_block():
@@ -235,15 +281,22 @@ def test_normal_rows_within_a_block():
 
 
 @pytest.mark.parametrize("start, stop, cols", [
-    # first positions 7, 21 and 40950: 3, 1 and 2 mod 4
-    (1, 30_000, 7),  # across three conversion pieces
+    (1, 30_000, 7),  # across four units
     (3, 4, 7),  # one row
-    (8190, 8190 + 2 * streams.UNIFORM_CHUNK // 5 + 1, 5),  # two pieces and one value
+    (8190, 8190 + 2 * streams.UNIFORM_CHUNK // 5 + 1, 5),  # five units, starting inside one
+    # the last rows of a unit and the first of the next, discarding more
+    # than a piece of UNIFORM_CHUNK normals
+    (N - 3, N + 5, 9),
 ])
 def test_normal_rows_into_out_equals_a_fresh_result(start, stop, cols):
-    want = ndtri(_reference(9, start * cols, (stop - start) * cols, 3)).reshape(stop - start, cols)
+    # a range that starts inside a unit reads the rows a read from row 0 reads
+    want = _reference_rows(9, start, stop, cols, 3)
     got = streams.normal_rows(9, start, stop, cols, stream=3)
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(streams.normal_rows(9, 0, stop, cols, 3)[start:], want)
+    # a view whose rows are not contiguous is filled in row order too
+    strided = np.full((stop - start, 2 * cols), np.nan)[:, ::2]
+    np.testing.assert_array_equal(streams.normal_rows(9, start, stop, cols, 3, out=strided), want)
     buf = np.full((stop - start + 3, cols), np.nan)
     out = streams.normal_rows(9, start, stop, cols, stream=3, out=buf[: stop - start])
     assert np.shares_memory(out, buf)
@@ -252,10 +305,12 @@ def test_normal_rows_into_out_equals_a_fresh_result(start, stop, cols):
 
 
 def test_normal_rows_read_flat_positions():
-    # entry (i, j) of a width-5 matrix is the normal at position 5*i + j
-    u = _flat(9, (B - 2) * 5, 25, stream=3)
+    # entry (i, j) of a width-5 matrix is draw 5*(i mod N) + j of unit i // N;
+    # B is the first row of unit B // N
+    last = _unit_rows(9, 3, B // N - 1, 5)[-2:]
+    first = _unit_rows(9, 3, B // N, 5)[:3]
     np.testing.assert_array_equal(
-        streams.normal_rows(9, B - 2, B + 3, 5, stream=3), ndtri(u).reshape(5, 5)
+        streams.normal_rows(9, B - 2, B + 3, 5, stream=3), np.concatenate([last, first])
     )
 
 
@@ -281,7 +336,7 @@ def test_readers_hold_one_piece_of_raw_outputs():
     columns, rows = np.empty((6, 29_127)), np.empty((8192, 32))
     for read in (lambda: streams.uniform_columns(1, 3, 29_130, 2, columns),
                  lambda: streams.normal_rows(1, 5, 8197, 32, 3, out=rows)):
-        read()  # imports ndtri
+        read()  # the first call makes the objects that stay loaded
         tracemalloc.start()
         try:
             read()
@@ -300,6 +355,24 @@ def test_stream_ids_past_32_bits_are_refused():
             streams.normal_rows(seed, 0, 3, 2, stream=stream)
     last = streams.normal_rows(5, 0, 3, 2, stream=2**32 - 1)
     assert not np.array_equal(last, streams.normal_rows(5, 0, 3, 2, stream=0))
+    # so is a normal unit of 2^32 or more, each spawn-key entry being one
+    # 32-bit word; the last unit is read
+    with pytest.raises(InvalidEnsembleSize, match="normal unit"):
+        streams.normal_rows(5, 2**32 * N, 2**32 * N + 1, 2, stream=0)
+    with pytest.raises(InvalidEnsembleSize, match="normal unit"):
+        streams.normal_rows(5, 2**32 * N - 1, 2**32 * N + 1, 2, stream=0)
+    top = streams.normal_rows(5, 2**32 * N - 1, 2**32 * N, 2, stream=0)
+    np.testing.assert_array_equal(top, _unit_rows(5, 0, 2**32 - 1, 2)[-1:])
+    # seed 2^32 of stream 3 and seed 0 of stream 1 share the list entropy
+    # [2^32, 3, 0] = [0, 1, 3] of 32-bit words; the spawn key keeps their
+    # units 0 and 3 apart
+    np.testing.assert_array_equal(
+        np.random.SeedSequence([2**32, 3, 0]).generate_state(4),
+        np.random.SeedSequence([0, 1, 3]).generate_state(4),
+    )
+    a = streams.normal_rows(2**32, 0, 4, 2, stream=3)
+    b = streams.normal_rows(0, 3 * N, 3 * N + 4, 2, stream=1)
+    assert not np.isin(a, b).any()
 
 
 def test_negative_stream_id_is_refused():
@@ -363,39 +436,41 @@ def _sha256(*arrays):
 # SHA-256 of the little-endian float64 bytes, seed 7, for each registered
 # stream: (uniforms at positions [0, 1000) and [5*2^20 + 3, +1000);
 # normal rows [1000, 1256) of width 8; normal rows [R - 128, R + 128) and
-# [3R + 5, 3R + 261) of width 8, R = 65536). The first two held before
-# normal rows were flat-addressed; the third pins rows at and beyond R. A
-# changed digest is a changed stream, and every record drawn from it moves.
+# [3R + 5, 3R + 261) of width 8, R = 65536). The uniform digests held
+# before normal rows were flat-addressed; the normal rows are read from
+# the ziggurat of one SFC64 generator per unit, and pin rows within a
+# unit, across a boundary and in units beyond R. A changed digest is a
+# changed stream, and every record drawn from it moves.
 STREAM_DIGESTS = {
     "STREAM_MARKOV": (
         "57573b925646e8e472f3b43b99b5c95c0ab7ef998c7795440e5ad0c047767941",
-        "f525f4733611d046de3a717e0b0b918276087f0cf1f10ec8fd5674c5d4af3c51",
-        "71321d20d6a79398fd555c341daa2cd8287721aed56af8b3f0841c593055ba0b",
+        "86a8e5e2b63473e6b6dbf6da32f759bb904367c816404d4e2396b57f5e72bfd0",
+        "87d57bc5842c08d334277a50e1730f993cfbfd20b9ba3ea25cd3453c98039012",
     ),
     "STREAM_DPP": (
         "35761caf9289fe049ce3574e9f2d4dc49c6b2e75e588fb9eff69464963d43d02",
-        "2de40ed7de6683e5b50a1da5c530679cad4fefbf3507c677749fcb9229f021e5",
-        "ebe8725feeba6bb67396e36c3243c9d26958f5bb66ca1212d3e97356aa66bfc0",
+        "1414d0281ea13596f442e1ca54239c37f62ad6b0898db3a7b4db03c73f8b1f65",
+        "407cd2a0101a5456a9383b6a1ff69d8cf1ddb60b634b8f094546c37d840b1ea6",
     ),
     "STREAM_WHITENOISE": (
         "c6ba93294bf57eec96242e69da65337a3c849226f5fb9b932558b1da591fd17a",
-        "73d397131f9c116ef451e3c2d5339ddf518b49ac2b8f88a75ba1cb97ec814002",
-        "67a96398e3c4bd2831b73eeea8d55fc663033fe0cffa97e58c88ab44db635f50",
+        "c0b06abad21d06ab8ae7372e7ab6515aa0580594c32058588341229804625d88",
+        "f47dc1a69a7d9ceaca0b6ab4151b5321e516a98b74fca79e6266fbe76aaabb37",
     ),
     "STREAM_PROBES": (
         "06117e33f3c53dfbd764127f4901ce6470daec1e1865cf53b06595877cd04b6f",
-        "8d6c2222b49d15f107aeda726c87123da5737f00923293e8ca4ef6f3c59ace44",
-        "f95823fe53610a7abf5e5fd8125ef2d55f32ff6c79aa344c7dca5e22918ac570",
+        "436ea9309c8236932e6fda10f814d0bf5ea07f1c7c2d0dc16401310386d41497",
+        "37e82a8fdd5759cfd442e371126d35e136a9806b991d4bcce0b5a77de8183f20",
     ),
     "STREAM_COCYCLE": (
         "a9baf54d136d63c08cc24642e6f580d938d205eda3eb0f8e4b8fd9ec3a81a52f",
-        "76460a3d32773bf679de896e0f4f7c91a1bcdc136bac3c351b5cccb34ff9fda1",
-        "694e5c651990de77de2f33aa1b5d9629b7708b70c463c65646ddfbf7a43b3c1f",
+        "c6770c1bd677a602d31b800e96b757a9245b0cb851ba2ab8a3c497572d0abe05",
+        "be9dcd009c7d348fa8928faa9bb309ffc68247f08e274bf20d857f6e8f672f0c",
     ),
     "STREAM_RIESZ": (
         "1e38625cd26685e2c285bc9887672cff55458addb98ef1216cbd064ccc2f81ec",
-        "8247b63b97c7ebd82b04ff775863d2bc7d0439b85d38c1f58129698d3867db20",
-        "76e386375380b10f4f158e97f1ccda1cffad899363e49673f4f4b5a4f6c2b109",
+        "0037712283b820c1f20aecce3e4614cc6b8ea35e1490ac5b9985bb82a8b67074",
+        "3eb3afd79e4c94e2a208ebc1b542a0ac6d04988a9acd48c83572103fbb2b1ae0",
     ),
 }
 
@@ -412,9 +487,8 @@ def test_stream_digests(name):
         _flat(7, 0, 1000, stream=s),
         _flat(7, 5 * 2**20 + 3, 1000, stream=s),
     )
-    below = _sha256(streams.normal_rows(7, 1000, 1256, 8, stream=s))
-    beyond = _sha256(
-        streams.normal_rows(7, r - 128, r + 128, 8, stream=s),
-        streams.normal_rows(7, 3 * r + 5, 3 * r + 261, 8, stream=s),
-    )
-    assert (uniforms, below, beyond) == STREAM_DIGESTS[name]
+    ranges = ((1000, 1256), (r - 128, r + 128), (3 * r + 5, 3 * r + 261))
+    rows = [streams.normal_rows(7, lo, hi, 8, stream=s) for lo, hi in ranges]
+    for (lo, hi), got in zip(ranges, rows):
+        np.testing.assert_array_equal(got, _reference_rows(7, lo, hi, 8, s))
+    assert (uniforms, _sha256(rows[0]), _sha256(*rows[1:])) == STREAM_DIGESTS[name]

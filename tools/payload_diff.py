@@ -11,8 +11,9 @@ kinds of file are pinned, each byte for byte:
 - the stdout of each demo under demos/ (golden/demos/<name>.txt);
 - the `--draws-csv` and `--paths-csv` files of CSV_RUNS, whose frame is
   CSV_FRAME;
-the last two diffed line by line. The bits depend on numpy, scipy
-(`ndtri`), the BLAS and the BLAS kernel the CPU selects, so
+the last two diffed line by line. The bits depend on numpy (SFC64,
+`SeedSequence` and the ziggurat make the normals), scipy, the BLAS and
+the BLAS kernel the CPU selects, so
 `versions.json` beside the files records the versions and the kernel
 they were made with. A change that moves a stream, a statistic
 or a bound on purpose regenerates the files, and quotes this tool's
